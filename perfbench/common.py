@@ -20,16 +20,9 @@ TAIL_LADDER = (50.0, 75.0, 90.0, 95.0, 99.0, 99.9)
 #: Samples a tail percentile must leave beyond it.
 TAIL_BEYOND = 10
 
-#: Percentile of per-unit times the throughput and CPU metrics use: the
-#: fastest tenth of a window's units.  The host is shared, and
-#: neighbours slow whole stretches of a run, in CPU time as well as wall
-#: time; the fastest units are the ones that reflect the program.
-#: Medians go in the report.
-FAST_PERCENTILE = 10.0
-
-#: Probe time of a quiet host, seconds: the reference that the
-#: ``host_speed`` figure of the report is given against.
-PROBE_REFERENCE_S = 0.015
+#: Probe time of a quiet host, seconds: the reference speed the timed
+#: end-to-end metrics are calibrated to (see ``calibrated``).
+PROBE_REFERENCE_S = 0.020
 
 #: Largest share of traced wall time the layers may leave unattributed.
 UNATTRIBUTED_TOLERANCE = 0.10
@@ -80,28 +73,43 @@ def tail(values: list[float]) -> dict:
     return {"value": value, "unit": "s", "percentile": chosen, "samples": n}
 
 
-def fast(values) -> float:
-    return float(np.percentile(values, FAST_PERCENTILE))
-
-
 def probe() -> float:
-    """Seconds one run of a fixed kernel of small-array numpy and dict
-    work takes (about 15 ms on a quiet host); the benchmark's own code,
-    so only the host moves it."""
-    grid = np.linspace(0.0, 1.0, 4096)
+    """Seconds one run of a fixed kernel takes (about 20 ms on a quiet
+    host): small-array numpy stencil updates, like the engine's, plus
+    dict work.  The benchmark's own code, so only the host moves it."""
+    grid = np.linspace(0.0, 1.0, 256)
+    state = np.zeros_like(grid)
     start = time.perf_counter()
     total = 0.0
-    for k in range(300):
-        total += float((np.sin(grid * k) + grid).sum())
-        total += sum({i: i * 0.5 for i in range(40)}.values())
+    for k in range(2400):
+        state[1:-1] = (0.5 * state[1:-1] + 0.25 * (state[:-2] + state[2:])
+                       + 1e-3 * grid[1:-1])
+        np.cumsum(state, out=state)
+        state *= 1e-3
+        if k % 24 == 0:
+            total += sum({i: i * 0.5 for i in range(40)}.values())
     return time.perf_counter() - start
 
 
-def host_speed() -> float:
-    """How fast the host runs now against a quiet one: the median of
-    five probes, as ``PROBE_REFERENCE_S / probe``.  Recorded in the
-    report so a slow run can be told from a slow program."""
-    return PROBE_REFERENCE_S / median([probe() for _ in range(5)])
+def calibrated(times, probes) -> float:
+    """Seconds a unit of work would take at the reference host speed:
+    the median over units of ``time / probe``, each unit paired with
+    the probe run just before it, times ``PROBE_REFERENCE_S``.
+
+    The host is shared, and neighbours slow it to ~0.6x for minutes
+    at a time, in CPU time as well as wall time, so raw times of whole
+    runs spread by more than the metrics' bounds.  The probe slows with
+    the unit beside it, and the benchmark never changes the probe, so a
+    faster program still shows in full.  Raw medians go in the report.
+    """
+    return PROBE_REFERENCE_S * median(
+        [t / p for t, p in zip(times, probes, strict=True)])
+
+
+def host_speed(probes) -> float:
+    """How fast the host ran against a quiet one, as
+    ``PROBE_REFERENCE_S / median(probes)``; recorded in the report."""
+    return PROBE_REFERENCE_S / median(probes)
 
 
 def median(values) -> float:

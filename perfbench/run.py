@@ -10,7 +10,9 @@ Workloads (see ``BENCHMARK.json`` for why each is there):
 ``--seed``; every output is checked against digests of an inline,
 uncached run made in set-up.
 
-With ``--trace 0`` the result carries the end-to-end metrics; with
+With ``--trace 0`` the result carries the end-to-end metrics, their
+times calibrated to a reference host speed by a probe run beside each
+timed unit (``common.calibrated``); with
 ``--trace 1`` the per-layer metrics of a traced run (``spans.py``),
 whose layer self times must reconcile with its wall time.  The line
 before the result is a ``{"report": ...}`` object with the

@@ -30,10 +30,11 @@ from pathlib import Path
 from common import (
     Outcome,
     UNATTRIBUTED_TOLERANCE,
+    calibrated,
     children_cpu_s,
-    fast,
     host_speed,
     median,
+    probe,
     result_digest,
     tail,
 )
@@ -174,21 +175,29 @@ def _window(cluster, hits, seed: int, seconds: float, counter: list,
     miss, each after the previous reply; a barrier starts the clients'
     rounds together, so every round carries the same mix of work and
     its wall and CPU time (this process plus the server and worker) are
-    well defined.  Returns every request and every round.
+    well defined.  A host probe runs before each round starts.  Returns
+    every request and every round.
     """
     from repro.errors import ReproError
     from repro.service import ServiceClient
 
     requests: list[tuple] = []
     errors: list[BaseException] = []
-    marks: list[tuple] = []   # (time, cpu) at round starts
+    # (time, cpu) as the previous round ends, the probe, then (time, cpu)
+    # as the next round starts
+    marks: list[tuple] = []
     lock = threading.Lock()
     deadline = time.perf_counter() + seconds
 
+    def clock() -> tuple[float, float]:
+        return (time.perf_counter(),
+                time.process_time() + children_cpu_s(cluster.pids))
+
     def mark() -> None:
         try:
-            marks.append((time.perf_counter(), time.process_time()
-                          + children_cpu_s(cluster.pids)))
+            end = clock()
+            probe_s = probe()
+            marks.append((*end, probe_s, *clock()))
         except BaseException as exc:  # breaks the barrier; surfaced below
             errors.append(exc)
             raise
@@ -242,11 +251,12 @@ def _window(cluster, hits, seed: int, seconds: float, counter: list,
     for index in range(len(marks) - 1):
         done = sum(len(r[4].assays) for r in requests
                    if r[2] and r[5] == index)
-        rounds.append({"wall_s": marks[index + 1][0] - marks[index][0],
-                       "cpu_s": marks[index + 1][1] - marks[index][1],
+        rounds.append({"wall_s": marks[index + 1][0] - marks[index][3],
+                       "cpu_s": marks[index + 1][1] - marks[index][4],
+                       "probe_s": marks[index][2],
                        "assays": done})
     return {"requests": requests, "rounds": rounds,
-            "start": marks[0][0], "end": marks[-1][0],
+            "start": marks[0][3], "end": marks[-1][0],
             "assays": sum(r["assays"] for r in rounds)}
 
 
@@ -295,13 +305,15 @@ def _latencies(window: dict) -> dict:
 
 
 def _rates(window: dict) -> tuple[float, float]:
-    """Throughput and CPU per assay from the fastest rounds
-    (``common.FAST_PERCENTILE``)."""
+    """Throughput and CPU per assay, calibrated medians over rounds
+    (``common.calibrated``)."""
     rounds = [r for r in window["rounds"] if r["assays"]]
     if not rounds:
         return 0.0, 0.0
-    return (1.0 / fast([r["wall_s"] / r["assays"] for r in rounds]),
-            fast([r["cpu_s"] / r["assays"] for r in rounds]))
+    probes = [r["probe_s"] for r in rounds]
+    return (1.0 / calibrated([r["wall_s"] / r["assays"] for r in rounds],
+                             probes),
+            calibrated([r["cpu_s"] / r["assays"] for r in rounds], probes))
 
 
 def _stored_bytes_per_assay(cluster) -> float:
@@ -315,16 +327,16 @@ def run(seed: int, seconds: float, traced: bool, work: Path,
         root: Path) -> Outcome:
     outcome = Outcome()
     counter = [0]
-    setup_times = []
+    setup_times, setup_probes = [], []
     cluster = None
     for index in range(1 if traced else N_SETUPS):
         if cluster is not None:
             cluster.stop()
+        setup_probes.append(probe())
         start = time.perf_counter()
         cluster, hits, reference = _setup(seed, work, index, root, False)
         setup_times.append(time.perf_counter() - start)
     try:
-        speed = host_speed()
         window = _window(cluster, hits, seed,
                          seconds / 2 if traced else seconds, counter)
         _verify(outcome, cluster, window, reference)
@@ -333,25 +345,28 @@ def run(seed: int, seconds: float, traced: bool, work: Path,
         cluster.stop()
 
     assays_per_s, cpu_per_assay = _rates(window)
-    wall = window["end"] - window["start"]
+    wall = sum(r["wall_s"] for r in window["rounds"])
     report = {"requests": len(window["requests"]),
               "rounds": len(window["rounds"]),
               "assays": window["assays"],
               "clients": N_CLIENTS, "loop": "closed, barrier per round",
               "wall_s": wall,
               "mean_assays_per_s": {"value": window["assays"] / wall,
-                                    "unit": "1/s"},
-              "host_speed": {"value": speed, "unit": "ratio",
-                             "base": "common.PROBE_REFERENCE_S"},
+                                    "unit": "1/s",
+                                    "base": "raw, not calibrated"},
+              "host_speed": {"value": host_speed(
+                  [r["probe_s"] for r in window["rounds"]]), "unit": "ratio",
+                  "base": "common.PROBE_REFERENCE_S"},
               "median_cpu_s_per_assay": {"value": median(
                   [r["cpu_s"] / r["assays"] for r in window["rounds"]
-                   if r["assays"]]), "unit": "s"},
+                   if r["assays"]]), "unit": "s",
+                  "base": "raw, not calibrated"},
               "stored_bytes_per_assay": {"value": stored, "unit": "bytes"},
               **_latencies(window)}
     if not traced:
         outcome.metrics = {"assays_per_s": assays_per_s,
                            "cpu_s_per_assay": cpu_per_assay,
-                           "setup_s": median(setup_times)}
+                           "setup_s": calibrated(setup_times, setup_probes)}
         outcome.report = report
         return outcome
 

@@ -14,9 +14,10 @@ loadings.  They differ only in the store the sweep runs against:
 - ``store_replay``: a fully warm store, so a run is job planning plus
   store reads and performs no engine solve.
 
-One run is one ``iter_results`` drain of the sweep, timed on its own;
-throughput and CPU per assay come from the fastest runs
-in the window (``common.FAST_PERCENTILE``).
+One unit is one ``iter_results`` drain of the sweep, timed on its own
+right after a host probe; throughput, CPU per assay and set-up time are
+medians over units calibrated to the reference host speed
+(``common.calibrated``).
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ import numpy as np
 from common import (
     Outcome,
     UNATTRIBUTED_TOLERANCE,
-    fast,
+    calibrated,
     host_speed,
     median,
+    probe,
     result_digest,
 )
 
@@ -43,8 +45,8 @@ CA_DWELL = 15.0
 N_SEEDS = 8
 N_GLUCOSE = 2
 
-#: Set-ups per run; ``setup_s`` is their median.
-N_SETUPS = 3
+#: Set-ups per run; ``setup_s`` is their calibrated median.
+N_SETUPS = 5
 
 
 def make_sweep(seed: int):
@@ -106,9 +108,9 @@ def _setup(kind: str, seed: int, work: Path, index: int) -> _State:
 
 
 def _one_run(kind: str, state: _State, work: Path, tracer=None):
-    """One timed sweep: ``(wall_s, cpu_s, records, store, deltas)``,
-    ``deltas`` being the store's lock-wait and quarantine counts when
-    traced."""
+    """One timed sweep after a host probe:
+    ``(probe_s, wall_s, cpu_s, records, store, deltas)``, ``deltas``
+    being the store's lock-wait and quarantine counts when traced."""
     from repro import api
 
     store = None
@@ -120,6 +122,7 @@ def _one_run(kind: str, state: _State, work: Path, tracer=None):
     elif kind == "store_replay":
         store = api.RunStore(state.store_root)
     before = store.stats() if store is not None and tracer else None
+    probe_s = probe()
     cpu = time.process_time()
     start = time.perf_counter()
     if tracer is not None:
@@ -134,7 +137,7 @@ def _one_run(kind: str, state: _State, work: Path, tracer=None):
         after = store.stats()
         deltas = {"store.lock_waits": after.lock_waits - before.lock_waits,
                   "store.quarantined": after.quarantined - before.quarantined}
-    return wall, cpu, records, store, deltas
+    return probe_s, wall, cpu, records, store, deltas
 
 
 def _check(outcome: Outcome, state: _State, records) -> None:
@@ -157,20 +160,21 @@ def run(kind: str, seed: int, seconds: float, traced: bool,
     from spans import Tracer, install, layer_metrics, reconcile
 
     outcome = Outcome()
-    setup_times, cold_times = [], []
+    setup_times, setup_probes, cold_times = [], [], []
     state = None
     for index in range(N_SETUPS if not traced else 1):
+        setup_probes.append(probe())
         start = time.perf_counter()
         state = _setup(kind, seed, work, index)
         setup_times.append(time.perf_counter() - start)
         cold_times.append(state.cold_s)
 
-    speed = host_speed()
-    walls, cpus = [], []
+    probes, walls, cpus = [], [], []
     stored_bytes = []
     deadline = time.perf_counter() + (seconds / 2 if traced else seconds)
     while not walls or time.perf_counter() < deadline:
-        wall, cpu, records, store, _ = _one_run(kind, state, work)
+        probe_s, wall, cpu, records, store, _ = _one_run(kind, state, work)
+        probes.append(probe_s)
         walls.append(wall)
         cpus.append(cpu)
         _check(outcome, state, records)
@@ -179,19 +183,22 @@ def run(kind: str, seed: int, seconds: float, traced: bool,
             stored_bytes.append(stats.bytes / max(stats.records, 1))
 
     n = state.n_assays
-    assays_per_s = n / fast(walls)
-    cold_rate = n / min(cold_times)
+    unit_s = calibrated(walls, probes)
+    assays_per_s = n / unit_s
+    cold_rate = n / calibrated(cold_times, setup_probes)
     report = {
         "assays_per_run": n,
         "runs": len(walls),
-        "host_speed": {"value": speed, "unit": "ratio",
+        "host_speed": {"value": host_speed(probes), "unit": "ratio",
                        "base": "common.PROBE_REFERENCE_S"},
-        "median_wall_s_per_assay": {"value": median(walls) / n, "unit": "s"},
-        "median_cpu_s_per_assay": {"value": median(cpus) / n, "unit": "s"},
+        "median_wall_s_per_assay": {"value": median(walls) / n, "unit": "s",
+                                    "base": "raw, not calibrated"},
+        "median_cpu_s_per_assay": {"value": median(cpus) / n, "unit": "s",
+                                   "base": "raw, not calibrated"},
         "uncached_cold_assays_per_s": {
             "value": cold_rate, "unit": "1/s",
-            "base": "fastest inline uncached run of the same sweep in "
-                    "set-up"},
+            "base": "inline uncached runs of the same sweep in set-up, "
+                    "calibrated"},
     }
     if kind != "sweep_cold":
         report["stored_bytes_per_assay"] = {"value": median(stored_bytes),
@@ -203,20 +210,22 @@ def run(kind: str, seed: int, seconds: float, traced: bool,
     if not traced:
         outcome.metrics = {
             "assays_per_s": assays_per_s,
-            "cpu_s_per_assay": fast(cpus) / n,
-            "setup_s": median(setup_times),
+            "cpu_s_per_assay": calibrated(cpus, probes) / n,
+            "setup_s": calibrated(setup_times, setup_probes),
         }
         outcome.report = report
         return outcome
 
     tracer = Tracer()
     install(tracer)
-    traced_walls = []
+    traced_probes, traced_walls = [], []
     totals = {"store.lock_waits": 0, "store.quarantined": 0}
     try:
         deadline = time.perf_counter() + seconds / 2
         while not traced_walls or time.perf_counter() < deadline:
-            wall, _, records, _, deltas = _one_run(kind, state, work, tracer)
+            probe_s, wall, _, records, _, deltas = _one_run(
+                kind, state, work, tracer)
+            traced_probes.append(probe_s)
             traced_walls.append(wall)
             for key, value in deltas.items():
                 totals[key] += value
@@ -231,7 +240,8 @@ def run(kind: str, seed: int, seconds: float, traced: bool,
     wall, attributed, unattributed = reconcile(records)
     metrics["trace.unattributed_s"] = unattributed / n_traced
     metrics["trace.unattributed_share"] = unattributed / wall
-    metrics["trace.overhead_ratio"] = fast(traced_walls) / fast(walls)
+    metrics["trace.overhead_ratio"] = (
+        calibrated(traced_walls, traced_probes) / unit_s)
     report["trace"] = {"wall_s": wall, "attributed_s": attributed,
                        "unattributed_s": unattributed,
                        "tolerance_share": UNATTRIBUTED_TOLERANCE}
