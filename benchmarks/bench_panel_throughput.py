@@ -47,27 +47,17 @@ one :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
 call per (TIA, ADC) cluster.  Results are bit-identical; the fused pass
 must not fall behind per-cell batching (quick) / beat it (full).
 
-A fifth **supervision axis** (PR 7) prices the fault-tolerance layer:
-the same fleet through the plain process backend versus a supervised
-:class:`~repro.api.executors.ProcessExecutor` carrying a
-:class:`~repro.api.resilience.RetryPolicy` — with **no faults
-injected**, so the measured ratio is pure supervision overhead
-(per-unit worker pools, deadline bookkeeping, in-order re-merge).
-Results must be bit-identical and the overhead bounded (<= 5% where
-timing is fair; a loose catastrophic-regression bar elsewhere).
-
-A sixth **service axis** (PR 8) measures diagnostics-as-a-service: an
+A fifth **service axis** measures diagnostics-as-a-service: an
 in-process :class:`~repro.service.server.DiagnosticsServer` takes 32
 concurrent small-fleet submissions from threaded
 :class:`~repro.service.client.ServiceClient`\\ s against a warm store —
 sustained requests/sec and p50/p95 submission latency are the service
 overhead (HTTP, queueing, fair scheduling, store replay) since every
-run is a cache hit.  Alongside it, the persistent worker pool is priced
-directly: N consecutive small fleets through one
-``ProcessExecutor(persistent=True)`` (pool spawned once, leased per
-run) versus a fresh spawn-per-run executor each time — the persistent
-pool must be >= 1.5x, with host metadata (cores, start method)
-recorded since the spawn cost being amortised is platform-dependent.
+run is a cache hit.  Alongside it, worker reuse is priced directly: N
+consecutive small fleets through one reused ``ProcessExecutor`` (its
+worker slots spawned once) versus a fresh executor per run — reuse
+must be >= 1.5x, with host metadata (cores, start method) recorded
+since the spawn cost being amortised is platform-dependent.
 
 Smoke mode: set ``REPRO_BENCH_QUICK=1`` (tier-1 CI does, through
 ``tests/test_scheduler.py``) to shrink the fleet and dwell so the bench
@@ -122,31 +112,23 @@ MIN_BACKEND_SPEEDUP = (
     2.0 if not QUICK and (os.cpu_count() or 1) >= N_WORKERS
     and multiprocessing.get_start_method(allow_none=False) == "fork"
     else 0.0)
-# Supervision axis: the fault-tolerance layer must be close to free
-# when nothing faults.  The 5% bar applies where the backend timing is
-# fair (cores present, fork start); elsewhere only a catastrophic
-# regression (e.g. per-unit re-serialisation of the whole fleet) trips.
-MAX_SUPERVISION_OVERHEAD = (
-    1.05 if not QUICK and (os.cpu_count() or 1) >= N_WORKERS
-    and multiprocessing.get_start_method(allow_none=False) == "fork"
-    else 1.5)
-# Service axis: concurrent submissions against a warm store, and the
-# persistent worker pool against spawn-per-run executors.  The tiny
-# dwell makes per-run engine work small, and the multi-worker pool
-# multiplies the per-run spawn cost — exactly what persistence
-# amortises — so the measured ratio is dominated by the fixed cost and
-# stable against scheduling noise.
+# Service axis: concurrent submissions against a warm store, and a
+# reused executor against a fresh executor per run.  The tiny dwell
+# makes per-run engine work small, and the multi-slot executor
+# multiplies the per-run spawn cost — exactly what reuse amortises — so
+# the measured ratio is dominated by the fixed cost and stable against
+# scheduling noise.
 N_SERVICE_SUBMISSIONS = 8 if QUICK else 32
 N_POOL_RUNS = 4 if QUICK else 8
 N_POOL_WORKERS = 2 if QUICK else 4
 SERVICE_CA_DWELL = 1.0
-# The >= 1.5x persistence bar is enforced where the host can actually
-# express it: with >= N_POOL_WORKERS cores the engine work runs in
-# parallel in both legs and the measured ratio is dominated by the
-# per-run pool-spawn fixed cost persistence amortises.  On core-starved
-# hosts the serialized engine work dilutes the ratio, so only a
-# regression floor applies (the full bar stays recorded in the JSON).
-MIN_POOL_SPEEDUP = (
+# The >= 1.5x reuse bar is enforced where the host can actually express
+# it: with >= N_POOL_WORKERS cores the engine work runs in parallel in
+# both legs and the measured ratio is dominated by the per-run spawn
+# fixed cost reuse amortises.  On core-starved hosts the serialized
+# engine work dilutes the ratio, so only a regression floor applies
+# (the full bar stays recorded in the JSON).
+MIN_REUSE_SPEEDUP = (
     1.5 if not QUICK and (os.cpu_count() or 1) >= N_POOL_WORKERS
     else (1.0 if QUICK else 1.1))
 # Distributed axis: the same fleet through a shared queue directory
@@ -348,10 +330,11 @@ def run_backend_experiment() -> dict:
     # factor caches, and the OS page cache for worker imports).
     warm = api.FleetSpec.homogeneous(cells=1, seed=900, ca_dwell=CA_DWELL)
     list(api.iter_results(warm))
-    list(api.iter_results(warm, backend=api.ProcessExecutor(workers=1)))
+    with api.ProcessExecutor(workers=1) as backend:
+        list(api.iter_results(warm, backend=backend))
     inline_rate, inline_results = timed(api.InlineExecutor())
-    process_rate, process_results = timed(
-        api.ProcessExecutor(workers=N_WORKERS))
+    with api.ProcessExecutor(workers=N_WORKERS) as backend:
+        process_rate, process_results = timed(backend)
     deviation = max_relative_deviation(inline_results, process_results)
     return {"n_cells": N_CELLS_BACKEND,
             "workers": N_WORKERS,
@@ -361,45 +344,6 @@ def run_backend_experiment() -> dict:
             "relative_deviation": deviation,
             "enforced_min_speedup": MIN_BACKEND_SPEEDUP,
             "host_cpus": os.cpu_count() or 1}
-
-
-def run_supervision_experiment() -> dict:
-    """No-fault cost of the supervised process path vs the plain one."""
-    import time
-
-    from repro import api
-
-    spec = api.FleetSpec.homogeneous(cells=N_CELLS_BACKEND, seed=900,
-                                     ca_dwell=CA_DWELL)
-
-    def timed(backend) -> tuple[float, list, object]:
-        start = time.perf_counter()
-        records = list(api.iter_results(spec, backend=backend))
-        elapsed = time.perf_counter() - start
-        return (len(records) / elapsed, [r.result for r in records],
-                records[-1])
-
-    # Warm-up both paths (worker imports, per-unit pool spawn).
-    warm = api.FleetSpec.homogeneous(cells=1, seed=900, ca_dwell=CA_DWELL)
-    list(api.iter_results(warm, backend=api.ProcessExecutor(workers=1)))
-    list(api.iter_results(warm, backend=api.ProcessExecutor(
-        workers=1, retry=api.RetryPolicy(max_attempts=2))))
-    plain_rate, plain_results, _ = timed(
-        api.ProcessExecutor(workers=N_WORKERS))
-    supervised_rate, supervised_results, last = timed(
-        api.ProcessExecutor(workers=N_WORKERS,
-                            retry=api.RetryPolicy(max_attempts=2)))
-    deviation = max_relative_deviation(plain_results, supervised_results)
-    stats = last.resilience
-    return {"n_cells": N_CELLS_BACKEND,
-            "workers": N_WORKERS,
-            "plain_rate": plain_rate,
-            "supervised_rate": supervised_rate,
-            "overhead": plain_rate / supervised_rate,
-            "relative_deviation": deviation,
-            "faults": stats.faults if stats is not None else None,
-            "retries": stats.retries if stats is not None else None,
-            "enforced_max_overhead": MAX_SUPERVISION_OVERHEAD}
 
 
 def run_store_experiment() -> dict:
@@ -464,17 +408,24 @@ def run_distributed_experiment() -> dict:
     inline_results = [r.result for r in api.InlineExecutor().run_fleet(spec)]
 
     def spawn_workers(queue: Path, count: int) -> list:
+        (queue / "stop").unlink(missing_ok=True)
         procs = []
         for _ in range(count):
             proc = subprocess.Popen(
                 [sys.executable, "-m", "repro.cli", "worker",
-                 "--queue", str(queue), "--idle-exit-s", "30"],
+                 "--queue", str(queue)],
                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 text=True)
             ready = proc.stdout.readline()
             assert ready.startswith("repro worker: ready "), ready
             procs.append(proc)
         return procs
+
+    def stop_workers(queue: Path, procs: list) -> None:
+        # The stop file: each worker drains what is claimable and exits.
+        (queue / "stop").touch()
+        for proc in procs:
+            proc.communicate(timeout=60)
 
     rates: dict[int, float] = {}
     deviation = 0.0
@@ -491,9 +442,7 @@ def run_distributed_experiment() -> dict:
                 records = list(executor.run_fleet(spec))
                 elapsed = time.perf_counter() - start
             finally:
-                for proc in procs:
-                    proc.terminate()
-                    proc.wait()
+                stop_workers(queue, procs)
             rates[count] = len(records) / elapsed
             deviation = max(deviation, max_relative_deviation(
                 inline_results, [r.result for r in records]))
@@ -504,9 +453,7 @@ def run_distributed_experiment() -> dict:
             warm = api.run(spec, backend=api.DistributedExecutor(
                 queue=queue, workers=DIST_WORKER_COUNTS[-1]))
         finally:
-            for proc in procs:
-                proc.terminate()
-                proc.wait()
+            stop_workers(queue, procs)
     low, high = DIST_WORKER_COUNTS[0], DIST_WORKER_COUNTS[-1]
     return {"n_cells": N_CELLS_DIST,
             "worker_counts": list(DIST_WORKER_COUNTS),
@@ -520,8 +467,8 @@ def run_distributed_experiment() -> dict:
 
 
 def run_service_experiment() -> dict:
-    """The service layer under concurrent load, and the persistent
-    worker pool against spawn-per-run executors."""
+    """The service layer under concurrent load, and a reused executor
+    against a fresh executor per run."""
     import statistics
     import tempfile
     import threading
@@ -530,36 +477,33 @@ def run_service_experiment() -> dict:
     from repro import api
     from repro.service import DiagnosticsServer, ServeSpec, ServiceClient
 
-    # The pool axis runs first, before this process has churned through
-    # pools: spawn-per-run cost in a pool-warm process underestimates
-    # what a real spawn-per-run deployment pays, while a persistent
-    # server pool is spawned exactly once either way.  Identical
-    # consecutive small fleets through one persistent executor (pool
-    # spawned once, leased per run) vs a fresh executor each time.
+    # The reuse axis runs first, before this process has churned
+    # through worker processes: spawn-per-run cost in a warm process
+    # underestimates what a real spawn-per-run deployment pays, while a
+    # server's executor spawns its slots exactly once either way.
+    # Identical consecutive small fleets through one reused executor
+    # (slots spawned once) vs a fresh executor each time.
     specs = [api.FleetSpec.homogeneous(cells=N_POOL_WORKERS,
                                        seed=820 + 10 * k,
                                        ca_dwell=SERVICE_CA_DWELL)
              for k in range(N_POOL_RUNS)]
 
-    persistent = api.ProcessExecutor(workers=N_POOL_WORKERS,
-                                     persistent=True)
-    list(api.iter_results(specs[0], backend=persistent))  # spawn + warm
-    start = time.perf_counter()
-    for fleet_spec in specs:
-        list(api.iter_results(fleet_spec, backend=persistent))
-    persistent_s = time.perf_counter() - start
-    persistent.close()
+    with api.ProcessExecutor(workers=N_POOL_WORKERS) as reused:
+        list(api.iter_results(specs[0], backend=reused))  # spawn + warm
+        start = time.perf_counter()
+        for fleet_spec in specs:
+            list(api.iter_results(fleet_spec, backend=reused))
+        reused_s = time.perf_counter() - start
 
-    list(api.iter_results(  # warm the spawn path identically
-        specs[0], backend=api.ProcessExecutor(workers=N_POOL_WORKERS,
-                                              persistent=False)))
+    def fresh_run(fleet_spec) -> None:
+        with api.ProcessExecutor(workers=N_POOL_WORKERS) as fresh:
+            list(api.iter_results(fleet_spec, backend=fresh))
+
+    fresh_run(specs[0])  # warm the spawn path identically
     start = time.perf_counter()
     for fleet_spec in specs:
-        list(api.iter_results(
-            fleet_spec,
-            backend=api.ProcessExecutor(workers=N_POOL_WORKERS,
-                                        persistent=False)))
-    spawn_s = time.perf_counter() - start
+        fresh_run(fleet_spec)
+    fresh_s = time.perf_counter() - start
 
     spec = api.FleetSpec.homogeneous(cells=1, seed=800,
                                      ca_dwell=SERVICE_CA_DWELL)
@@ -611,9 +555,9 @@ def run_service_experiment() -> dict:
                             for row in stats["usage"].values()),
             "pool_runs": N_POOL_RUNS,
             "pool_workers": N_POOL_WORKERS,
-            "persistent_s": persistent_s,
-            "spawn_s": spawn_s,
-            "pool_speedup": spawn_s / persistent_s,
+            "reused_s": reused_s,
+            "fresh_s": fresh_s,
+            "reuse_speedup": fresh_s / reused_s,
             "host_cpus": os.cpu_count() or 1,
             "start_method": multiprocessing.get_start_method()}
 
@@ -626,7 +570,6 @@ def test_panel_throughput(benchmark, report, json_report):
     service = run_service_experiment()
     distributed = run_distributed_experiment()
     backends = run_backend_experiment()
-    supervision = run_supervision_experiment()
     store_axis = run_store_experiment()
     cv_axis = run_cv_fusion_experiment()
     json_report("panel", {
@@ -667,23 +610,6 @@ def test_panel_throughput(benchmark, report, json_report):
                 "enforced_min_speedup": backends["enforced_min_speedup"],
                 "max_deviation": 1.0e-12},
         },
-        "supervision": {
-            "workload": (f"{supervision['n_cells']}-cell paper-panel "
-                         f"fleet, {supervision['workers']} workers, "
-                         f"no faults"),
-            "assays_per_sec": {
-                "plain_process": supervision["plain_rate"],
-                "supervised_process": supervision["supervised_rate"]},
-            "supervision_overhead": supervision["overhead"],
-            "max_relative_deviation": supervision["relative_deviation"],
-            "faults": supervision["faults"],
-            "retries": supervision["retries"],
-            "acceptance": {
-                "max_overhead": 1.05,
-                "enforced_max_overhead":
-                    supervision["enforced_max_overhead"],
-                "max_deviation": 1.0e-12},
-        },
         "store": {
             "workload": (f"{store_axis['n_points']}-point dose-response "
                          f"sweep, {store_axis['ca_dwell_s']:g} s dwell"),
@@ -708,14 +634,14 @@ def test_panel_throughput(benchmark, report, json_report):
             "latency_p50_s": service["latency_p50_s"],
             "latency_p95_s": service["latency_p95_s"],
             "store_hits": service["store_hits"],
-            "pool": {
+            "executor_reuse": {
                 "runs": service["pool_runs"],
                 "workers": service["pool_workers"],
-                "persistent_s": service["persistent_s"],
-                "spawn_per_run_s": service["spawn_s"],
-                "persistent_speedup": service["pool_speedup"]},
-            "acceptance": {"min_pool_speedup": 1.5,
-                           "enforced_min_pool_speedup": MIN_POOL_SPEEDUP},
+                "reused_executor_s": service["reused_s"],
+                "fresh_executor_per_run_s": service["fresh_s"],
+                "reuse_speedup": service["reuse_speedup"]},
+            "acceptance": {"min_reuse_speedup": 1.5,
+                           "enforced_min_reuse_speedup": MIN_REUSE_SPEEDUP},
         },
         "distributed": {
             "workload": (f"{distributed['n_cells']}-cell paper-panel "
@@ -763,19 +689,6 @@ def test_panel_throughput(benchmark, report, json_report):
     report(f"backend max rel deviation: "
            f"{backends['relative_deviation']:.2e}  (acceptance: <= 1e-12)")
     report(render_table(
-        ["backend", "assays/sec"],
-        [["ProcessExecutor (plain)", f"{supervision['plain_rate']:.2f}"],
-         ["ProcessExecutor (supervised, no faults)",
-          f"{supervision['supervised_rate']:.2f}"]],
-        title=(f"P1e | supervision axis, {supervision['n_cells']}-cell "
-               f"fleet, {supervision['workers']} workers")))
-    report(f"supervision overhead     : {supervision['overhead']:.2f}x  "
-           f"(acceptance: <= 1.05x where timing is fair; enforced: "
-           f"<= {supervision['enforced_max_overhead']:g}x here)")
-    report(f"supervised max deviation : "
-           f"{supervision['relative_deviation']:.2e}  "
-           f"(acceptance: <= 1e-12)")
-    report(render_table(
         ["pass", "wall s"],
         [["cold sweep (every point simulated)",
           f"{store_axis['cold_s']:.2f}"],
@@ -808,17 +721,17 @@ def test_panel_throughput(benchmark, report, json_report):
                f"warm store")))
     report(render_table(
         ["executor", "wall s"],
-        [["ProcessExecutor(persistent=True), pool leased per run",
-          f"{service['persistent_s']:.2f}"],
-         ["spawn-per-run ProcessExecutor",
-          f"{service['spawn_s']:.2f}"]],
-        title=(f"P1g | persistent pool, {service['pool_runs']} consecutive "
+        [["one reused ProcessExecutor, slots spawned once",
+          f"{service['reused_s']:.2f}"],
+         ["a fresh ProcessExecutor per run",
+          f"{service['fresh_s']:.2f}"]],
+        title=(f"P1g | executor reuse, {service['pool_runs']} consecutive "
                f"{service['pool_workers']}-cell fleets, "
                f"{service['pool_workers']} workers, "
                f"{service['host_cpus']} CPU(s), "
                f"{service['start_method']} start")))
-    report(f"persistent-pool speedup  : {service['pool_speedup']:.1f}x  "
-           f"(acceptance: >= 1.5x; enforced: >= {MIN_POOL_SPEEDUP:g}x here)")
+    report(f"executor reuse speedup   : {service['reuse_speedup']:.1f}x  "
+           f"(acceptance: >= 1.5x; enforced: >= {MIN_REUSE_SPEEDUP:g}x here)")
     report(render_table(
         ["worker fleet", "assays/sec"],
         [[f"{count} repro worker process(es)",
@@ -843,10 +756,6 @@ def test_panel_throughput(benchmark, report, json_report):
     # Backends must agree bit for bit; process must scale when it can.
     assert backends["relative_deviation"] <= 1.0e-12
     assert backends["speedup"] >= backends["enforced_min_speedup"]
-    # Supervision must be bit-identical, fault-free here, and near-free.
-    assert supervision["relative_deviation"] <= 1.0e-12
-    assert supervision["faults"] == 0 and supervision["retries"] == 0
-    assert supervision["overhead"] <= supervision["enforced_max_overhead"]
     # A warm sweep is a pure replay: bit-identical, zero engine solves.
     assert store_axis["relative_deviation"] == 0.0
     assert store_axis["warm_all_cached"]
@@ -859,11 +768,11 @@ def test_panel_throughput(benchmark, report, json_report):
     assert (out["fleet_steps_per_sec"]
             >= 0.8 * out["sequential_steps_per_sec"])
     # The service must complete every concurrent submission from the
-    # warm store, and the persistent pool must beat spawn-per-run.
+    # warm store, and a reused executor must beat a fresh one per run.
     assert service["statuses"] == ["done"] * service["n_submissions"]
     assert service["store_hits"] >= service["n_submissions"]
     assert service["rejected"] == 0
-    assert service["pool_speedup"] >= MIN_POOL_SPEEDUP
+    assert service["reuse_speedup"] >= MIN_REUSE_SPEEDUP
     # Distributed workers must agree bit for bit, scale when the cores
     # exist, and short-circuit a warm fleet cluster-wide.
     assert distributed["relative_deviation"] <= 1.0e-12

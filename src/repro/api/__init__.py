@@ -17,15 +17,17 @@ plus provenance — through exactly one entry point::
 Execution backends
 ==================
 
-*What* runs is orthogonal to *how* it runs.  Fleet execution is
-pluggable (:mod:`repro.api.executors`): :class:`InlineExecutor` is one
-fused scheduler pass in this process (the bit-identical reference) and
-:class:`ProcessExecutor` shards the fleet's jobs across worker
-processes, re-merging completions in job order so the stream — and
-every sample of every result — is bit-identical to inline.
-:class:`DistributedExecutor` (below) ships the same shards through a
-queue directory to detached ``repro worker`` processes.  Select a
-backend declaratively through the fleet's ``execution`` block::
+*What* runs is orthogonal to *how* it runs.  Every backend is one
+execution core (:func:`repro.api.executors.run_units`) over a small
+transport that answers ``submit`` / ``poll`` / ``kill``:
+:class:`InlineExecutor` runs the fleet as one fused scheduler pass in
+this thread (the bit-identical reference), :class:`ProcessExecutor`
+runs its units on worker-process slots, and :class:`DistributedExecutor`
+(below) writes them as task files to a queue directory drained by
+detached ``repro worker`` processes.  The core merges completions in
+job order, so the stream — and every sample of every result — is
+bit-identical to inline.  Select a backend declaratively through the
+fleet's ``execution`` block::
 
     {"kind": "fleet", ..., "execution":
         {"backend": "process", "workers": 4, "shard": "interleave"}}
@@ -38,36 +40,43 @@ argument wins).  Any object with ``run_fleet(spec)`` yielding
 Fault-tolerant execution
 ========================
 
-Real fleets lose workers.  The resilience layer
-(:mod:`repro.api.resilience`) supervises execution so a crashed, hung
-or transiently failing worker costs a retry, not the run::
+Real fleets lose workers.  The execution core supervises every run, on
+every backend, so a crashed, hung or transiently failing worker costs a
+retry, not the run; :mod:`repro.api.resilience` holds the policy and
+the fault harness::
 
     policy = api.RetryPolicy(max_attempts=3, timeout_s=120.0,
                              backoff_s=0.5)
     record = api.run(fleet, backend="process", retry=policy)
 
 **Retry semantics.**  Each job carries an attempt budget
-(``max_attempts``).  The supervised process backend runs every shard in
-its own single-worker pool, so a dead pool names its culprits exactly;
-a failed shard's *surviving* jobs are re-dispatched at finer
-granularity (shard → split halves → single jobs) with the failure
-charged only against the jobs that were present.  Re-dispatch waits
+(``max_attempts``).  A fleet runs as *units* (one per worker, the whole
+fleet inline), and each unit failure is attributed to exactly that
+unit: a process slot or a queue claim per unit.  A failed unit's
+*surviving* jobs are re-queued at finer granularity (unit → split
+halves → single jobs) with the failure charged only against the jobs
+that were present.  ``retries`` counts re-queued jobs;
+``worker_crashes``, ``worker_hangs`` and ``engine_errors`` count failed
+unit dispatches (in-thread, where there is no worker, every injected
+fault is an engine error).  Re-dispatch waits
 ``backoff_s * backoff_factor**(attempt-1)`` plus a deterministic
 seeded jitter (``jitter_s``/``jitter_seed`` — no wall-clock
-randomness), and ``timeout_s`` bounds each dispatch: a shard that
+randomness), and ``timeout_s`` bounds each dispatch: a unit that
 exceeds it is killed and treated as a failed attempt.  Because every
 job re-executes from its canonical payload with a fresh seeded RNG,
 **a retried run is bit-identical to a fault-free run** — supervision
 changes when results arrive, never what they are.
 
 **Degradation modes.**  ``on_error="raise"`` (default) aborts the run
-with :class:`~repro.errors.ExecutionError` when any job exhausts its
-budget.  ``on_error="partial"`` keeps going: exhausted jobs yield
+with :class:`~repro.errors.ExecutionError` the moment any job exhausts
+its budget (:class:`~repro.errors.SpecError` when an invalid assay
+felled it).  ``on_error="partial"`` keeps going: exhausted jobs yield
 :class:`~repro.api.records.FailedAssayRecord` entries (error type,
 message, traceback, attempt count; ``record.failed`` is true) merged
 into the stream at their job-order slots, and
 :attr:`~repro.api.records.FleetRunRecord.n_failed` counts them.
-Supervised records carry cumulative
+Records of an executor with a retry policy, ``on_error="partial"`` or a
+fault injector carry cumulative
 :class:`~repro.api.records.ResilienceStats` (retries, crashes, hangs,
 engine errors, failed jobs) in ``provenance()["resilience"]``.  Both
 knobs live in the spec's execution block too (schema v4)::
@@ -147,18 +156,20 @@ Distributed execution: the queue and the worker fleet
 =====================================================
 
 :class:`DistributedExecutor` (:mod:`repro.api.distributed`) decouples
-*who submits* from *who computes*.  The submitter publishes each shard
-as a task file under a shared **queue directory** (``tasks/`` tasks,
+*who submits* from *who computes*.  The submitter writes each unit as a
+task file under a shared **queue directory** (``tasks/`` tasks,
 ``claims/`` claim markers, ``results/`` completions, ``store/`` the
 default shared run store); independent worker processes —
 ``repro worker --queue DIR``, started before or after the run, one or
 many, on any host sharing the file system — claim tasks atomically via
 ``os.O_EXCL`` claim files, execute them through the same fused
-scheduler pass, and write results back.  The submitter re-merges
-completions in job order, so the stream is bit-identical to inline::
+scheduler pass, and write results back.  The core merges completions
+in job order, so the stream is bit-identical to inline.  Workers drain
+and exit once ``<queue>/stop`` exists and nothing is claimable::
 
     repro worker --queue /shared/q &          # capacity, once
     repro run fleet.json --backend distributed --queue /shared/q
+    touch /shared/q/stop                      # retire the workers
 
 or declaratively ``{"execution": {"backend": "distributed", "queue":
 "/shared/q", "workers": 4}}``, or ``repro serve --backend distributed
@@ -166,11 +177,10 @@ or declaratively ``{"execution": {"backend": "distributed", "queue":
 
 Liveness is judged by progress, not promises: a worker refreshes its
 claim's mtime after every completed job, so a crashed or hung worker's
-claim goes stale and the submitter reclaims and republishes the shard
-— under the same :class:`RetryPolicy` attempt budget, timeout horizon
-and ``on_error`` degradation as supervised process execution, and with
-the same bit-identity guarantee (a reclaimed, re-executed shard
-re-runs from canonical payloads with fresh seeded RNGs).
+claim goes stale and the submitter reclaims it as a failed unit — the
+core then re-queues its jobs exactly as for a dead process slot, under
+the same :class:`RetryPolicy` budget and ``on_error`` degradation, and
+with the same bit-identity guarantee.
 
 Workers are **store-aware**: each consults the shared queue store
 before solving, under one batched index read per shard, so any job any
@@ -272,10 +282,10 @@ minimal HTTP/1.1 layer) exposes this front door over JSON::
 Behind the endpoints: a two-tier fair priority queue (``screening``
 runs deprioritized, round-robin across API keys), per-client
 token-bucket rate limiting with a persisted usage ledger, and N
-dispatcher threads each owning a **persistent**
-:class:`ProcessExecutor` — worker pools are spawned once per dispatcher
-and leased to every run, so the process-spawn cost of a small fleet is
-amortised across the server's lifetime.  Every run still executes
+dispatcher threads each owning one executor for the server's lifetime —
+a :class:`ProcessExecutor` keeps its worker slots across runs, so the
+process-spawn cost of a small fleet is amortised across the server's
+lifetime.  Every run still executes
 through :func:`run` / :func:`iter_results` against the shared warm
 :class:`~repro.api.store.RunStore` (now safe under concurrent writers:
 in-process mutex + cross-process ``index.lock``), so served records are

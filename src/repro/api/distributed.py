@@ -1,60 +1,54 @@
-"""Distributed fleet execution over a shared file-system queue.
+"""Distributed fleet execution: the execution core over a file queue.
 
-:class:`DistributedExecutor` is the third shipped backend (after
-``inline`` and ``process``): instead of spawning its own worker pool it
-*publishes* the fleet's shards as claimable task files in a queue
-directory, and independent worker processes — started with ``repro
-worker --queue <dir>`` on any host that shares the file system — claim
-shards, execute them, and write results back for the submitter to
-re-merge in job order.  The streamed records are pinned bit-identical
-to :class:`~repro.api.executors.InlineExecutor` (wall time and engine
-fusion statistics excepted — they describe the actual execution, and
-per-record statistics stay cumulative in merged job order exactly as on
-the process backend).
+:class:`DistributedExecutor` runs the same state machine as every other
+backend (:func:`repro.api.executors.run_units`); its transport is a
+shared directory.  Submitting a unit writes a claimable task file;
+independent worker processes — started with ``repro worker --queue
+<dir>`` on any host that shares the file system — claim tasks, execute
+them, and write results back for the core to merge in job order.  The
+streamed records are pinned bit-identical to
+:class:`~repro.api.executors.InlineExecutor`, and the failure semantics
+are the core's: the same retries, counters, ``on_error`` handling and
+``FailedAssayRecord`` slots as the process backend.
 
-**Queue layout.**  A queue root holds three directories plus (by
-default) the shared run store::
+**Queue layout.**  A queue root holds three directories, the shared run
+store (by default) and, when the workers should go, a stop file::
 
-    <queue>/tasks/    one JSON file per published shard (atomic write)
+    <queue>/tasks/    one JSON file per submitted unit (atomic write)
     <queue>/claims/   <task>.claim, created O_EXCL by the winning worker
-    <queue>/results/  <task>.json, the executed shard's entries
+    <queue>/results/  <task>.json, the unit's per-job entries or failure
     <queue>/store/    the shared RunStore workers consult (default)
+    <queue>/stop      workers drain what is claimable, then exit
 
 Claim files are the whole coordination protocol: ``os.O_EXCL`` makes
 claiming atomic under any POSIX file system (two racing workers cannot
 both win), and the claim's mtime is the worker's *progress heartbeat* —
-touched as each job in the shard completes, so a claim that stops
-ageing marks a worker that crashed or wedged.  The submitter reclaims
-stale shards (claim older than the retry policy's ``timeout_s``, or a
-conservative default) by deleting the claim and republishing the task
-under the next attempt number; a worker whose claim vanished abandons
-the shard without writing results, so a slow-but-alive worker can never
-race a reclaimed shard's replacement.
+touched as each job of the unit completes, so a claim that stops ageing
+marks a worker that crashed or wedged.  The submitter declares a unit
+failed once its claim is older than the retry policy's ``timeout_s`` (or
+a conservative default), probes the claimant's pid to tell a crash from
+a hang, and deletes the claim; the core then re-queues the unit's jobs
+like any other failure.  A worker whose claim vanished abandons the
+unit without writing results, so a slow-but-alive worker never races
+its replacement.
 
-**Store-aware workers.**  Each worker opens the shared
-:class:`~repro.api.store.RunStore` next to the queue and, under one
-:meth:`~repro.api.store.RunStore.batched` window per shard, looks every
-claimed job up by :class:`~repro.api.jobs.JobKey` before solving —
-warm jobs short-circuit cluster-wide (shipped back as ``cached``
-entries with the original run's provenance), and fresh results are
-persisted by the worker itself, so *any* worker's work warms *every*
-subsequent run on the cluster.
+**What a task carries.**  The unit's ``(index, payload)`` jobs and the
+fault command the core decided for this dispatch — never the injector's
+rules, so workers need no fault configuration of their own.  A worker
+carries out the command, looks every job up in the shared
+:class:`~repro.api.store.RunStore` by :class:`~repro.api.jobs.JobKey`
+(warm jobs come back as ``cached`` entries with the original run's
+provenance), solves the rest in one fused pass, writes the fresh
+results back to the store — so any worker's work warms every later run
+on the cluster — and reports per-job entries, or one unit failure.
 
 **Speculative prefetch.**  Sweeps opt in via ``execution:
 {prefetch: true}`` (schema v5): the submitter extrapolates the sweep's
 last grid axis one step forward and publishes the genuinely-new points
-as low-priority single-job tasks (named to sort after every primary
-shard), which idle workers execute straight into the shared store —
-the next wider sweep finds them warm.  Speculative tasks are
-best-effort: the submitting stream never waits on them, and unclaimed
-ones are removed when the stream closes.
-
-Faults (:mod:`repro.api.resilience`) ride inside the task files: the
-submitter serialises its injector's rules, workers re-parse them and
-apply the usual per-job commands — ``crash`` dies with the injected
-exit status, ``hang`` stalls past the heartbeat horizon, ``error``
-ships a failed entry — so the whole reclaim/retry/degradation path is
-testable with local worker subprocesses.
+as low-priority tasks (named to sort after every primary task), which
+idle workers execute straight into the shared store.  They are
+best-effort: the stream never waits on them, and unclaimed ones are
+removed when it closes.
 """
 
 from __future__ import annotations
@@ -63,21 +57,14 @@ import json
 import os
 import socket
 import time
-import traceback
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.api.executors import _record, shard_indices
+from repro.api.executors import injected_hang_s, run_units, solve
 from repro.api.jobs import JobKey
-from repro.api.records import (
-    AssayRunRecord,
-    CachedAssayRecord,
-    EngineStats,
-    FailedAssayRecord,
-    ResilienceStats,
-)
-from repro.api.resilience import _CRASH_EXIT_STATUS, FaultInjector, RetryPolicy
+from repro.api.records import AssayRunRecord, EngineStats
+from repro.api.resilience import FaultInjector, RetryPolicy, _Failure, inject
 from repro.api.specs import (
     SCHEMA_VERSION,
     AssaySpec,
@@ -118,16 +105,16 @@ _MAX_PREFETCH = 16
 #: (run ids are hex-led), so scanning workers drain real work first.
 _PREFETCH_PREFIX = "zz-prefetch"
 
-#: Idle workers sweep result files this stale: a shard that finished
+#: Idle workers sweep result files this stale: a unit that finished
 #: after its submitting stream closed leaves a result nobody consumes.
 _RESULT_GC_S = 3600.0
 
 
 class _ClaimLost(ExecutionError):
-    """A worker's claim vanished mid-shard: the submitter reclaimed it.
+    """A worker's claim vanished mid-unit: the submitter reclaimed it.
 
-    Internal control flow only — the worker abandons the shard quietly
-    (its replacement is already queued) and keeps scanning.
+    Internal control flow only — the worker abandons the unit quietly
+    (the core has already re-queued its jobs) and keeps scanning.
     """
 
 
@@ -174,9 +161,8 @@ def _try_claim(claims_dir: Path, name: str) -> Path | None:
 def _beat(claim: Path) -> None:
     """Progress heartbeat: refresh the claim's mtime, once per job.
 
-    A missing claim means the submitter decided this worker was dead
-    and republished the shard — abandon immediately rather than racing
-    the replacement's results.
+    A missing claim means the submitter decided this worker was dead —
+    abandon immediately rather than racing the replacement's results.
     """
     try:
         os.utime(claim)
@@ -184,192 +170,110 @@ def _beat(claim: Path) -> None:
         raise _ClaimLost(f"claim {claim.name} was reclaimed") from None
 
 
-def _job_name(index: int, payload: dict) -> str:
-    name = payload.get("name")
-    return name if name else f"job{index}"
+def _scrub(name: str, tasks_dir: Path, claims_dir: Path, results_dir: Path,
+           keep_claimed: bool = False) -> None:
+    """Best-effort removal of one task's queue artefacts.
 
-
-# -- worker-side shard execution --------------------------------------------
-
-
-def _solve(pairs: list[tuple[int, dict]], claim: Path) -> list[tuple]:
-    """One fused scheduler pass over ``[(index, payload), ...]``.
-
-    Returns ``[(index, payload, result, d_fused, d_groups, d_steps,
-    wall_s, seed), ...]`` — delta statistics and per-job wall time, the
-    shape both the result file and the store write-back need.
+    ``keep_claimed`` (stream close) leaves a claimed task's claim alone:
+    the worker holding it deletes it when it finishes, and deleting it
+    out from under a live worker would look like a reclaim.
     """
-    from repro.engine.scheduler import AssayScheduler
+    (tasks_dir / f"{name}.json").unlink(missing_ok=True)
+    if keep_claimed and (claims_dir / f"{name}.claim").exists():
+        return
+    (claims_dir / f"{name}.claim").unlink(missing_ok=True)
+    (results_dir / f"{name}.json").unlink(missing_ok=True)
 
-    specs = [AssaySpec.from_dict(payload) for _, payload in pairs]
-    jobs = [spec.build_job() for spec in specs]
-    out: list[tuple] = []
-    prev_fused = prev_groups = prev_steps = 0
+
+# -- the worker -------------------------------------------------------------
+
+
+def _solve_records(pairs: list[tuple[int, dict]], claim: Path
+                   ) -> list[tuple[int, AssayRunRecord]]:
+    """One fused pass over ``[(index, payload), ...]``, beating per job.
+
+    Each record describes only its own job — delta engine statistics
+    and the job's own wall time — which is the shape the store persists
+    (:func:`repro.api.runner._per_job_snapshot`).
+    """
+    payloads = dict(pairs)
+    out = []
     tick = time.perf_counter()
-    for (index, payload), spec, item in zip(
-            pairs, specs, AssayScheduler().run_iter(jobs)):
+    for index, result, *deltas in solve(
+            [(i, AssaySpec.from_dict(payload)) for i, payload in pairs]):
         _beat(claim)
         now = time.perf_counter()
-        out.append((index, payload, item.result,
-                    item.n_fused_dwells - prev_fused,
-                    item.n_dwell_groups - prev_groups,
-                    item.n_solve_steps - prev_steps,
-                    now - tick, spec.seed))
-        prev_fused = item.n_fused_dwells
-        prev_groups = item.n_dwell_groups
-        prev_steps = item.n_solve_steps
+        payload = payloads[index]
+        out.append((index, AssayRunRecord(
+            spec=payload, spec_hash=JobKey.for_payload(payload).digest,
+            schema_version=SCHEMA_VERSION, seed=int(payload["seed"]),
+            wall_time_s=now - tick,
+            job_name=payload.get("name") or f"job{index}",
+            result=result, engine=EngineStats(*deltas))))
         tick = now
     return out
 
 
-def _solve_isolated(pairs: list[tuple[int, dict]], claim: Path
-                    ) -> tuple[list[tuple], list[tuple]]:
-    """Fused pass with per-job failure isolation.
-
-    The happy path is one fused pass.  If it raises, jobs re-run one at
-    a time so exactly the poisoned jobs fail — the survivors' fusion
-    statistics then describe the isolated passes, which is what
-    actually executed.  Returns ``(solved, failures)`` where failures
-    are ``(index, error_type, message, traceback)``.
-    """
-    if not pairs:
-        return [], []
-    try:
-        return _solve(pairs, claim), []
-    except _ClaimLost:
-        raise
-    except ReproError:
-        solved: list[tuple] = []
-        failures: list[tuple] = []
-        for pair in pairs:
-            try:
-                solved.extend(_solve([pair], claim))
-            except _ClaimLost:
-                raise
-            except ReproError as exc:
-                failures.append((pair[0], type(exc).__name__, str(exc),
-                                 traceback.format_exc()))
-        return solved, failures
+def _entry(index: int, record: AssayRunRecord, cached: bool) -> dict:
+    engine = record.engine
+    return {"index": index, "cached": cached,
+            "samples": panel_result_to_payload(record.result),
+            "wall_s": record.wall_time_s,
+            "engine": (None if engine is None else
+                       [engine.n_fused_dwells, engine.n_dwell_groups,
+                        engine.n_solve_steps])}
 
 
-def _fresh_record(index: int, payload: dict, result, d_fused: int,
-                  d_groups: int, d_steps: int, wall_s: float,
-                  seed: int) -> AssayRunRecord:
-    """The per-job record a worker persists for a fresh solve — same
-    shape :func:`repro.api.runner._per_job_snapshot` stores: delta
-    statistics and the job's own wall time."""
-    return AssayRunRecord(
-        spec=payload, spec_hash=JobKey.for_payload(payload).digest,
-        schema_version=SCHEMA_VERSION, seed=seed, wall_time_s=wall_s,
-        job_name=_job_name(index, payload), result=result,
-        engine=EngineStats(n_fused_dwells=d_fused, n_dwell_groups=d_groups,
-                           n_solve_steps=d_steps))
-
-
-def _shard_entries(pairs: list[tuple[int, dict]], store: RunStore | None,
-                   injector: FaultInjector | None, attempt: int,
-                   hang_s: float, claim: Path) -> list[dict]:
-    """Execute one claimed shard: store lookups, faults, fused solve.
-
-    Warm jobs short-circuit as ``cached`` entries carrying the original
-    run's result, wall time and statistics; fresh results are written
-    back to the shared store (warming the whole cluster) and shipped as
-    delta-statistics entries; injected or real engine errors become
-    ``failed`` entries for the submitter's retry budget.
-    """
-    entries: list[dict] = []
-    pending: list[tuple[int, dict]] = []
-    if store is not None:
-        with store.batched():
-            for index, payload in pairs:
-                hit = store.get_job(JobKey.for_payload(payload))
-                if hit is None:
-                    pending.append((index, payload))
-                    continue
-                engine = hit.engine
-                entries.append({
-                    "index": index, "cached": True,
-                    "samples": panel_result_to_payload(hit.result),
-                    "wall_s": hit.wall_time_s,
-                    "engine": (None if engine is None else
-                               [engine.n_fused_dwells, engine.n_dwell_groups,
-                                engine.n_solve_steps])})
-    else:
-        pending = list(pairs)
+def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
+                  claim: Path) -> list[dict]:
+    """Store lookups, one fused solve of the misses, store write-back."""
+    entries, pending = [], []
+    with store.batched():
+        for index, payload in pairs:
+            hit = store.get_job(JobKey.for_payload(payload))
+            if hit is None:
+                pending.append((index, payload))
+            else:
+                entries.append(_entry(index, hit, cached=True))
     _beat(claim)
-    if injector is not None and pending:
-        commands = [injector.command([_job_name(i, p)], attempt)
-                    for i, p in pending]
-        if "crash" in commands:
-            os._exit(_CRASH_EXIT_STATUS)
-        if "hang" in commands:
-            # A wedged worker makes no progress: no heartbeat while the
-            # stall lasts, so the submitter's staleness horizon fires.
-            time.sleep(hang_s)
-            _beat(claim)
-        for (index, payload), command in zip(pending, commands):
-            if command == "error":
-                entries.append({"index": index, "failed": True,
-                                "error_type": "ExecutionError",
-                                "error": "injected transient engine error",
-                                "traceback": ""})
-        pending = [pair for pair, command in zip(pending, commands)
-                   if command != "error"]
-    solved, failures = _solve_isolated(pending, claim)
-    fresh = [_fresh_record(*row) for row in solved]
-    for index, payload, result, d_fused, d_groups, d_steps, wall_s, _ in \
-            solved:
-        entries.append({"index": index,
-                        "samples": panel_result_to_payload(result),
-                        "d_fused": d_fused, "d_groups": d_groups,
-                        "d_steps": d_steps, "wall_s": wall_s})
-    for index, error_type, message, tb in failures:
-        entries.append({"index": index, "failed": True,
-                        "error_type": error_type, "error": message,
-                        "traceback": tb})
-    if store is not None and fresh:
+    fresh = _solve_records(pending, claim) if pending else []
+    if fresh:
         with store.batched():
-            for record in fresh:
+            for _, record in fresh:
                 store.put_job(record)
-    return entries
+    return entries + [_entry(index, record, cached=False)
+                      for index, record in fresh]
 
 
-def _run_prefetch(pairs: list[tuple[int, dict]], store: RunStore | None,
+def _run_prefetch(pairs: list[tuple[int, dict]], store: RunStore,
                   claim: Path) -> int:
     """Execute a speculative task straight into the shared store.
 
-    No result file and no fault injection — prefetch is best-effort
-    warmup, invisible to the submitting stream.  Failures are dropped
-    (the point would fail identically, and loudly, if a real sweep ever
-    asks for it).  Returns the number of points actually warmed.
+    No result file — prefetch is best-effort warmup, invisible to the
+    submitting stream.  A failing point is dropped (it would fail again,
+    loudly, if a real sweep ever asks for it).  Returns the number of
+    points actually warmed.
     """
-    if store is None:
-        return 0
-    fresh: list[tuple[int, dict]] = []
     with store.batched():
-        for index, payload in pairs:
-            if store.get_job(JobKey.for_payload(payload)) is None:
-                fresh.append((index, payload))
+        fresh = [(index, payload) for index, payload in pairs
+                 if store.get_job(JobKey.for_payload(payload)) is None]
     if not fresh:
         return 0
-    solved, _failures = _solve_isolated(fresh, claim)
-    records = [_fresh_record(*row) for row in solved]
-    if records:
-        with store.batched():
-            for record in records:
-                store.put_job(record)
+    try:
+        records = _solve_records(fresh, claim)
+    except _ClaimLost:
+        raise
+    except ReproError:
+        return 0
+    with store.batched():
+        for _, record in records:
+            store.put_job(record)
     return len(records)
 
 
 def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
-              results_dir: Path, store: RunStore | None,
-              injector: FaultInjector | None) -> int:
+              results_dir: Path, store: RunStore) -> int:
     """Execute one claimed task file; returns the job count handled."""
-    attempt = int(payload.get("attempt", 0))
-    text = payload.get("faults")
-    if text:
-        injector = FaultInjector.parse(
-            text, seed=int(payload.get("faults_seed", 0)))
     pairs = [(int(index), dict(job)) for index, job in
              payload.get("jobs", [])]
     if payload.get("kind") == "prefetch":
@@ -377,49 +281,47 @@ def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
         task_path.unlink(missing_ok=True)
         claim.unlink(missing_ok=True)
         return warmed
-    entries = _shard_entries(pairs, store, injector, attempt,
-                             float(payload.get("hang_s", 3600.0)), claim)
+    try:
+        inject(payload.get("fault"), float(payload.get("hang_s", 3600.0)),
+               claim.exists)
+        outcome = {"entries": _unit_entries(pairs, store, claim)}
+    except _ClaimLost:
+        raise
+    # repro: lint-ignore[REP002] supervision boundary: any failure of
+    # the unit is reported to the submitter's core, never raised here
+    except Exception as exc:
+        _beat(claim)  # a reclaimed unit is abandoned, not reported
+        outcome = {"failure": _Failure.of(exc).to_dict()}
     # Result first (atomic), then tidy: a crash between these steps
     # leaves a completed result the submitter still consumes.
-    write_json({"run": payload.get("run"), "attempt": attempt,
-                "pid": os.getpid(), "entries": entries},
+    write_json({"run": payload.get("run"), "attempt": payload.get("attempt"),
+                "pid": os.getpid(), **outcome},
                results_dir / f"{name}.json")
     task_path.unlink(missing_ok=True)
     claim.unlink(missing_ok=True)
     return len(pairs)
 
 
-def run_worker(queue, store=None, max_shards: int | None = None,
-               idle_exit_s: float | None = None,
-               poll_s: float = _WORKER_POLL_S,
-               faults: FaultInjector | None = None) -> dict:
+def run_worker(queue, store=None, max_shards: int | None = None) -> dict:
     """The ``repro worker`` claim-and-execute loop.
 
-    Scans ``<queue>/tasks/`` in sorted order (primary shards before
+    Scans ``<queue>/tasks/`` in sorted order (primary units before
     speculative prefetch), claims the first unclaimed task via
     ``O_EXCL``, executes it against the shared store, and repeats.
     ``store`` defaults to ``<queue>/store``; pass a path or an open
     :class:`~repro.api.store.RunStore` to point elsewhere.
-    ``max_shards`` bounds how many *primary* shards this worker
-    executes (prefetch tasks ride free); ``idle_exit_s`` exits after
-    that long with nothing claimable — ``None`` loops forever (the
-    service-deployment shape; tests and CI always bound it).  With no
-    explicit ``faults`` the ``REPRO_FAULTS`` environment injector
-    applies, and rules shipped inside task files override both.
+    ``max_shards`` bounds how many *primary* units this worker executes
+    (prefetch tasks ride free).  The worker drains and exits once
+    ``<queue>/stop`` exists and nothing is claimable; without a stop
+    file it serves forever.
 
     Returns ``{"shards": n, "jobs": n, "prefetched": n}``.
     """
     root = ensure_queue(queue)
     tasks_dir, claims_dir, results_dir = _queue_dirs(root)
-    if isinstance(store, RunStore):
-        run_store: RunStore | None = store
-    else:
-        run_store = RunStore(default_store_root(root) if store is None
-                             else store)
-    if faults is None:
-        faults = FaultInjector.from_env()
+    run_store = store if isinstance(store, RunStore) else RunStore(
+        default_store_root(root) if store is None else store)
     done = {"shards": 0, "jobs": 0, "prefetched": 0}
-    last_work = time.monotonic()
     while True:
         claimed_any = False
         for task_path in sorted(tasks_dir.glob("*.json")):
@@ -439,7 +341,7 @@ def run_worker(queue, store=None, max_shards: int | None = None,
             claimed_any = True
             try:
                 handled = _run_task(payload, name, task_path, claim,
-                                    results_dir, run_store, faults)
+                                    results_dir, run_store)
             except _ClaimLost:
                 continue
             if payload.get("kind") == "prefetch":
@@ -447,22 +349,20 @@ def run_worker(queue, store=None, max_shards: int | None = None,
             else:
                 done["shards"] += 1
                 done["jobs"] += handled
-            last_work = time.monotonic()
             if max_shards is not None and done["shards"] >= max_shards:
                 return done
         if not claimed_any:
-            _sweep_orphan_results(results_dir)
-            if (idle_exit_s is not None
-                    and time.monotonic() - last_work >= idle_exit_s):
+            if (root / "stop").exists():
                 return done
-            time.sleep(poll_s)
+            _sweep_orphan_results(results_dir)
+            time.sleep(_WORKER_POLL_S)
 
 
 def _sweep_orphan_results(results_dir: Path,
                           horizon_s: float = _RESULT_GC_S) -> None:
     """Drop result files no submitter will ever consume.
 
-    A shard claimed before its stream closed still completes (and warms
+    A unit claimed before its stream closed still completes (and warms
     the store), but its result file is orphaned — submitters only watch
     task names from their own live run.  Idle workers sweep anything
     older than the horizon, keeping a long-lived queue bounded.
@@ -521,46 +421,156 @@ def sweep_prefetch_assays(sweep: SweepSpec,
     return fresh[:limit]
 
 
-# -- the submitting executor ------------------------------------------------
+# -- the submitting side ----------------------------------------------------
+
+
+class _FileQueue:
+    """The core's transport over a queue directory (one stream's view)."""
+
+    def __init__(self, executor: "DistributedExecutor", run_id: str,
+                 sweep: SweepSpec | None) -> None:
+        self.executor = executor
+        self.run_id = run_id
+        self.sweep = sweep                # prefetch, once units are out
+        self.prefetched: list[str] = []
+        self.dirs = _queue_dirs(executor.queue)
+        policy = executor.retry
+        self.stale_s = (policy.timeout_s
+                        if policy is not None and policy.timeout_s is not None
+                        else _CLAIM_STALE_S)
+        self.hang_s = injected_hang_s(policy)
+        self.live: dict[str, int] = {}   # task name -> unit
+        self.launched = time.monotonic()
+        self.seen_worker = False
+
+    def submit(self, unit: int, jobs: list, fault, attempt: int) -> None:
+        name = self.executor._publish(self.dirs[0], self.run_id, unit, fault,
+                                      attempt, jobs, self.hang_s)
+        self.live[name] = unit
+
+    def poll(self, timeout) -> list:
+        if self.sweep is not None:
+            self.prefetched = self.executor._publish_prefetch_tasks(
+                self.dirs[0], self.run_id, self.sweep)
+            self.sweep = None
+        events: list[tuple] = []
+        for name, unit in list(self.live.items()):
+            try:
+                result = json.loads(
+                    (self.dirs[2] / f"{name}.json").read_text())
+            except (OSError, ValueError):
+                result = None
+            if result is not None:
+                del self.live[name]
+                _scrub(name, *self.dirs)
+                self.seen_worker = True
+                events.extend(self._events(unit, result))
+                continue
+            claim = self.dirs[1] / f"{name}.claim"
+            try:
+                age = time.time() - claim.stat().st_mtime
+            except OSError:
+                continue  # unclaimed, or completing right now
+            self.seen_worker = True
+            if age <= self.stale_s:
+                continue
+            del self.live[name]
+            kind = _death_kind(claim)
+            _scrub(name, *self.dirs)
+            message = (f"worker executing {name} stalled or died (claim "
+                       f"went {age:.1f}s without progress)")
+            events.append((unit, kind, None, _Failure(
+                "BrokenProcessPool" if kind == "crash" else "ExecutionError",
+                message)))
+        if not self.seen_worker and \
+                time.monotonic() - self.launched > _NO_WORKER_WARN_S:
+            self.seen_worker = True  # warn once
+            warnings.warn(
+                f"no worker has claimed any of this fleet's units after "
+                f"{_NO_WORKER_WARN_S:.0f}s — is a `repro worker --queue "
+                f"{self.executor.queue}` process running?",
+                RuntimeWarning, stacklevel=2)
+        if not events:
+            time.sleep(_SUBMIT_POLL_S if timeout is None
+                       else min(_SUBMIT_POLL_S, timeout))
+        return events
+
+    @staticmethod
+    def _events(unit: int, result: dict) -> list[tuple]:
+        failure = result.get("failure")
+        if failure is not None:
+            return [(unit, "error", None, _Failure(**failure))]
+        events = []
+        for entry in result.get("entries", []):
+            samples = panel_result_from_payload(entry["samples"])
+            engine = entry["engine"]
+            if entry["cached"]:
+                events.append((unit, "cached", entry["index"], (
+                    samples, float(entry["wall_s"]),
+                    None if engine is None else EngineStats(*engine))))
+            else:
+                events.append((unit, "job", entry["index"],
+                               (samples, *engine)))
+        return events
+
+    def kill(self, unit: int) -> None:
+        for name, owner in list(self.live.items()):
+            if owner == unit:
+                del self.live[name]
+                _scrub(name, *self.dirs, keep_claimed=True)
+
+
+def _death_kind(claim_path: Path) -> str:
+    """Crash or hang?  Probe the claimant's pid when it is local — a
+    live pid means wedged, a dead one (or an unreaped zombie) means
+    crashed; cross-host claims (unprobeable) count as crashes."""
+    try:
+        meta = json.loads(claim_path.read_text())
+        pid = int(meta.get("pid", -1))
+        if meta.get("host") != socket.gethostname():
+            return "crash"
+        os.kill(pid, 0)
+    except (OSError, ValueError):
+        return "crash"
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except (OSError, IndexError):
+        return "hang"
+    return "crash" if state == "Z" else "hang"
 
 
 class DistributedExecutor:
-    """Publish a fleet's shards to a shared queue and re-merge results.
+    """Run a fleet's units as task files on a shared queue.
 
     Parameters
     ----------
     queue:
         The coordination directory workers watch (created on demand).
     workers:
-        How many shards to publish — match or exceed the worker
-        processes you plan to run; ``None`` publishes one per submitter
-        CPU core.  Unlike the process backend nothing is spawned here:
+        How many units to cut the fleet into and keep in flight — match
+        or exceed the worker processes you plan to run; ``None`` means
+        one per submitter CPU core.  Nothing is spawned here:
         parallelism comes from however many ``repro worker`` processes
         are attached to the queue.
     shard:
         Job partitioning strategy — see
         :func:`~repro.api.executors.shard_indices`.
     retry / on_error / faults:
-        Supervision knobs, same meanings as everywhere: the retry
-        policy's ``max_attempts`` bounds republish attempts for both
-        failed jobs and reclaimed shards, its ``timeout_s`` sets the
-        claim-staleness horizon, and ``on_error="partial"`` degrades
-        exhausted jobs to
-        :class:`~repro.api.records.FailedAssayRecord` slots.
+        The core's supervision knobs, as on every backend; the retry
+        policy's ``timeout_s`` is the claim-staleness horizon.
     prefetch:
         Arm speculative sweep prefetch (see
         :func:`sweep_prefetch_assays`); only effective when the runner
         hands the executor the originating sweep via
         :meth:`publish_prefetch`.
 
-    The stream is bit-identical to the inline backend (results cross
-    the boundary as lossless
-    :func:`~repro.io.export.panel_result_to_payload` payloads); store
+    Results cross the boundary as lossless
+    :func:`~repro.io.export.panel_result_to_payload` payloads; store
     warm-hits stream as :class:`~repro.api.records.CachedAssayRecord`
-    with their original provenance, exactly like submitter-side
-    memoisation.  Closing the stream early removes this run's remaining
-    queue artefacts; claimed shards finish (and warm the store) on
-    their own.
+    with their original provenance.  Closing the stream early removes
+    this run's unclaimed tasks; claimed units finish (and warm the
+    store) on their own.
     """
 
     name = "distributed"
@@ -570,8 +580,7 @@ class DistributedExecutor:
                  retry: RetryPolicy | None = None,
                  on_error: str = "raise",
                  prefetch: bool = False,
-                 faults: FaultInjector | None = None,
-                 poll_s: float = _SUBMIT_POLL_S) -> None:
+                 faults: FaultInjector | None = None) -> None:
         # One validation authority: the declarative block this executor
         # is the programmatic face of.
         ExecutionSpec(backend="distributed", queue=str(queue),
@@ -585,19 +594,13 @@ class DistributedExecutor:
         self.prefetch = bool(prefetch)
         self.faults = faults if faults is not None \
             else FaultInjector.from_env()
-        self.poll_s = float(poll_s)
         self._seq = 0
         self._sweep: SweepSpec | None = None
 
-    def _supervised(self) -> bool:
-        return (self.retry is not None or self.on_error != "raise"
-                or self.faults is not None)
-
     def __repr__(self) -> str:
-        extra = (f", retry={self.retry!r}, on_error={self.on_error!r}"
-                 if self._supervised() else "")
         return (f"DistributedExecutor(queue={str(self.queue)!r}, "
-                f"workers={self.workers!r}, shard={self.shard!r}{extra})")
+                f"workers={self.workers!r}, shard={self.shard!r}, "
+                f"retry={self.retry!r}, on_error={self.on_error!r})")
 
     def close(self) -> None:
         """Nothing persistent to release: each stream cleans its own
@@ -613,248 +616,45 @@ class DistributedExecutor:
         if self.prefetch and isinstance(sweep, SweepSpec):
             self._sweep = sweep
 
-    # -- publishing -----------------------------------------------------------
-
-    def _publish(self, tasks_dir: Path, live: dict, run_id: str,
-                 label: str, attempt: int, indices: list[int],
-                 payloads: list[dict], hang_s: float,
-                 stale_s: float) -> None:
-        name = f"{run_id}-{label}-a{attempt}"
+    def _publish(self, tasks_dir: Path, run_id: str, unit: int, fault,
+                 attempt: int, jobs: list, hang_s: float) -> str:
+        name = f"{run_id}-u{unit:03d}-a{attempt}"
         write_json({"kind": "shard", "run": run_id, "attempt": attempt,
-                    "schema_version": SCHEMA_VERSION,
-                    "hang_s": hang_s, "stale_s": stale_s,
-                    "faults": (self.faults.describe()
-                               if self.faults is not None else None),
-                    "faults_seed": (self.faults.seed
-                                    if self.faults is not None else 0),
-                    "jobs": [[index, payloads[index]] for index in indices]},
+                    "schema_version": SCHEMA_VERSION, "hang_s": hang_s,
+                    "fault": fault,
+                    "jobs": [[index, payload] for index, payload in jobs]},
                    tasks_dir / f"{name}.json")
-        live[name] = {"indices": list(indices), "attempt": attempt,
-                      "label": label}
+        return name
 
     def _publish_prefetch_tasks(self, tasks_dir: Path, run_id: str,
-                                stale_s: float) -> list[str]:
-        sweep, self._sweep = self._sweep, None
-        if sweep is None:
-            return []
+                                sweep: SweepSpec) -> list[str]:
         names = []
         for k, assay in enumerate(sweep_prefetch_assays(sweep)):
             name = f"{_PREFETCH_PREFIX}-{run_id}-p{k:03d}"
             write_json({"kind": "prefetch", "run": run_id, "attempt": 0,
                         "schema_version": SCHEMA_VERSION,
-                        "stale_s": stale_s,
                         "jobs": [[k, assay.to_dict()]]},
                        tasks_dir / f"{name}.json")
             names.append(name)
         return names
 
-    # -- the submit / poll / re-merge loop ------------------------------------
-
     def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
-        tasks_dir, claims_dir, results_dir = _queue_dirs(self.queue)
-        ensure_queue(self.queue)
-        assays = spec.assays
-        n_jobs = len(assays)
-        payloads = [assay.to_dict() for assay in assays]
-        names = [assay.name if assay.name else f"job{index}"
-                 for index, assay in enumerate(assays)]
-        n_shards = (self.workers if self.workers is not None
-                    else (os.cpu_count() or 1))
-        shards = shard_indices(n_jobs, n_shards, self.shard)
+        tasks_dir, claims_dir, _ = _queue_dirs(ensure_queue(self.queue))
         self._seq += 1
-        run_id = (f"{JobKey.for_payload({'fleet': payloads}).digest[:12]}"
+        run_id = (f"{JobKey.for_payload(spec.to_dict()).digest[:12]}"
                   f"-{os.getpid()}-{self._seq}")
-        policy = self.retry
-        max_attempts = policy.max_attempts if policy is not None else 1
-        stale_s = (policy.timeout_s
-                   if policy is not None and policy.timeout_s is not None
-                   else _CLAIM_STALE_S)
-        # Same stall horizon convention as supervise_fleet: injected
-        # hangs outlast the detection window by a comfortable margin.
-        hang_s = (3600.0 if policy is None or policy.timeout_s is None
-                  else max(4.0 * policy.timeout_s, 1.0))
-        live: dict[str, dict] = {}
-        for k, shard in enumerate(shards):
-            self._publish(tasks_dir, live, run_id, f"s{k:03d}", 0, shard,
-                          payloads, hang_s, stale_s)
-        prefetch_names = self._publish_prefetch_tasks(tasks_dir, run_id,
-                                                      stale_s)
-        counters = {"retries": 0, "worker_crashes": 0, "worker_hangs": 0,
-                    "engine_errors": 0, "failed_jobs": 0}
-        buffered: dict[int, dict] = {}
-        cum = [0, 0, 0]
-        next_index = 0
-        start = time.perf_counter()
-        launched = time.monotonic()
-        seen_activity = False
-        warned_idle = False
+        workers = self.workers if self.workers is not None \
+            else (os.cpu_count() or 1)
+        transport = _FileQueue(self, run_id, self._sweep)
+        self._sweep = None
         try:
-            while next_index < n_jobs:
-                progressed = False
-                # Consume finished shards.
-                for name in list(live):
-                    result_path = results_dir / f"{name}.json"
-                    try:
-                        result = json.loads(result_path.read_text())
-                    except (OSError, ValueError):
-                        continue
-                    info = live.pop(name)
-                    self._scrub(name, tasks_dir, claims_dir, results_dir)
-                    progressed = True
-                    seen_activity = True
-                    for entry in result.get("entries", []):
-                        index = int(entry["index"])
-                        if not entry.get("failed"):
-                            buffered[index] = entry
-                            continue
-                        counters["engine_errors"] += 1
-                        used = info["attempt"] + 1
-                        if used < max_attempts:
-                            counters["retries"] += 1
-                            self._publish(tasks_dir, live, run_id,
-                                          f"r{index:04d}", used, [index],
-                                          payloads, hang_s, stale_s)
-                        else:
-                            counters["failed_jobs"] += 1
-                            entry = dict(entry)
-                            entry["attempts"] = used
-                            buffered[index] = entry
-                # Reclaim stale claims — dead or wedged workers.
-                now = time.monotonic()
-                for name in list(live):
-                    if (results_dir / f"{name}.json").exists():
-                        continue
-                    claim_path = claims_dir / f"{name}.claim"
-                    try:
-                        age = time.time() - claim_path.stat().st_mtime
-                    except OSError:
-                        continue  # unclaimed, or completing right now
-                    seen_activity = True
-                    if age <= stale_s:
-                        continue
-                    info = live.pop(name)
-                    kind = self._death_kind(claim_path)
-                    counters[kind] += 1
-                    self._scrub(name, tasks_dir, claims_dir, results_dir)
-                    used = info["attempt"] + 1
-                    if used >= max_attempts:
-                        raise ExecutionError(
-                            f"worker executing {name} stalled or died "
-                            f"(claim went {age:.1f}s without progress) and "
-                            f"the retry budget is exhausted after {used} "
-                            f"attempt(s)")
-                    counters["retries"] += 1
-                    self._publish(tasks_dir, live, run_id, info["label"],
-                                  used, info["indices"], payloads, hang_s,
-                                  stale_s)
-                    progressed = True
-                # Yield everything ready, in fleet job order.
-                while next_index in buffered:
-                    yield self._merged_record(
-                        buffered.pop(next_index), next_index, payloads,
-                        names, assays, cum, start, max_attempts, counters)
-                    next_index += 1
-                if next_index >= n_jobs:
-                    break
-                if not live and next_index not in buffered:
-                    raise ExecutionError(
-                        f"workers completed without producing job "
-                        f"{next_index} — shard bookkeeping bug")
-                if not seen_activity and not warned_idle and \
-                        now - launched > _NO_WORKER_WARN_S:
-                    warned_idle = True
-                    warnings.warn(
-                        f"no worker has claimed any of this fleet's shards "
-                        f"after {_NO_WORKER_WARN_S:.0f}s — is a `repro "
-                        f"worker --queue {self.queue}` process running?",
-                        RuntimeWarning, stacklevel=2)
-                if not progressed:
-                    time.sleep(self.poll_s)
+            yield from run_units(spec, transport, units=workers,
+                                 shard=self.shard, policy=self.retry,
+                                 on_error=self.on_error,
+                                 injector=self.faults)
         finally:
-            for name in list(live):
-                self._scrub(name, tasks_dir, claims_dir, results_dir,
-                            keep_claimed=True)
-            for name in prefetch_names:
+            for name in transport.prefetched:
                 # Unclaimed speculative tasks die with the stream;
                 # claimed ones finish into the store on their own.
                 if not (claims_dir / f"{name}.claim").exists():
                     (tasks_dir / f"{name}.json").unlink(missing_ok=True)
-
-    # -- merge helpers --------------------------------------------------------
-
-    def _merged_record(self, entry: dict, index: int, payloads: list[dict],
-                       names: list[str], assays, cum: list[int],
-                       start: float, max_attempts: int,
-                       counters: dict) -> AssayRunRecord:
-        payload = payloads[index]
-        if entry.get("failed"):
-            attempts = int(entry.get("attempts", max_attempts))
-            if self.on_error != "partial":
-                raise ExecutionError(
-                    f"job {names[index]} failed after {attempts} "
-                    f"attempt(s): {entry['error_type']}: {entry['error']}")
-            record: AssayRunRecord = FailedAssayRecord(
-                spec=payload,
-                spec_hash=JobKey.for_payload(payload).digest,
-                schema_version=SCHEMA_VERSION, seed=assays[index].seed,
-                wall_time_s=time.perf_counter() - start,
-                job_name=names[index], error_type=entry["error_type"],
-                error=entry["error"], traceback=entry.get("traceback", ""),
-                attempts=attempts)
-        elif entry.get("cached"):
-            engine = entry.get("engine")
-            record = CachedAssayRecord(
-                spec=payload,
-                spec_hash=JobKey.for_payload(payload).digest,
-                schema_version=SCHEMA_VERSION, seed=assays[index].seed,
-                wall_time_s=float(entry.get("wall_s", 0.0)),
-                job_name=names[index],
-                result=panel_result_from_payload(entry["samples"]),
-                engine=None if engine is None else EngineStats(
-                    n_fused_dwells=int(engine[0]),
-                    n_dwell_groups=int(engine[1]),
-                    n_solve_steps=int(engine[2])))
-        else:
-            cum[0] += int(entry["d_fused"])
-            cum[1] += int(entry["d_groups"])
-            cum[2] += int(entry["d_steps"])
-            record = _record(payload, assays[index].seed, names[index],
-                             panel_result_from_payload(entry["samples"]),
-                             cum[0], cum[1], cum[2], start)
-        if self._supervised():
-            object.__setattr__(record, "resilience",
-                               ResilienceStats(**counters))
-        return record
-
-    def _death_kind(self, claim_path: Path) -> str:
-        """Crash or hang?  Probe the claimant's pid when it is local —
-        a live pid means wedged, a dead one means crashed; cross-host
-        claims (unprobeable) count as crashes."""
-        try:
-            meta = json.loads(claim_path.read_text())
-        except (OSError, ValueError):
-            return "worker_crashes"
-        if meta.get("host") != socket.gethostname():
-            return "worker_crashes"
-        try:
-            os.kill(int(meta.get("pid", -1)), 0)
-        except (OSError, ValueError):
-            return "worker_crashes"
-        return "worker_hangs"
-
-    @staticmethod
-    def _scrub(name: str, tasks_dir: Path, claims_dir: Path,
-               results_dir: Path, keep_claimed: bool = False) -> None:
-        """Best-effort removal of one task's queue artefacts.
-
-        ``keep_claimed`` (stream close) leaves a claimed task's claim
-        alone: the worker holding it deletes it when it finishes, and
-        deleting it out from under a live worker would look like a
-        reclaim.
-        """
-        if keep_claimed and (claims_dir / f"{name}.claim").exists():
-            (tasks_dir / f"{name}.json").unlink(missing_ok=True)
-            return
-        (tasks_dir / f"{name}.json").unlink(missing_ok=True)
-        (claims_dir / f"{name}.claim").unlink(missing_ok=True)
-        (results_dir / f"{name}.json").unlink(missing_ok=True)

@@ -1,26 +1,51 @@
-"""Pluggable fleet execution backends behind the ``repro.api`` front door.
+"""Fleet execution: one supervised core over three small transports.
 
 :func:`repro.api.run` and :func:`repro.api.iter_results` describe *what*
 to run (a :class:`~repro.api.specs.FleetSpec`); an :class:`Executor`
-decides *how*.  Two backends ship:
+decides *how*.  Every shipped executor is the same state machine,
+:func:`run_units`, over a different transport:
 
-- :class:`InlineExecutor` — one fused
-  :meth:`~repro.engine.scheduler.AssayScheduler.run_iter` pass in the
-  calling process.  This is the bit-identical reference every other
-  backend is pinned against.
-- :class:`ProcessExecutor` — the fleet's jobs sharded across worker
-  processes.  Each worker receives only canonical assay *payloads*
-  (JSON-ready dicts — cells, chains and engines are rebuilt inside the
-  worker, so nothing stateful crosses the process boundary), runs one
-  fused ``run_iter`` over its shard, and ships back per-job
-  :class:`~repro.measurement.panel.PanelResult` objects.  The parent
-  re-merges completions in job order, so the streamed records — names,
-  seeds, hashes and every sample of every result — are bit-identical
-  to the inline backend.  Only wall time and the engine fusion
-  statistics differ: each worker fuses its own shard, so an N-job fleet
-  that inlines into one dwell group reports one group *per worker*
-  here (the per-record statistics stay cumulative in merged job order,
-  and the final record still carries the fleet totals).
+- :class:`InlineExecutor` — in-thread.  The whole fleet is one unit, run
+  as one fused :meth:`~repro.engine.scheduler.AssayScheduler.run_iter`
+  pass in the calling thread; records stream one job at a time.  This
+  is the bit-identical reference.
+- :class:`ProcessExecutor` — process slots.  ``workers`` single-worker
+  process pools, kept until :meth:`ProcessExecutor.close`.  A unit ships
+  canonical assay payloads to a free slot (cells, chains and RNGs are
+  rebuilt there, so nothing stateful crosses the boundary) and comes
+  back as per-job results; a crashed or hung unit takes down only its
+  own slot, which respawns lazily.
+- :class:`~repro.api.distributed.DistributedExecutor` — the file queue
+  of :mod:`repro.api.distributed`, drained by ``repro worker``
+  processes.
+
+A transport answers three calls.  ``submit(unit, jobs, fault,
+attempt)`` sends a unit's ``(index, payload)`` pairs with the fault
+command the core already decided for it; ``poll(timeout)`` returns
+events — per-job completions, cached entries and unit failures; and
+``kill(unit)`` stops one unit.  The core owns everything else: units
+cut by :func:`shard_indices`, fault decisions (made in the parent, once
+per dispatch), per-job attempts and the shard → halves → singles
+re-dispatch ladder under the policy's backoff, the
+:class:`~repro.api.records.ResilienceStats` counters, cumulative engine
+statistics, the job-order merge, cached entries and
+:class:`~repro.api.records.FailedAssayRecord` slots.
+
+So every backend has the same failure semantics by construction.
+``retries`` counts re-queued jobs; ``worker_crashes``, ``worker_hangs``
+and ``engine_errors`` count failed unit dispatches.  A job that
+exhausts its budget fails the run with
+:class:`~repro.errors.ExecutionError` (:class:`~repro.errors.SpecError`
+for an invalid assay) the moment it is exhausted under
+``on_error="raise"``, or streams a ``FailedAssayRecord`` in its slot
+under ``"partial"``.  Records carry a ``ResilienceStats`` snapshot
+whenever the executor has a retry policy, a non-default ``on_error`` or
+a fault injector, and ``resilience`` stays ``None`` otherwise.
+Successful records are bit-identical on every backend: retries rebuild
+jobs from canonical payloads with fresh seeded RNGs, and only wall time
+and engine fusion statistics describe the actual execution (each unit
+fuses on its own; per-record statistics stay cumulative in merged job
+order).
 
 Backends are selected declaratively (the fleet's
 :class:`~repro.api.specs.ExecutionSpec` block), programmatically
@@ -28,35 +53,36 @@ Backends are selected declaratively (the fleet's
 (``backend="process"``); :func:`resolve_executor` implements that
 precedence.  Anything exposing ``run_fleet(spec) -> iterator of
 AssayRunRecord`` can serve as a backend — the :class:`Executor`
-protocol is structural.
-
-Both shipped backends take a ``retry`` policy, an ``on_error`` mode
-and a ``faults`` injector (:mod:`repro.api.resilience`); configuring
-any of them routes ``run_fleet`` through the *supervised* execution
-engine — worker crash/hang/error detection, finer-granularity
-re-dispatch, partial-fleet degradation — while the default
-configuration keeps the plain fast paths below.  With no explicit
-``faults``, executors adopt the ``REPRO_FAULTS`` environment injector
-(if set), so an unmodified program can be faulted from the outside.
+protocol is structural.  With no explicit ``faults``, executors adopt
+the ``REPRO_FAULTS`` environment injector, so an unmodified program can
+be faulted from the outside.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
 from collections.abc import Iterator
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from concurrent.futures.process import BrokenProcessPool
+from typing import Protocol, runtime_checkable
 
 from repro.api.jobs import JobKey
-from repro.api.records import AssayRunRecord, EngineStats
+from repro.api.records import (
+    AssayRunRecord,
+    CachedAssayRecord,
+    EngineStats,
+    FailedAssayRecord,
+    ResilienceStats,
+)
 from repro.api.resilience import (
     FaultInjector,
     RetryPolicy,
+    _Failure,
+    inject,
     kill_pool,
-    supervise_fleet,
-    supervise_inline,
 )
 from repro.api.specs import (
     _EXECUTION_BACKENDS,
@@ -67,11 +93,12 @@ from repro.api.specs import (
 )
 from repro.errors import ExecutionError, SpecError
 
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.measurement.panel import PanelResult
-
 __all__ = ["Executor", "InlineExecutor", "ProcessExecutor",
-           "resolve_executor", "shard_indices"]
+           "resolve_executor", "run_units", "shard_indices"]
+
+#: Failure kind a transport reports -> the counter it bumps.
+_COUNTERS = {"crash": "worker_crashes", "hang": "worker_hangs",
+             "error": "engine_errors"}
 
 
 @runtime_checkable
@@ -88,38 +115,251 @@ class Executor(Protocol):
         ...  # pragma: no cover - protocol signature only
 
 
-def _record(payload: dict, seed: int, name: str, result: "PanelResult",
-            n_fused: int, n_groups: int, n_steps: int,
-            start: float) -> AssayRunRecord:
-    """One streamed per-job record; shared by every backend.
+def shard_indices(n_jobs: int, n_shards: int,
+                  mode: str = "interleave") -> list[list[int]]:
+    """Partition job indices ``0..n_jobs-1`` into non-empty shards.
 
-    The record's ``spec_hash`` is the job's :class:`~repro.api.jobs.
-    JobKey` digest — the same content address the run store files
-    per-job records under, so a streamed record and its cache entry
-    share one identity.
+    ``interleave`` deals jobs round-robin (shard ``i`` takes ``i, i+w,
+    ...``) so early-finishing jobs spread across workers; ``contiguous``
+    cuts near-equal consecutive blocks (friendlier to per-shard dwell
+    fusion when neighbouring jobs share protocol parameters).  There are
+    never more shards than jobs, so no worker is ever handed nothing.
     """
-    return AssayRunRecord(
-        spec=payload, spec_hash=JobKey.for_payload(payload).digest,
-        schema_version=SCHEMA_VERSION, seed=seed,
-        wall_time_s=time.perf_counter() - start,
-        job_name=name, result=result,
-        engine=EngineStats(n_fused_dwells=n_fused,
-                           n_dwell_groups=n_groups,
-                           n_solve_steps=n_steps))
+    if n_jobs < 1:
+        raise SpecError("shard_indices: need at least one job")
+    n_shards = max(1, min(n_shards, n_jobs))
+    if mode == "interleave":
+        return [list(range(i, n_jobs, n_shards)) for i in range(n_shards)]
+    if mode != "contiguous":
+        raise SpecError(f"shard_indices: unknown mode {mode!r} "
+                        f"(known: {', '.join(_EXECUTION_SHARDS)})")
+    block, extra = divmod(n_jobs, n_shards)
+    shards, at = [], 0
+    for i in range(n_shards):
+        size = block + (1 if i < extra else 0)
+        shards.append(list(range(at, at + size)))
+        at += size
+    return shards
+
+
+def solve(pairs) -> Iterator[tuple]:
+    """One fused scheduler pass over ``[(index, AssaySpec), ...]``.
+
+    Yields ``(index, result, d_fused, d_groups, d_steps)`` per job in
+    order, where the ``d_*`` are the engine statistics each job added to
+    the pass — the core re-accumulates them in merged job order.
+    """
+    from repro.engine.scheduler import AssayScheduler
+
+    prev = (0, 0, 0)
+    jobs = [assay.build_job() for _, assay in pairs]
+    for (index, _), item in zip(pairs, AssayScheduler().run_iter(jobs)):
+        now = (item.n_fused_dwells, item.n_dwell_groups, item.n_solve_steps)
+        yield (index, item.result, *(a - b for a, b in zip(now, prev)))
+        prev = now
+
+
+def injected_hang_s(policy: RetryPolicy | None) -> float:
+    """How long an injected hang stalls: well past the detection
+    horizon, so the transport's timeout — not the stall — ends it."""
+    if policy is None or policy.timeout_s is None:
+        return 3600.0
+    return max(4.0 * policy.timeout_s, 1.0)
+
+
+def _split(indices: list[int]) -> list[list[int]]:
+    """Shard → halves → single jobs: the re-dispatch ladder.
+
+    Halving re-isolates a poisoned job in O(log n) failed dispatches
+    while surviving neighbours stay fused, so the attempts a poisoned
+    unit-mate costs them stay bounded by the ladder depth.
+    """
+    if len(indices) <= 1:
+        return [indices]
+    middle = (len(indices) + 1) // 2
+    return [indices[:middle], indices[middle:]]
+
+
+def run_units(spec: FleetSpec, transport, *, units: int,
+              shard: str = "interleave", policy: RetryPolicy | None = None,
+              on_error: str = "raise",
+              injector: FaultInjector | None = None
+              ) -> Iterator[AssayRunRecord]:
+    """Execute ``spec`` over ``transport``, streaming records in job order.
+
+    The fleet is cut into ``units`` units (:func:`shard_indices`); the
+    re-dispatch ladder may cut more, but at most ``units`` are ever in
+    flight.  Transport events are ``(unit, kind, index, value)``:
+    ``"job"`` with ``(result, d_fused, d_groups, d_steps)``,
+    ``"cached"`` with ``(result, wall_s, engine)`` for a store hit, or a
+    unit failure — ``"crash"``, ``"hang"`` or ``"error"`` with index
+    ``None`` and a ``_Failure`` — which charges one attempt to every job
+    of the unit not yet completed.  A job out of attempts under
+    ``on_error="raise"`` raises :class:`~repro.errors.SpecError` if an
+    invalid assay felled it and :class:`~repro.errors.ExecutionError`
+    otherwise, chained to the original exception where it was caught in
+    this process.
+    """
+    stamp = policy is not None or on_error != "raise" or injector is not None
+    policy = policy if policy is not None else RetryPolicy(max_attempts=1)
+    assays = spec.assays
+    n_jobs = len(assays)
+    payloads = [assay.to_dict() for assay in assays]
+    names = [assay.name if assay.name else f"job{i}"
+             for i, assay in enumerate(assays)]
+    counts = dict.fromkeys(("retries", "worker_crashes", "worker_hangs",
+                            "engine_errors", "failed_jobs"), 0)
+    attempts = [0] * n_jobs
+    queue = [(0.0, indices) for indices in shard_indices(n_jobs, units, shard)]
+    active: dict[int, set[int]] = {}   # unit -> jobs not yet completed
+    ready: dict[int, tuple] = {}       # job -> (kind, value), awaiting merge
+    cum = [0, 0, 0]
+    next_unit = next_index = 0
+    start = time.perf_counter()
+
+    def fail(indices: list[int], failure: _Failure) -> None:
+        survivors = []
+        for i in indices:
+            attempts[i] += 1
+            if attempts[i] < policy.max_attempts:
+                survivors.append(i)
+                continue
+            counts["failed_jobs"] += 1
+            if on_error == "raise":
+                # An invalid assay is the caller's error on every
+                # backend, not an execution failure.
+                error = (SpecError if failure.error_type == "SpecError"
+                         else ExecutionError)
+                raise error(
+                    f"fleet job {names[i]} failed after {attempts[i]} "
+                    f"attempt(s): {failure.error_type}: {failure.message}"
+                ) from failure.exc
+            ready[i] = ("failed", failure)
+        if survivors:
+            counts["retries"] += len(survivors)
+            not_before = time.monotonic() + policy.delay_s(
+                max(attempts[i] for i in survivors), key=names[survivors[0]])
+            queue.extend((not_before, part) for part in _split(survivors))
+
+    try:
+        while next_index < n_jobs:
+            now = time.monotonic()
+            waiting = []
+            for not_before, indices in queue:
+                if len(active) >= units or not_before > now:
+                    waiting.append((not_before, indices))
+                    continue
+                attempt = min(attempts[i] for i in indices)
+                fault = (injector.command([names[i] for i in indices],
+                                          attempt)
+                         if injector is not None else None)
+                transport.submit(next_unit,
+                                 [(i, payloads[i]) for i in indices],
+                                 fault, attempt)
+                active[next_unit] = set(indices)
+                next_unit += 1
+            queue[:] = waiting
+            wake = min((not_before for not_before, _ in queue),
+                       default=math.inf)
+            if active:
+                timeout = (max(0.0, wake - time.monotonic())
+                           if wake < math.inf
+                           and len(active) < units else None)
+                for unit, kind, index, value in transport.poll(timeout):
+                    if index is None:
+                        counts[_COUNTERS[kind]] += 1
+                        fail(sorted(active.pop(unit)), value)
+                        continue
+                    ready[index] = (kind, value)
+                    active[unit].discard(index)
+                    if not active[unit]:
+                        del active[unit]
+            elif queue:
+                time.sleep(max(0.0, wake - time.monotonic()))
+            else:  # pragma: no cover - core invariant
+                raise ExecutionError(f"execution core: no unit left to "
+                                     f"produce job {next_index}")
+            while next_index in ready:
+                i = next_index
+                kind, value = ready.pop(i)
+                common = dict(spec=payloads[i],
+                              spec_hash=JobKey.for_payload(payloads[i]).digest,
+                              schema_version=SCHEMA_VERSION,
+                              seed=assays[i].seed, job_name=names[i])
+                if kind == "job":
+                    cum = [a + b for a, b in zip(cum, value[1:])]
+                    record = AssayRunRecord(
+                        **common, wall_time_s=time.perf_counter() - start,
+                        result=value[0], engine=EngineStats(*cum))
+                elif kind == "cached":
+                    record = CachedAssayRecord(
+                        **common, wall_time_s=value[1], result=value[0],
+                        engine=value[2])
+                else:
+                    record = FailedAssayRecord(
+                        **common, wall_time_s=time.perf_counter() - start,
+                        error_type=value.error_type, error=value.message,
+                        traceback=value.traceback, attempts=attempts[i])
+                if stamp:
+                    object.__setattr__(record, "resilience",
+                                       ResilienceStats(**counts))
+                yield record
+                next_index += 1
+    finally:
+        # Bounded teardown on every exit: ExecutionError, or an
+        # abandoned stream's GeneratorExit with units mid-flight.
+        for unit in list(active):
+            transport.kill(unit)
+
+
+# -- in-thread transport ----------------------------------------------------
+
+
+class _InThread:
+    """One fused pass per unit in the calling thread, one job per poll.
+
+    There is no worker in-thread to crash or hang, so every injected
+    fault surfaces as an engine error; ``timeout_s`` is not enforced (a
+    hung in-thread solve hangs the caller).
+    """
+
+    def __init__(self, assays) -> None:
+        self.assays = assays
+        self.stream = None
+
+    def submit(self, unit: int, jobs: list, fault, attempt: int) -> None:
+        self.unit, self.fault, self.left = unit, fault, len(jobs)
+        self.stream = solve([(i, self.assays[i]) for i, _ in jobs])
+
+    def poll(self, timeout) -> list:
+        try:
+            if self.fault is not None:
+                raise ExecutionError("injected transient engine error")
+            index, *row = next(self.stream)
+        # repro: lint-ignore[REP002] supervision boundary: any engine
+        # failure is classified and fed to the retry policy
+        except Exception as exc:
+            self.kill(self.unit)
+            return [(self.unit, "error", None, _Failure.of(exc))]
+        self.left -= 1
+        if not self.left:
+            self.kill(self.unit)
+        return [(self.unit, "job", index, row)]
+
+    def kill(self, unit: int) -> None:
+        if self.stream is not None:
+            self.stream.close()
+            self.stream = None
 
 
 class InlineExecutor:
-    """Execute a fleet as one fused scheduler pass in this process.
+    """Execute a fleet as one fused scheduler pass in this thread.
 
-    The bit-identical reference backend: jobs are built in fleet order
-    and drained through :meth:`~repro.engine.scheduler.AssayScheduler.
-    run_iter` exactly as :func:`repro.api.iter_results` always has.
-
-    ``retry`` / ``on_error`` / ``faults`` opt into the supervised
-    variant (:func:`~repro.api.resilience.supervise_inline`): jobs run
-    one fused pass at a time — still bit-identical per job — with
-    transient errors retried under the policy and exhausted jobs
-    degrading per ``on_error``.
+    The bit-identical reference backend: the fleet is one unit, drained
+    through :meth:`~repro.engine.scheduler.AssayScheduler.run_iter`, and
+    each record streams as its job's dwells drain.  ``retry`` /
+    ``on_error`` / ``faults`` apply exactly as on every backend; a
+    retried unit re-runs from the specs with fresh seeded RNGs.
     """
 
     name = "inline"
@@ -135,151 +375,128 @@ class InlineExecutor:
         self.faults = faults if faults is not None \
             else FaultInjector.from_env()
 
-    def _supervised(self) -> bool:
-        return (self.retry is not None or self.on_error != "raise"
-                or self.faults is not None)
-
     def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
-        from repro.engine.scheduler import AssayScheduler
-
-        if self._supervised():
-            yield from supervise_inline(
-                spec, policy=self.retry, on_error=self.on_error,
-                injector=self.faults)
-            return
-        jobs = spec.build_jobs()
-        start = time.perf_counter()
-        for item in AssayScheduler().run_iter(jobs):
-            assay = spec.assays[item.index]
-            yield _record(assay.to_dict(), assay.seed, item.name,
-                          item.result, item.n_fused_dwells,
-                          item.n_dwell_groups, item.n_solve_steps, start)
+        yield from run_units(spec, _InThread(spec.assays), units=1,
+                             policy=self.retry, on_error=self.on_error,
+                             injector=self.faults)
 
     def __repr__(self) -> str:
-        if not self._supervised():
-            return "InlineExecutor()"
         return (f"InlineExecutor(retry={self.retry!r}, "
                 f"on_error={self.on_error!r})")
 
 
-def shard_indices(n_jobs: int, n_shards: int,
-                  mode: str = "interleave") -> list[list[int]]:
-    """Partition job indices ``0..n_jobs-1`` into non-empty shards.
-
-    ``interleave`` deals jobs round-robin (shard ``i`` takes ``i, i+w,
-    ...``) so early-finishing jobs spread across workers; ``contiguous``
-    cuts near-equal consecutive blocks (friendlier to per-shard dwell
-    fusion when neighbouring jobs share protocol parameters).
-
-    Every returned shard is non-empty: when there are fewer jobs than
-    requested shards, the excess shards are dropped — a dispatcher
-    sizing its worker pool by ``len(shards)`` therefore never spawns an
-    idle worker process.
-    """
-    if n_jobs < 1:
-        raise SpecError("shard_indices: need at least one job")
-    n_shards = max(1, min(n_shards, n_jobs))
-    if mode == "interleave":
-        shards = [list(range(i, n_jobs, n_shards))
-                  for i in range(n_shards)]
-    elif mode == "contiguous":
-        block, extra = divmod(n_jobs, n_shards)
-        shards, at = [], 0
-        for i in range(n_shards):
-            size = block + (1 if i < extra else 0)
-            shards.append(list(range(at, at + size)))
-            at += size
-    else:
-        raise SpecError(f"shard_indices: unknown mode {mode!r} "
-                        f"(known: {', '.join(_EXECUTION_SHARDS)})")
-    # Belt and braces: the clamp above already guarantees n_shards <=
-    # n_jobs, but an empty shard must never reach dispatch — it would
-    # pin an idle worker process for the fleet's whole lifetime.
-    return [shard for shard in shards if shard]
+# -- process-slot transport -------------------------------------------------
 
 
-def _execute_shard(shard: list[tuple[int, dict]]) -> list[tuple]:
-    """Worker entry point: run one shard's assays as a fused mini-fleet.
-
-    ``shard`` is ``[(fleet_index, assay_payload), ...]``; the worker
-    rebuilds each :class:`~repro.api.specs.AssaySpec` from its payload
-    (fresh cells, chains and RNGs — per-job determinism is seeded, not
-    shared) and drains one scheduler pass.  Returns ``[(fleet_index,
-    result, d_fused, d_groups, d_steps), ...]`` where the ``d_*`` are
-    the *delta* engine statistics each job contributed, so the parent
-    can re-accumulate them in merged job order.
-    """
+def _run_unit(jobs: list[tuple[int, dict]], fault: str | None,
+              hang_s: float) -> list[tuple]:
+    """Slot entry point: carry out the unit's fault command, then one
+    fused pass over ``[(index, payload), ...]`` rebuilt from payloads."""
     from repro.api.specs import AssaySpec
-    from repro.engine.scheduler import AssayScheduler
 
-    specs = [AssaySpec.from_dict(payload) for _, payload in shard]
-    jobs = [spec.build_job() for spec in specs]
-    out: list[tuple] = []
-    prev_fused = prev_groups = prev_steps = 0
-    for (index, _), item in zip(shard, AssayScheduler().run_iter(jobs)):
-        out.append((index, item.result,
-                    item.n_fused_dwells - prev_fused,
-                    item.n_dwell_groups - prev_groups,
-                    item.n_solve_steps - prev_steps))
-        prev_fused = item.n_fused_dwells
-        prev_groups = item.n_dwell_groups
-        prev_steps = item.n_solve_steps
-    return out
+    inject(fault, hang_s)
+    return list(solve([(i, AssaySpec.from_dict(payload))
+                       for i, payload in jobs]))
+
+
+def _close_slots(slots: list) -> None:
+    for k, pool in enumerate(slots):
+        slots[k] = None
+        if pool is not None:
+            kill_pool(pool)
+
+
+class _Slots:
+    """Units on single-worker pools: a crash (``BrokenProcessPool``), a
+    hang (deadline expiry) or a raising job is attributed to exactly one
+    unit, and only a crashed or hung slot is torn down."""
+
+    def __init__(self, slots: list, policy: RetryPolicy | None) -> None:
+        self.slots = slots        # the executor's pools, kept until close()
+        self.running: dict = {}   # future -> (unit, slot, deadline)
+        self.timeout_s = policy.timeout_s if policy is not None else None
+        self.hang_s = injected_hang_s(policy)
+
+    def submit(self, unit: int, jobs: list, fault, attempt: int) -> None:
+        busy = {slot for _, slot, _ in self.running.values()}
+        slot = next(k for k in range(len(self.slots) + 1) if k not in busy)
+        if slot == len(self.slots):
+            self.slots.append(None)
+        if self.slots[slot] is None:
+            self.slots[slot] = ProcessPoolExecutor(max_workers=1)
+        future = self.slots[slot].submit(_run_unit, jobs, fault, self.hang_s)
+        deadline = (math.inf if self.timeout_s is None
+                    else time.monotonic() + self.timeout_s)
+        self.running[future] = (unit, slot, deadline)
+
+    def poll(self, timeout) -> list:
+        horizon = min(deadline for *_, deadline in self.running.values())
+        if horizon < math.inf:
+            left = max(0.0, horizon - time.monotonic())
+            timeout = left if timeout is None else min(timeout, left)
+        done, _ = wait(set(self.running), timeout=timeout,
+                       return_when=FIRST_COMPLETED)
+        events = []
+        for future in done:
+            unit, slot, _ = self.running.pop(future)
+            try:
+                rows = future.result()
+            except BrokenProcessPool as exc:
+                self._drop(slot)
+                events.append((unit, "crash", None, _Failure.of(exc)))
+            # repro: lint-ignore[REP002] supervision boundary: any
+            # worker-side failure is classified and fed to the retry
+            # policy, never propagated raw
+            except Exception as exc:
+                events.append((unit, "error", None, _Failure.of(exc)))
+            else:
+                events.extend((unit, "job", row[0], row[1:]) for row in rows)
+        now = time.monotonic()
+        for future, (unit, slot, deadline) in list(self.running.items()):
+            if deadline <= now:
+                del self.running[future]
+                self._drop(slot)
+                events.append((unit, "hang", None, _Failure(
+                    "ExecutionError",
+                    f"worker exceeded the per-dispatch timeout of "
+                    f"{self.timeout_s} s and was killed")))
+        return events
+
+    def kill(self, unit: int) -> None:
+        for future, (owner, slot, _) in list(self.running.items()):
+            if owner == unit:
+                del self.running[future]
+                self._drop(slot)
+
+    def _drop(self, slot: int) -> None:
+        pool, self.slots[slot] = self.slots[slot], None
+        if pool is not None:
+            kill_pool(pool)
 
 
 class ProcessExecutor:
-    """Shard a fleet's jobs across worker processes.
+    """Run a fleet's units on worker-process slots.
 
     Parameters
     ----------
     workers:
-        Worker process count; ``None`` means one per CPU core.
+        Slot count — single-worker process pools, spawned lazily (a
+        fleet never spawns more slots than it has units in flight) and
+        kept until :meth:`close`, so consecutive runs pay the spawn cost
+        once.  ``None`` means one per CPU core.
     shard:
         Job partitioning strategy — see :func:`shard_indices`.
-    persistent:
-        ``True`` (default) keeps the worker pool alive across
-        consecutive ``run_fleet`` calls on this instance, so a service
-        dispatching many small fleets pays the process-spawn cost once
-        (today's dominant fixed cost per run) instead of per call.
-        ``False`` restores the one-pool-per-call behaviour — used by
-        :meth:`~repro.api.specs.ExecutionSpec.build`, whose executors
-        are constructed fresh per run and would otherwise leak a live
-        pool each time.
+    retry / on_error / faults:
+        The core's supervision knobs (module docstring); ``timeout_s``
+        is enforced per dispatched unit.
 
-    Each worker runs a fused :meth:`~repro.engine.scheduler.
-    AssayScheduler.run_iter` over its shard; the parent buffers shard
-    completions and yields records strictly in fleet job order, so the
-    stream is a drop-in replacement for :class:`InlineExecutor` (results
-    pinned bit-identical in ``tests/test_api_executors_store.py``).
-    Streaming granularity is the *shard*, not the job — one future per
-    shard keeps the per-shard dwell fusion that makes sharding pay, so
-    the first record arrives once the first shard finishes (use
-    :class:`InlineExecutor` when per-job latency matters more than
-    throughput).  Workers are plain ``concurrent.futures`` process-pool
-    workers; a single-job fleet degenerates to one shard, and an
-    abandoned stream kills the pool under a bounded wait (queued shards
-    cancelled, running workers terminated) so a hung worker can never
-    block ``close()`` or interpreter exit — a persistent executor
-    re-creates its pool on the next run.
-
-    **Pool lease semantics.**  A persistent pool is created on first
-    use, sized by that run's shard count (never more processes than
-    shards, so a small fleet spawns no idle workers), and reused by
-    every later run that fits; a run needing *more* shards than the
-    pool has workers retires the old pool and grows a fresh one.  The
-    pool is released by :meth:`close` (bounded teardown, also the
-    context-manager exit) or garbage collection.  One executor serves
-    one fleet at a time: a second ``run_fleet`` entered while a stream
-    is live runs on its own throwaway pool so an abandoned stream can
-    only ever kill the pool it used.
-
-    ``retry`` / ``on_error`` / ``faults`` route the fleet through the
-    supervised engine (:func:`~repro.api.resilience.supervise_fleet`):
-    each unit gets its own single-worker pool for exact crash/hang
-    attribution, failures re-dispatch at finer granularity (shard →
-    halves → single jobs) under the policy's backoff, and exhausted
-    jobs degrade per ``on_error``.  Results stay bit-identical; the
-    supervised path costs one pool per unit instead of one shared pool.
+    Streaming granularity is the unit: one fused pass per slot keeps the
+    per-shard dwell fusion that makes sharding pay, and the parent
+    merges completions in job order.  A crashed or hung unit kills only
+    its own slot, which respawns on next use; an abandoned stream kills
+    the slots still running its units.  A second stream entered while
+    one is live runs on slots of its own, closed when it ends, so an
+    abandoned stream can only ever kill slots it used.
     """
 
     name = "process"
@@ -288,8 +505,7 @@ class ProcessExecutor:
                  shard: str = "interleave",
                  retry: RetryPolicy | None = None,
                  on_error: str = "raise",
-                 faults: FaultInjector | None = None,
-                 persistent: bool = True) -> None:
+                 faults: FaultInjector | None = None) -> None:
         # One validation authority: the declarative block this executor
         # is the programmatic face of.
         ExecutionSpec(backend="process", workers=workers, shard=shard,
@@ -300,68 +516,38 @@ class ProcessExecutor:
         self.on_error = on_error
         self.faults = faults if faults is not None \
             else FaultInjector.from_env()
-        self.persistent = bool(persistent)
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_size = 0
+        self._slots: list = []
         self._busy = threading.Lock()
 
-    def _supervised(self) -> bool:
-        return (self.retry is not None or self.on_error != "raise"
-                or self.faults is not None)
-
     def __repr__(self) -> str:
-        extra = (f", retry={self.retry!r}, on_error={self.on_error!r}"
-                 if self._supervised() else "")
         return (f"ProcessExecutor(workers={self.workers!r}, "
-                f"shard={self.shard!r}{extra})")
+                f"shard={self.shard!r}, retry={self.retry!r}, "
+                f"on_error={self.on_error!r})")
 
-    # -- the persistent pool lease ---------------------------------------------
-
-    def _lease(self, n_shards: int) -> ProcessPoolExecutor:
-        """The pool this run executes on: reused when it is big enough,
-        grown (old pool retired) when the run needs more workers."""
-        if self._pool is not None and self._pool_size < n_shards:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        if self._pool is None:
-            # One worker per (non-empty) shard: shard_indices never
-            # returns an empty shard, so a fleet with fewer jobs than
-            # workers spawns exactly len(shards) == n_jobs processes,
-            # not idle extras.
-            self._pool = ProcessPoolExecutor(max_workers=n_shards)
-            self._pool_size = n_shards
-        return self._pool
-
-    def _release(self, pool: ProcessPoolExecutor, owned: bool,
-                 drained: bool) -> None:
-        if drained and (owned and self.persistent):
-            # Healthy pool, persistent lease: keep the warm workers for
-            # the next run.
-            return
-        if drained:
-            # Normal completion on a non-persistent (or overlapping)
-            # pool: every worker is idle, a waiting shutdown returns
-            # immediately and reaps cleanly.
-            pool.shutdown(wait=True)
-        else:
-            # Abandoned stream (GeneratorExit) or a failure with shards
-            # mid-flight: cancel everything queued and tear the pool
-            # down under a bounded wait — a hung worker must not be
-            # able to block close() or interpreter exit.
-            kill_pool(pool)
-        if pool is self._pool:
-            self._pool = None
+    def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
+        owned = self._busy.acquire(blocking=False)
+        slots = self._slots if owned else []
+        workers = self.workers if self.workers is not None \
+            else (os.cpu_count() or 1)
+        try:
+            yield from run_units(spec, _Slots(slots, self.retry),
+                                 units=workers, shard=self.shard,
+                                 policy=self.retry, on_error=self.on_error,
+                                 injector=self.faults)
+        finally:
+            if owned:
+                self._busy.release()
+            else:
+                _close_slots(slots)
 
     def close(self) -> None:
-        """Release the persistent worker pool (bounded teardown).
+        """Release the worker slots (bounded teardown).
 
-        Safe to call repeatedly; the next ``run_fleet`` simply spawns a
-        fresh pool.  ``with ProcessExecutor(...) as ex:`` closes on
-        exit, and garbage collection closes as a last resort.
+        Safe to call repeatedly; the next ``run_fleet`` simply respawns
+        slots.  ``with ProcessExecutor(...) as ex:`` closes on exit, and
+        garbage collection closes as a last resort.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            kill_pool(pool)
+        _close_slots(self._slots)
 
     def __enter__(self) -> "ProcessExecutor":
         return self
@@ -371,67 +557,13 @@ class ProcessExecutor:
 
     def __del__(self) -> None:  # pragma: no cover - GC timing varies
         try:
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
+            for pool in self._slots:
+                if pool is not None:
+                    pool.shutdown(wait=False, cancel_futures=True)
         # repro: lint-ignore[REP002] GC-time teardown: interpreter
         # shutdown may have torn down anything shutdown() touches
         except Exception:
             pass
-
-    def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
-        if self._supervised():
-            yield from supervise_fleet(
-                spec, workers=self.workers, shard_mode=self.shard,
-                policy=self.retry, on_error=self.on_error,
-                injector=self.faults)
-            return
-        n_jobs = len(spec.assays)
-        workers = self.workers if self.workers is not None \
-            else (os.cpu_count() or 1)
-        payloads = [assay.to_dict() for assay in spec.assays]
-        shards = [[(i, payloads[i]) for i in indices]
-                  for indices in shard_indices(n_jobs, workers, self.shard)]
-        buffered: dict[int, tuple] = {}
-        cum_fused = cum_groups = cum_steps = 0
-        start = time.perf_counter()
-        # The persistent lease is exclusive: a second stream entered
-        # while one is live gets its own throwaway pool, so an
-        # abandoned stream can only ever kill the pool it ran on.
-        owned = self._busy.acquire(blocking=False)
-        pool = (self._lease(len(shards)) if owned
-                else ProcessPoolExecutor(max_workers=len(shards)))
-        drained = False
-        try:
-            pending = {pool.submit(_execute_shard, shard)
-                       for shard in shards}
-            for index in range(n_jobs):
-                while index not in buffered:
-                    if not pending:
-                        raise ExecutionError(
-                            f"process executor: workers completed "
-                            f"without producing job {index} — shard "
-                            f"bookkeeping bug")
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    for future in done:
-                        for at, result, d_fused, d_groups, d_steps in \
-                                future.result():
-                            buffered[at] = (result, d_fused, d_groups,
-                                            d_steps)
-                result, d_fused, d_groups, d_steps = buffered.pop(index)
-                cum_fused += d_fused
-                cum_groups += d_groups
-                cum_steps += d_steps
-                assay = spec.assays[index]
-                name = assay.name if assay.name else f"job{index}"
-                yield _record(payloads[index], assay.seed, name, result,
-                              cum_fused, cum_groups, cum_steps, start)
-            drained = True
-        finally:
-            self._release(pool, owned, drained)
-            if owned:
-                self._busy.release()
 
 
 def resolve_executor(backend, execution: ExecutionSpec | None = None,

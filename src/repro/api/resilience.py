@@ -1,30 +1,18 @@
-"""Fault-tolerant execution: retry policy, supervision, fault injection.
+"""Resilience vocabulary: retry policy, fault injection, failure records.
 
 The paper's platform is a *clinical* pipeline: a crashed worker, a hung
 solve or a corrupt cached record must degrade into an attributable
-per-assay failure, never a lost fleet.  This module is the resilience
-layer under :mod:`repro.api`:
+per-assay failure, never a lost fleet.  The state machine that enforces
+that lives in one place, :func:`repro.api.executors.run_units`, under
+every backend; this module holds what it is configured and tested with:
 
-- :class:`RetryPolicy` — the spec-level description of how hard to try:
-  attempt budget, per-dispatch timeout, exponential backoff with
-  deterministic (seeded) jitter.  Rides in the fleet's ``execution``
-  block (schema v4) and round-trips through JSON like every other spec.
-- :func:`supervise_fleet` — the supervised process backend.  Each work
-  *unit* (initially one shard) runs in its **own single-worker process
-  pool**, so a crash (``BrokenProcessPool``), a hang (deadline expiry →
-  the pool is killed) or a raising job is attributed to exactly that
-  unit — a shared pool would fail every pending future at once and make
-  the culprit unknowable.  Failed units are re-dispatched at finer
-  granularity (shard → split halves → single jobs) after the policy's
-  backoff, so one poisoned job costs only its own attempt budget, and
-  completions stream in job order exactly like the plain backends.
-- :func:`supervise_inline` — the same retry/degradation semantics for
-  the inline backend (one job per fused pass; worker faults have no
-  meaning in-process, so every injected fault surfaces as a transient
-  engine error).
+- :class:`RetryPolicy` — how hard to try: per-job attempt budget,
+  per-dispatch timeout, exponential backoff with deterministic (seeded)
+  jitter.  Rides in the fleet's ``execution`` block (schema v4) and
+  round-trips through JSON like every other spec.
 - :class:`FaultInjector` — a deterministic, seeded harness that turns
   the failure modes into reproducible test fixtures: ``worker_crash``
-  (``os._exit`` mid-shard), ``worker_hang`` (sleep past the timeout),
+  (``os._exit`` mid-unit), ``worker_hang`` (stall past the timeout),
   ``engine_error`` (a raised :class:`~repro.errors.ExecutionError`) and
   ``store_corrupt`` (scramble a just-written store payload).  Rules are
   count-based (``"worker_crash:1"`` — fire on a unit's first attempt
@@ -32,40 +20,31 @@ layer under :mod:`repro.api`:
   (``"engine_error:0.25"`` — a seeded hash decides, reproducibly), with
   an optional ``@substring`` job-name filter, and load from the
   ``REPRO_FAULTS`` / ``REPRO_FAULTS_SEED`` environment so CI can fault
-  an unmodified program.
+  an unmodified program.  The core decides each unit's fault in the
+  parent, once per dispatch; a worker only carries out the command
+  (:func:`inject`).
 
 Because injected faults live in the *executor*, never in the spec
 payload, a faulted run and its fault-free twin share every spec hash
 and :class:`~repro.api.jobs.JobKey` — which is exactly what lets tests
 assert the recovered stream is **bit-identical** to the undisturbed
-one.  Retry/fault counts are stamped on every streamed record as a
-:class:`ResilienceStats` snapshot (``provenance()["resilience"]``);
-jobs that exhaust their budget under ``on_error="partial"`` yield
-:class:`~repro.api.records.FailedAssayRecord` instead of aborting the
-fleet, and under ``on_error="raise"`` the whole run fails with
-:class:`~repro.errors.ExecutionError` after a bounded cleanup.
+one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import time
 import traceback as traceback_module
-from collections.abc import Iterator, Mapping, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
 
-from repro.api.records import FailedAssayRecord, ResilienceStats
 from repro.errors import ExecutionError, SpecError
 
-__all__ = [
-    "RetryPolicy", "FaultInjector", "FaultRule",
-    "supervise_fleet", "supervise_inline", "kill_pool",
-    "ENV_FAULTS", "ENV_FAULTS_SEED",
-]
+__all__ = ["RetryPolicy", "FaultInjector", "FaultRule", "inject",
+           "kill_pool", "ENV_FAULTS", "ENV_FAULTS_SEED"]
 
 #: Environment variables the :class:`FaultInjector` loads from:
 #: ``REPRO_FAULTS="worker_crash:1;engine_error:2@cell05"`` and an
@@ -77,8 +56,8 @@ _FAULT_KINDS = ("worker_crash", "worker_hang", "engine_error",
                 "store_corrupt")
 
 #: Exit status an injected worker crash dies with — distinctive in
-#: worker logs, irrelevant to the parent (any abrupt death breaks the
-#: unit's pool the same way).
+#: worker logs, irrelevant to the parent (any abrupt death looks the
+#: same to it).
 _CRASH_EXIT_STATUS = 170
 
 
@@ -237,9 +216,9 @@ class FaultInjector:
 
     Build one programmatically (:meth:`parse`) or from the environment
     (:meth:`from_env`; format ``"kind:count[@match]"`` or
-    ``"kind:rate[@match]"``, ``;``-separated).  Executors consult
-    :meth:`command` once per dispatched unit — in the single-threaded
-    supervisor, so decisions never depend on worker scheduling — and
+    ``"kind:rate[@match]"``, ``;``-separated).  The execution core
+    consults :meth:`command` once per dispatched unit, in the parent, so
+    decisions never depend on worker scheduling, and
     the store consults :meth:`corrupts` once per record write.  All
     decisions are pure functions of (rule, seed, names, attempt), so a
     faulted run replays identically.
@@ -348,45 +327,39 @@ class FaultInjector:
                    for rule in self.rules)
 
 
-# --------------------------------------------------------------------------
-# Worker entry + pool teardown
-# --------------------------------------------------------------------------
+def inject(fault: str | None, hang_s: float,
+           claimed: Callable[[], bool] = lambda: True) -> None:
+    """Carry out a unit's fault command inside the worker.
 
-
-def _execute_unit(shard: list, fault: str | None = None,
-                  hang_s: float = 3600.0) -> list:
-    """Worker entry point: one unit's jobs, with an optional injected
-    fault.  ``shard`` is ``[(fleet_index, assay_payload), ...]`` exactly
-    as :func:`repro.api.executors._execute_shard` takes it; the fault
-    command was decided parent-side so worker scheduling can never
-    change what fails."""
+    ``crash`` dies on the spot — no exception, no cleanup, exactly what
+    a segfault or OOM kill looks like to the parent.  ``hang`` stalls
+    without progress for ``hang_s`` seconds (or until ``claimed()``
+    turns false: a file-queue worker whose unit was reclaimed stops
+    stalling) and then fails.  ``error`` raises a transient engine
+    error.  ``None`` does nothing.
+    """
     if fault == "crash":
-        # An abrupt death — no exception, no cleanup — exactly what a
-        # segfault or OOM kill looks like to the parent pool.
         os._exit(_CRASH_EXIT_STATUS)
     if fault == "hang":
-        time.sleep(hang_s)
+        deadline = time.monotonic() + hang_s
+        while claimed() and time.monotonic() < deadline:
+            time.sleep(0.05)
         raise ExecutionError("injected hung worker outlived its timeout")
     if fault == "error":
         raise ExecutionError("injected transient engine error")
-    from repro.api.executors import _execute_shard
-
-    return _execute_shard(shard)
 
 
 def kill_pool(pool: ProcessPoolExecutor, grace_s: float = 2.0) -> None:
     """Shut a worker pool down without waiting on hung workers.
 
     ``shutdown(wait=True)`` blocks until every running future returns —
-    forever, if a worker is hung — so supervised teardown (and an
-    abandoned stream's ``close()``) goes through here instead: cancel
-    everything queued, give live workers ``grace_s`` seconds to exit,
-    then terminate and finally SIGKILL the stragglers.  Bounded wall
-    time, guaranteed release of the worker processes.
+    forever, if a worker is hung — so teardown goes through here: cancel
+    everything queued, terminate the workers, give them ``grace_s``
+    seconds, then SIGKILL the stragglers.
     """
+    # shutdown() drops the pool's process table: take it first.
+    workers = list((getattr(pool, "_processes", None) or {}).values())
     pool.shutdown(wait=False, cancel_futures=True)
-    processes = getattr(pool, "_processes", None)
-    workers = list(processes.values()) if processes else []
     for worker in workers:
         if worker.is_alive():
             worker.terminate()
@@ -399,336 +372,26 @@ def kill_pool(pool: ProcessPoolExecutor, grace_s: float = 2.0) -> None:
             worker.join(grace_s)
 
 
-# --------------------------------------------------------------------------
-# The supervised backends
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class _Unit:
-    """One dispatchable chunk of a fleet: job indices + earliest start."""
-
-    indices: tuple[int, ...]
-    not_before: float = 0.0
-
-
-class _Counters:
-    """Mutable fault/retry tallies; snapshotted onto every record."""
-
-    __slots__ = ("retries", "worker_crashes", "worker_hangs",
-                 "engine_errors", "failed_jobs")
-
-    def __init__(self) -> None:
-        self.retries = 0
-        self.worker_crashes = 0
-        self.worker_hangs = 0
-        self.engine_errors = 0
-        self.failed_jobs = 0
-
-    def snapshot(self) -> ResilienceStats:
-        return ResilienceStats(
-            retries=self.retries, worker_crashes=self.worker_crashes,
-            worker_hangs=self.worker_hangs,
-            engine_errors=self.engine_errors,
-            failed_jobs=self.failed_jobs)
-
-
 @dataclass(frozen=True)
 class _Failure:
-    """What felled a unit — carried to records and error messages."""
+    """What felled a unit — carried to failed records and errors, and
+    across the queue as a plain dict.  ``exc`` is the exception itself
+    when it was caught (or unpickled) in this process, so an error
+    raised for the failure can chain to it."""
 
     error_type: str
     message: str
     traceback: str = ""
+    exc: BaseException | None = field(default=None, compare=False,
+                                      repr=False)
 
     @classmethod
     def of(cls, exc: BaseException) -> "_Failure":
         text = "".join(traceback_module.format_exception(
             type(exc), exc, exc.__traceback__)).strip()
         return cls(error_type=type(exc).__name__, message=str(exc),
-                   traceback=text)
+                   traceback=text, exc=exc)
 
-
-def _check_on_error(on_error: str) -> str:
-    if on_error not in ("raise", "partial"):
-        raise SpecError(f"on_error must be 'raise' or 'partial', "
-                        f"got {on_error!r}")
-    return on_error
-
-
-def _split_unit(indices: Sequence[int]) -> list[list[int]]:
-    """Shard → halves → single jobs: the re-dispatch granularity ladder.
-
-    Halving (rather than jumping straight to singles) re-isolates a
-    poisoned job in O(log n) failed dispatches while keeping surviving
-    neighbours fused — the collateral attempts a poisoned shard-mate
-    costs them stay bounded by the ladder depth.
-    """
-    indices = list(indices)
-    if len(indices) <= 1:
-        return [indices]
-    middle = (len(indices) + 1) // 2
-    return [indices[:middle], indices[middle:]]
-
-
-def supervise_fleet(spec, *, workers: int | None = None,
-                    shard_mode: str = "interleave",
-                    policy: RetryPolicy | None = None,
-                    on_error: str = "raise",
-                    injector: FaultInjector | None = None) -> Iterator:
-    """Run a fleet across supervised worker processes, streaming records
-    in job order.
-
-    The execution engine behind the resilient
-    :class:`~repro.api.executors.ProcessExecutor`: every unit runs in
-    its own single-worker pool (exact failure attribution), deadline
-    expiry kills the pool (hang detection), failed units re-enter the
-    queue at finer granularity after the policy's backoff, and a job
-    whose budget is exhausted either fails the run
-    (``on_error="raise"``, bounded cleanup) or streams a
-    :class:`~repro.api.records.FailedAssayRecord` in its slot
-    (``"partial"``).  Successful records are bit-identical to the plain
-    backends' — retries rebuild jobs from canonical payloads with fresh
-    seeded RNGs, so attempt count can never leak into results.
-    """
-    from repro.api.executors import _record, shard_indices
-    from repro.api.jobs import JobKey
-    from repro.api.specs import SCHEMA_VERSION
-
-    policy = policy if policy is not None else RetryPolicy(max_attempts=1)
-    on_error = _check_on_error(on_error)
-    assays = spec.assays
-    n_jobs = len(assays)
-    payloads = [assay.to_dict() for assay in assays]
-    names = [assay.name if assay.name else f"job{i}"
-             for i, assay in enumerate(assays)]
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    n_workers = max(1, min(n_workers, n_jobs))
-    hang_s = (3600.0 if policy.timeout_s is None
-              else max(4.0 * policy.timeout_s, 1.0))
-
-    counters = _Counters()
-    attempts = [0] * n_jobs
-    queue: list[_Unit] = [
-        _Unit(tuple(indices))
-        for indices in shard_indices(n_jobs, n_workers, shard_mode)]
-    active: dict = {}          # future -> (pool, unit, deadline)
-    buffered: dict[int, tuple] = {}   # index -> (result, d_fused, ...)
-    failed: dict[int, _Failure] = {}  # index -> what exhausted it
-    failed_attempts: dict[int, int] = {}
-    cum_fused = cum_groups = cum_steps = 0
-    next_index = 0
-    start = time.perf_counter()
-
-    def _launch(unit: _Unit) -> None:
-        unit_attempt = min(attempts[i] for i in unit.indices)
-        fault = (injector.command([names[i] for i in unit.indices],
-                                  unit_attempt)
-                 if injector is not None else None)
-        shard = [(i, payloads[i]) for i in unit.indices]
-        pool = ProcessPoolExecutor(max_workers=1)
-        future = pool.submit(_execute_unit, shard, fault, hang_s)
-        deadline = (math.inf if policy.timeout_s is None
-                    else time.monotonic() + policy.timeout_s)
-        active[future] = (pool, unit, deadline)
-
-    def _register_failure(unit: _Unit, failure: _Failure) -> None:
-        now = time.monotonic()
-        survivors = []
-        for i in unit.indices:
-            attempts[i] += 1
-            if attempts[i] < policy.max_attempts:
-                survivors.append(i)
-                continue
-            failed[i] = failure
-            failed_attempts[i] = attempts[i]
-            counters.failed_jobs += 1
-            if on_error == "raise":
-                raise ExecutionError(
-                    f"fleet job {names[i]!r} failed after "
-                    f"{attempts[i]} attempt(s): {failure.error_type}: "
-                    f"{failure.message}")
-        if survivors:
-            counters.retries += len(survivors)
-            delay = policy.delay_s(
-                max(attempts[i] for i in survivors),
-                key=names[survivors[0]])
-            for part in _split_unit(survivors):
-                queue.append(_Unit(tuple(part), now + delay))
-
-    try:
-        while queue or active:
-            now = time.monotonic()
-            if queue and len(active) < n_workers:
-                waiting = []
-                for unit in queue:
-                    if len(active) < n_workers and unit.not_before <= now:
-                        _launch(unit)
-                    else:
-                        waiting.append(unit)
-                queue[:] = waiting
-            if active:
-                horizons = [deadline for _, _, deadline in active.values()]
-                if queue and len(active) < n_workers:
-                    horizons.extend(unit.not_before for unit in queue)
-                horizon = min(horizons)
-                timeout = (None if horizon == math.inf
-                           else max(0.0, horizon - time.monotonic()))
-                done, _ = wait(set(active), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                now = time.monotonic()
-                for future in done:
-                    pool, unit, _ = active.pop(future)
-                    try:
-                        results = future.result()
-                    except BrokenProcessPool as exc:
-                        kill_pool(pool)
-                        counters.worker_crashes += 1
-                        _register_failure(unit, _Failure.of(exc))
-                    # repro: lint-ignore[REP002] supervision boundary:
-                    # any worker-side failure is classified and fed to
-                    # the retry policy, never propagated raw
-                    except Exception as exc:
-                        kill_pool(pool)
-                        counters.engine_errors += 1
-                        _register_failure(unit, _Failure.of(exc))
-                    else:
-                        pool.shutdown(wait=False)
-                        for at, result, d_fused, d_groups, d_steps \
-                                in results:
-                            buffered[at] = (result, d_fused, d_groups,
-                                            d_steps)
-                expired = [future
-                           for future, (_, _, deadline) in active.items()
-                           if deadline <= now]
-                for future in expired:
-                    pool, unit, _ = active.pop(future)
-                    kill_pool(pool)
-                    counters.worker_hangs += 1
-                    _register_failure(unit, _Failure(
-                        error_type="ExecutionError",
-                        message=(f"worker exceeded the per-dispatch "
-                                 f"timeout of {policy.timeout_s} s and "
-                                 f"was killed")))
-            elif queue:
-                # Every queued unit is backing off: sleep to the
-                # earliest wake-up.
-                pause = min(unit.not_before for unit in queue) \
-                    - time.monotonic()
-                if pause > 0:
-                    time.sleep(pause)
-                continue
-            while next_index < n_jobs and (next_index in buffered
-                                           or next_index in failed):
-                if next_index in buffered:
-                    result, d_fused, d_groups, d_steps = \
-                        buffered.pop(next_index)
-                    cum_fused += d_fused
-                    cum_groups += d_groups
-                    cum_steps += d_steps
-                    record = _record(
-                        payloads[next_index], assays[next_index].seed,
-                        names[next_index], result, cum_fused,
-                        cum_groups, cum_steps, start)
-                else:
-                    failure = failed.pop(next_index)
-                    record = FailedAssayRecord(
-                        spec=payloads[next_index],
-                        spec_hash=JobKey.for_payload(
-                            payloads[next_index]).digest,
-                        schema_version=SCHEMA_VERSION,
-                        seed=assays[next_index].seed,
-                        wall_time_s=time.perf_counter() - start,
-                        job_name=names[next_index],
-                        error_type=failure.error_type,
-                        error=failure.message,
-                        traceback=failure.traceback,
-                        attempts=failed_attempts.pop(next_index))
-                object.__setattr__(record, "resilience",
-                                   counters.snapshot())
-                yield record
-                next_index += 1
-    finally:
-        # Bounded teardown on every exit — normal completion (pools are
-        # already drained; this is a no-op), ExecutionError, or an
-        # abandoned stream's GeneratorExit with workers mid-shard.
-        for pool, _, _ in active.values():
-            kill_pool(pool)
-        active.clear()
-    if next_index < n_jobs:  # pragma: no cover - supervisor invariant
-        raise ExecutionError(
-            f"supervised executor: workers completed without producing "
-            f"job {next_index} — unit bookkeeping bug")
-
-
-def supervise_inline(spec, *, policy: RetryPolicy | None = None,
-                     on_error: str = "raise",
-                     injector: FaultInjector | None = None) -> Iterator:
-    """Retry/degradation semantics for the inline backend.
-
-    Jobs run one fused scheduler pass at a time (bit-identical to the
-    per-job shards of the process backend), each rebuilt from its
-    canonical payload on retry so the RNG stream restarts cleanly.
-    There is no worker process to crash or hang in-process, so every
-    injected fault surfaces as a transient engine error, and
-    ``timeout_s`` is not enforced (a hung inline solve hangs the
-    caller; run under the process backend to get deadlines).
-    """
-    from repro.api.executors import _record
-    from repro.api.jobs import JobKey
-    from repro.api.specs import AssaySpec, SCHEMA_VERSION
-    from repro.engine.scheduler import AssayScheduler
-
-    policy = policy if policy is not None else RetryPolicy(max_attempts=1)
-    on_error = _check_on_error(on_error)
-    counters = _Counters()
-    cum_fused = cum_groups = cum_steps = 0
-    start = time.perf_counter()
-    for index, assay in enumerate(spec.assays):
-        payload = assay.to_dict()
-        name = assay.name if assay.name else f"job{index}"
-        attempt = 0
-        while True:
-            fault = (injector.command([name], attempt)
-                     if injector is not None else None)
-            try:
-                if fault is not None:
-                    raise ExecutionError(
-                        "injected transient engine error")
-                job = AssaySpec.from_dict(payload).build_job()
-                item = next(AssayScheduler().run_iter([job]))
-            # repro: lint-ignore[REP002] supervision boundary: inline
-            # retry loop must classify any engine failure for backoff
-            except Exception as exc:
-                counters.engine_errors += 1
-                attempt += 1
-                if attempt < policy.max_attempts:
-                    counters.retries += 1
-                    delay = policy.delay_s(attempt, key=name)
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    continue
-                counters.failed_jobs += 1
-                if on_error == "raise":
-                    raise ExecutionError(
-                        f"fleet job {name!r} failed after {attempt} "
-                        f"attempt(s): {type(exc).__name__}: {exc}"
-                    ) from exc
-                failure = _Failure.of(exc)
-                record = FailedAssayRecord(
-                    spec=payload,
-                    spec_hash=JobKey.for_payload(payload).digest,
-                    schema_version=SCHEMA_VERSION, seed=assay.seed,
-                    wall_time_s=time.perf_counter() - start,
-                    job_name=name, error_type=failure.error_type,
-                    error=failure.message,
-                    traceback=failure.traceback, attempts=attempt)
-            else:
-                cum_fused += item.n_fused_dwells
-                cum_groups += item.n_dwell_groups
-                cum_steps += item.n_solve_steps
-                record = _record(payload, assay.seed, name, item.result,
-                                 cum_fused, cum_groups, cum_steps, start)
-            object.__setattr__(record, "resilience", counters.snapshot())
-            yield record
-            break
+    def to_dict(self) -> dict:
+        return {"error_type": self.error_type, "message": self.message,
+                "traceback": self.traceback}

@@ -264,12 +264,11 @@ def iter_results(spec, backend=None, store=None, screening=None,
     of the backend at the moment it completed.  Sweep specs are
     compiled to their fleet first; a bare assay streams as a one-job
     fleet.  Streaming granularity depends on the backend: inline yields
-    as each job's dwells drain, while the process backend yields a
-    shard at a time (in job order either way).  The stream may be
-    abandoned early (``close()`` or a partial iteration): backends
-    release their scheduler state — the process backend cancels shards
-    not yet running — and a fresh call replays from the spec
-    bit-identically.
+    as each job's dwells drain, while the process and distributed
+    backends yield a unit at a time (in job order either way).  The
+    stream may be abandoned early (``close()`` or a partial iteration):
+    the execution core stops the units still in flight, and a fresh
+    call replays from the spec bit-identically.
 
     ``store`` enables job-level memoisation: warm jobs are yielded as
     rehydrated :class:`~repro.api.records.CachedAssayRecord` objects
@@ -287,8 +286,6 @@ def iter_results(spec, backend=None, store=None, screening=None,
     stream as :class:`~repro.api.records.FailedAssayRecord` entries in
     their job-order slots.
     """
-    from repro.api.executors import resolve_executor
-
     spec = _apply_screening(_coerce(spec), screening)
     if isinstance(spec, AssaySpec):
         spec = FleetSpec(name=spec.name, assays=(spec,))
@@ -300,26 +297,36 @@ def iter_results(spec, backend=None, store=None, screening=None,
                         f"spec, got {type(spec).__name__}")
     store = _coerce_store(store)
     if store is None:
-        executor = resolve_executor(backend, spec.execution, retry=retry,
-                                    on_error=on_error, faults=faults)
-        _offer_prefetch(executor, sweep)
-        yield from executor.run_fleet(spec)
+        yield from _execute(spec, backend, retry, on_error, faults, sweep)
     else:
         yield from _iter_fleet_store(spec, backend, store, retry=retry,
                                      on_error=on_error, faults=faults,
                                      sweep=sweep)
 
 
-def _offer_prefetch(executor, sweep) -> None:
-    """Hand a prefetch-capable backend the sweep its fleet compiled
-    from — the grid is what speculative neighbour extrapolation needs,
-    and it is gone by the time the executor sees the fleet.  Duck-typed
-    so only backends that opted in (the distributed executor) react."""
-    if sweep is None:
-        return
+def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
+             faults=None, sweep=None) -> Iterator[AssayRunRecord]:
+    """Stream ``spec`` through the executor ``backend`` resolves to.
+
+    A prefetch-capable backend (duck-typed: the distributed executor)
+    is handed the sweep the fleet compiled from, since the grid is gone
+    by the time it sees the fleet.  An executor the runner built itself
+    is closed when the stream ends; a caller-supplied instance stays
+    open for the caller's next run.
+    """
+    from repro.api.executors import resolve_executor
+
+    executor = resolve_executor(backend, spec.execution, retry=retry,
+                                on_error=on_error, faults=faults)
     publish = getattr(executor, "publish_prefetch", None)
-    if publish is not None:
+    if sweep is not None and publish is not None:
         publish(sweep)
+    try:
+        yield from executor.run_fleet(spec)
+    finally:
+        close = getattr(executor, "close", None)
+        if executor is not backend and close is not None:
+            close()
 
 
 def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
@@ -333,18 +340,12 @@ def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
     per-job record as it completes, and yield records in the original
     fleet job order — bit-identical to the uncached stream.
     """
-    from repro.api.executors import resolve_executor
     from repro.api.jobs import JobPlan
 
     plan = JobPlan.plan(spec, store)
     miss = plan.miss_fleet()
-    if miss is None:
-        fresh = iter(())
-    else:
-        executor = resolve_executor(backend, spec.execution, retry=retry,
-                                    on_error=on_error, faults=faults)
-        _offer_prefetch(executor, sweep)
-        fresh = executor.run_fleet(miss)
+    fresh = iter(()) if miss is None else _execute(
+        miss, backend, retry, on_error, faults, sweep)
     prev_engine = None
     prev_wall = 0.0
     try:
@@ -430,15 +431,11 @@ def _run_fleet(spec: FleetSpec, backend=None,
     """Collect a fleet stream; ``payload`` lets sweeps stamp their own
     spec (the record's provenance names what the user asked for, not
     the compiled expansion)."""
-    from repro.api.executors import resolve_executor
-
     payload = payload if payload is not None else spec.to_dict()
     start = time.perf_counter()
     if store is None:
-        executor = resolve_executor(backend, spec.execution, retry=retry,
-                                    on_error=on_error, faults=faults)
-        _offer_prefetch(executor, sweep)
-        records = tuple(executor.run_fleet(spec))
+        records = tuple(_execute(spec, backend, retry, on_error, faults,
+                                 sweep))
     else:
         records = tuple(_iter_fleet_store(spec, backend, store,
                                           retry=retry, on_error=on_error,

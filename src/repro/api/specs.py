@@ -563,12 +563,9 @@ class ExecutionSpec:
                                        on_error=self.on_error,
                                        prefetch=self.prefetch,
                                        faults=faults)
-        # Spec-built executors are constructed fresh per run and thrown
-        # away, so a persistent pool would leak a live pool every call;
-        # callers who want pool reuse hold an explicit ProcessExecutor.
         return ProcessExecutor(workers=self.workers, shard=self.shard,
                                retry=self.retry, on_error=self.on_error,
-                               faults=faults, persistent=False)
+                               faults=faults)
 
     def to_dict(self) -> dict:
         return {"backend": self.backend,

@@ -14,8 +14,8 @@ headline flows:
 - ``serve`` — stand up the diagnostics service (:mod:`repro.service`):
   a persistent asyncio HTTP/JSON server with submit/status/stream/
   cancel endpoints, a fair priority job queue, per-client rate
-  limiting + usage accounting, and per-dispatcher persistent worker
-  pools over a shared warm store,
+  limiting + usage accounting, and per-dispatcher executors over a
+  shared warm store,
 - ``cache <store-dir>`` — inspect a content-addressed run store
   (``--clear`` empties it; the ``stats`` sub-subcommand prints
   hit/miss/eviction counters and footprint, ``gc --max-count N
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the diagnostics service: a persistent async "
                       "HTTP/JSON server with a priority job queue and "
-                      "per-dispatcher worker pools over the repro.api "
+                      "per-dispatcher executors over the repro.api "
                       "pipeline")
     serve.add_argument("--host", type=str, default="127.0.0.1")
     serve.add_argument("--port", type=_int_at_least(0), default=0,
@@ -164,16 +164,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for every submitted run "
                             "(the server's choice is authoritative)")
     serve.add_argument("--workers", type=_int_at_least(1), default=None,
-                       help="worker processes per dispatcher pool for "
-                            "--backend process, or shards per run for "
-                            "--backend distributed (default: one per core)")
+                       help="worker slots per dispatcher for --backend "
+                            "process, or units per run for --backend "
+                            "distributed (default: one per core)")
     serve.add_argument("--queue", type=str, default=None, metavar="DIR",
                        help="shared queue directory for --backend "
                             "distributed (attach `repro worker` processes "
                             "to execute the service's runs)")
     serve.add_argument("--dispatchers", type=_int_at_least(1), default=2,
-                       help="parallel dispatcher threads, each owning a "
-                            "persistent executor")
+                       help="parallel dispatcher threads, each owning an "
+                            "executor for the server's lifetime")
     serve.add_argument("--store", type=str, default=None, metavar="DIR",
                        help="shared warm run store (usage accounting "
                             "persists next to it)")
@@ -191,17 +191,18 @@ def build_parser() -> argparse.ArgumentParser:
                             "each job up to N times")
     serve.add_argument("--timeout-s", type=_positive_float, default=None,
                        metavar="T",
-                       help="supervised execution: per-shard hang "
+                       help="supervised execution: per-unit hang "
                             "timeout in seconds")
     serve.add_argument("--on-error", choices=("raise", "partial"),
                        default="raise")
 
     worker = sub.add_parser(
         "worker", help="attach a claim-and-execute worker process to a "
-                       "distributed queue: claims published shards "
+                       "distributed queue: claims published units "
                        "atomically, consults the shared run store before "
                        "solving, and writes results back for the "
-                       "submitter to re-merge")
+                       "submitter to re-merge; exits once <queue>/stop "
+                       "exists and nothing is claimable")
     worker.add_argument("--queue", type=str, required=True, metavar="DIR",
                         help="the queue directory fleets are submitted to "
                              "(created if missing)")
@@ -210,12 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: <queue>/store)")
     worker.add_argument("--max-shards", type=_int_at_least(1),
                         default=None, metavar="N",
-                        help="exit after executing N primary shards "
+                        help="exit after executing N primary units "
                              "(default: unbounded)")
-    worker.add_argument("--idle-exit-s", type=_positive_float,
-                        default=None, metavar="T",
-                        help="exit after T seconds with nothing claimable "
-                             "(default: loop forever)")
 
     cache = sub.add_parser(
         "cache", help="inspect, garbage-collect or clear a "
@@ -272,8 +269,8 @@ def _add_execution_arguments(command) -> None:
                               "execution block; results are bit-identical "
                               "either way)")
     command.add_argument("--workers", type=_int_at_least(1), default=None,
-                         help="worker processes for --backend process, or "
-                              "shards to publish for --backend distributed "
+                         help="worker slots for --backend process, or "
+                              "units to publish for --backend distributed "
                               "(default: one per CPU core)")
     command.add_argument("--queue", type=str, default=None, metavar="DIR",
                          help="shared queue directory for --backend "
@@ -300,7 +297,7 @@ def _add_execution_arguments(command) -> None:
                               "bit-identical to a fault-free run)")
     command.add_argument("--timeout-s", type=_positive_float, default=None,
                          metavar="T",
-                         help="supervised execution: treat a shard "
+                         help="supervised execution: treat a unit "
                               "running longer than T seconds as hung "
                               "and retry it under the attempt budget")
     command.add_argument("--on-error", choices=("raise", "partial"),
@@ -710,8 +707,7 @@ def _cmd_worker(args) -> int:
     print(f"repro worker: ready queue={root} store={store} "
           f"pid={os.getpid()}", flush=True)
     try:
-        done = run_worker(root, store=store, max_shards=args.max_shards,
-                          idle_exit_s=args.idle_exit_s)
+        done = run_worker(root, store=store, max_shards=args.max_shards)
     except KeyboardInterrupt:
         print("repro worker: shutting down", flush=True)
         return 0

@@ -88,14 +88,16 @@ the engine restructures it in five layers:
 7. **Pluggable execution backends and the run store**
    (:mod:`repro.api.executors`, :mod:`repro.api.store`).  *How* a fleet
    executes is an :class:`~repro.api.executors.Executor` plugged in
-   behind the front door: :class:`~repro.api.executors.InlineExecutor`
-   is layer 5's fused pass in-process (the bit-identical reference) and
-   :class:`~repro.api.executors.ProcessExecutor` shards the fleet's
-   jobs across worker processes — each worker rebuilds its shard from
-   canonical assay payloads and runs its own fused ``run_iter``, and
-   the parent re-merges completions in job order, so results are
-   bit-identical to inline on every backend (only wall time and fusion
-   statistics reflect the sharding).  Backends are declared in the
+   behind the front door, and every shipped executor is one execution
+   core over a small transport:
+   :class:`~repro.api.executors.InlineExecutor` runs layer 5's fused
+   pass in the calling thread (the bit-identical reference) and
+   :class:`~repro.api.executors.ProcessExecutor` runs the fleet's units
+   on worker-process slots — each slot rebuilds its unit from canonical
+   assay payloads and runs its own fused ``run_iter``, and the core
+   merges completions in job order, so results are bit-identical to
+   inline on every backend (only wall time and fusion statistics
+   reflect the sharding).  Backends are declared in the
    fleet spec's ``execution`` block or passed as ``run(spec,
    backend=...)``.  Orthogonally, :class:`~repro.api.store.RunStore`
    memoises whole runs content-addressed by spec hash — a repeated
@@ -160,15 +162,17 @@ the engine restructures it in five layers:
    fused paths; it is provenance-flagged and content-addressed apart
    from full-fidelity runs, and never the default.
 
-10. **Fault-tolerant supervision** (:mod:`repro.api.resilience`, above
-    this package).  The execution layer assumes workers can die: a
+10. **Fault-tolerant supervision** (:func:`repro.api.executors.
+    run_units`, :mod:`repro.api.resilience`, above this package).  The
+    execution core assumes workers can die, on every backend alike: a
     :class:`~repro.api.resilience.RetryPolicy` (attempt budget,
-    per-shard timeout, seeded exponential backoff) arms a supervisor
-    that detects crashed, hung and failing shards and re-dispatches
-    their surviving jobs at finer granularity, while
-    ``on_error="partial"`` degrades exhausted jobs to
-    :class:`~repro.api.records.FailedAssayRecord` entries instead of
-    aborting the fleet.  Nothing in *this* package changes: every
+    per-unit timeout, seeded exponential backoff) bounds how often the
+    core re-queues the surviving jobs of a crashed, hung or failing
+    unit at finer granularity, while ``on_error="partial"`` degrades
+    exhausted jobs to :class:`~repro.api.records.FailedAssayRecord`
+    entries instead of aborting the fleet.  A conformance matrix pins
+    the same records, error class and retry counters per fault on all
+    three backends.  Nothing in *this* package changes: every
     retry rebuilds its jobs from canonical assay payloads and re-runs
     layer 5's fused ``run_iter`` with fresh seeded RNGs, so a
     supervised (even deliberately faulted) run is bit-identical to a
@@ -193,17 +197,18 @@ the engine restructures it in five layers:
 12. **Distributed execution over a shared store**
     (:mod:`repro.api.distributed`, :mod:`repro.api.store` round 2,
     above this package).  The third executor,
-    :class:`~repro.api.distributed.DistributedExecutor`, decouples
-    submission from capacity: it publishes each shard as a claimable
-    task file in a queue directory, and any number of independent
-    ``repro worker`` processes — started before or after the run, on
-    any host sharing the file system — claim shards atomically
+    :class:`~repro.api.distributed.DistributedExecutor`, is the
+    layer-10 core over a file queue, decoupling submission from
+    capacity: each unit becomes a claimable task file in a queue
+    directory, and any number of independent ``repro worker``
+    processes — started before or after the run, on any host sharing
+    the file system, retired by a stop file — claim units atomically
     (``os.O_EXCL``), run layer 5's fused ``run_iter``, and write
-    results back for the submitter to re-merge in job order,
-    bit-identical to inline.  A claim's mtime is a per-job progress
-    heartbeat, so a crashed or wedged worker is detected by
-    staleness and its shard republished under the layer-10 retry
-    budget.  Workers share one :class:`~repro.api.store.RunStore`
+    results back for the core to merge in job order, bit-identical to
+    inline.  A claim's mtime is a per-job progress heartbeat, so a
+    crashed or wedged worker is detected by staleness and its unit
+    re-queued under the layer-10 retry budget.  Workers share one
+    :class:`~repro.api.store.RunStore`
     (its persistence seam is now a pluggable
     :class:`~repro.api.store.StorageDriver`), so a job any worker has
     ever solved is a cluster-wide cache hit — a fully warm fleet

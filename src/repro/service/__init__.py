@@ -25,9 +25,9 @@ Architecture — one request's path through the layers::
         |  across clients within a tier (fair, starvation-free)
         v
     dispatcher threads (runtime.py, one executor EACH)
-        |  ProcessExecutor(persistent=True): the worker pool is spawned
-        |  once per dispatcher and leased to every run -- process spawn,
-        |  the dominant fixed cost of a small fleet, is amortised away
+        |  ExecutionSpec(...).build(): a process executor keeps its
+        |  worker slots for the server's lifetime -- process spawn, the
+        |  dominant fixed cost of a small fleet, is amortised away
         v
     repro.api.iter_results(spec, backend=executor, store=shared_store)
         |  per-job records append to JobState as they complete
@@ -36,7 +36,7 @@ Architecture — one request's path through the layers::
                                  lossless `samples` sections
     GET /v1/runs/<id>         -- status + provenance
     DELETE /v1/runs/<id>      -- cancel (dequeues, or abandons the
-                                 stream: pending shards actually stop)
+                                 stream: units in flight actually stop)
 
 Shared state: every dispatcher runs against one warm
 :class:`~repro.api.store.RunStore` (guarded by the store's in-process

@@ -31,16 +31,17 @@ class ServeSpec:
         printed by the CLI) — the right default for tests and CI.
     backend:
         Execution backend for every submitted run: ``"inline"`` (fused
-        in-process reference) or ``"process"`` (sharded worker pool,
-        kept persistent per dispatcher so process spawn is paid once,
-        not per request).  The server's backend is authoritative — a
+        in-process reference), ``"process"`` (worker-process slots,
+        kept per dispatcher for the server's lifetime so process spawn
+        is paid once, not per request) or ``"distributed"`` (a shared
+        queue, see ``queue``).  The server's backend is authoritative — a
         submitted spec's own ``execution`` block is ignored, because
         worker capacity belongs to the deployment, not the request.
     workers:
-        Worker processes per dispatcher pool (``None``: one per core).
+        Worker slots per dispatcher (``None``: one per core).
     dispatchers:
-        Parallel dispatcher threads, each owning its own executor (and
-        persistent pool); the job queue feeds them fairly.
+        Parallel dispatcher threads, each owning its own executor; the
+        job queue feeds them fairly.
     store:
         ``RunStore`` root directory shared by every dispatcher (warm
         multiplexing — one client's run warms the next client's), or
@@ -48,7 +49,7 @@ class ServeSpec:
         next to it (``<store>.usage.json``).
     queue:
         Shared queue directory for ``backend="distributed"`` — the
-        server publishes every run's shards there and independent
+        server publishes every run's units there and independent
         ``repro worker`` processes (any host sharing the file system)
         execute them.  Required for the distributed backend, rejected
         otherwise.

@@ -13,21 +13,21 @@ asyncio HTTP layer does is submit into it or snapshot out of it:
   :class:`~repro.api.store.RunStore`, and N dispatcher threads.
 
 Each dispatcher owns its **own** executor for the lifetime of the
-server.  With the process backend that executor's worker pool is
-persistent (:class:`~repro.api.executors.ProcessExecutor`
-``persistent=True``), so the dominant fixed cost of a small run —
-spawning worker processes — is paid once per dispatcher, not once per
-request.  Runs execute through the ordinary front door
-(:func:`repro.api.iter_results` / :func:`repro.api.run`), so streamed
-records are bit-identical to inline execution of the same spec: the
-service adds scheduling, never physics.
+server, built from the deployment's backend settings
+(:meth:`~repro.api.specs.ExecutionSpec.build`).  With the process
+backend that executor keeps its worker slots until the server closes,
+so the dominant fixed cost of a small run — spawning worker processes —
+is paid once per dispatcher, not once per request.  Runs execute
+through the ordinary front door (:func:`repro.api.iter_results` /
+:func:`repro.api.run`), so streamed records are bit-identical to inline
+execution of the same spec: the service adds scheduling, never physics.
 
 Cancellation is cooperative at record granularity: the dispatcher
 checks the job's cancel event between records and abandons the stream,
-which tears down in-flight engine work through the executors' existing
-abandoned-stream path (queued shards cancelled, a persistent pool
-killed and respawned lazily).  A still-queued job is cancelled by
-removal from the queue — it never touches an executor.
+which tears down in-flight engine work through the execution core's
+abandoned-stream path (units in flight stopped; a killed process slot
+respawns lazily).  A still-queued job is cancelled by removal from the
+queue — it never touches an executor.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import time
 
 from repro.api.records import AssayRunRecord
 from repro.api.runner import iter_results, run
-from repro.api.specs import spec_from_dict
+from repro.api.specs import ExecutionSpec, spec_from_dict
 from repro.api.store import RunStore
 from repro.errors import RateLimitError, ReproError, ServiceError
 from repro.io.export import panel_result_to_payload
@@ -186,7 +186,10 @@ class ServiceRuntime:
         self._resilience_totals: dict[str, int] = {}
         self._resilience_lock = threading.Lock()
         self._closing = False
-        self._executors = [self._build_executor()
+        execution = ExecutionSpec(backend=spec.backend, workers=spec.workers,
+                                  retry=spec.retry, on_error=spec.on_error,
+                                  queue=spec.queue)
+        self._executors = [execution.build()
                            for _ in range(spec.dispatchers)]
         self._dispatchers = [
             threading.Thread(target=self._dispatch_loop,
@@ -195,32 +198,6 @@ class ServiceRuntime:
             for i, executor in enumerate(self._executors)]
         for thread in self._dispatchers:
             thread.start()
-
-    def _build_executor(self):
-        from repro.api.distributed import DistributedExecutor
-        from repro.api.executors import InlineExecutor, ProcessExecutor
-
-        if self.spec.backend == "distributed":
-            # Each dispatcher submits to the same shared queue; the
-            # worker fleet attached to it is the deployment's capacity
-            # knob, entirely decoupled from this process.
-            return DistributedExecutor(queue=self.spec.queue,
-                                       workers=self.spec.workers,
-                                       retry=self.spec.retry,
-                                       on_error=self.spec.on_error)
-        if self.spec.backend == "process":
-            # persistent=True is the point: this executor lives as long
-            # as its dispatcher, so its worker pool is spawned once and
-            # leased to every run the dispatcher executes.
-            return ProcessExecutor(workers=self.spec.workers,
-                                   retry=self.spec.retry,
-                                   on_error=self.spec.on_error,
-                                   persistent=True)
-        supervised = (self.spec.retry is not None
-                      or self.spec.on_error != "raise")
-        return InlineExecutor(retry=self.spec.retry,
-                              on_error=self.spec.on_error) \
-            if supervised else InlineExecutor()
 
     # -- submission ------------------------------------------------------------
 
@@ -319,8 +296,8 @@ class ServiceRuntime:
                             break
                 finally:
                     # Abandoning the stream is what stops pending engine
-                    # work: the executor cancels queued shards and kills
-                    # its (persistent) pool; the next run respawns it.
+                    # work: the core stops the units in flight, and a
+                    # killed process slot respawns on the next run.
                     stream.close()
             else:
                 # Calibration / platform / explore runs are indivisible:

@@ -8,9 +8,10 @@ Pins the acceptance bar of the distributed backend:
   excepted, as on every backend),
 - claims are atomic: racing workers cannot both win a shard, and every
   job executes exactly once,
-- a worker that crashes or wedges mid-shard is detected through its
-  stalled claim heartbeat; the shard is reclaimed, republished under
-  the retry budget, and finished by a surviving worker,
+- a worker that crashes or wedges mid-unit is detected through its
+  stalled claim heartbeat; the unit is reclaimed, re-queued under the
+  retry budget, and finished by a surviving worker,
+- workers drain and exit once the queue's stop file exists,
 - store-aware workers short-circuit warm jobs cluster-wide: a second
   run of the same fleet performs **zero** engine solves,
 - the storage-driver seam under ``RunStore`` is genuinely pluggable —
@@ -65,30 +66,45 @@ def assert_records_identical(ref, got):
             == panel_result_to_payload(got.result))
 
 
-def start_worker_thread(queue, idle_exit_s: float = 5.0,
-                        **kwargs) -> threading.Thread:
-    """An in-process worker — fine whenever no crash faults fly."""
-    thread = threading.Thread(
-        target=run_worker,
-        kwargs=dict(queue=queue, idle_exit_s=idle_exit_s, **kwargs),
-        daemon=True)
+class WorkerThread(threading.Thread):
+    """An in-process worker — fine whenever no crash faults fly.
+
+    ``join`` first drops the queue's stop file, so the worker drains
+    what is claimable and exits within one poll, and checks it did.
+    """
+
+    def __init__(self, queue, **kwargs) -> None:
+        super().__init__(target=run_worker,
+                         kwargs=dict(queue=queue, **kwargs), daemon=True)
+        self.queue = Path(queue)
+
+    def join(self, timeout=None) -> None:
+        ensure_queue(self.queue)
+        (self.queue / "stop").touch()
+        super().join(timeout)
+        assert not self.is_alive(), "worker ignored the stop file"
+
+
+def start_worker_thread(queue, **kwargs) -> WorkerThread:
+    # A stop file left by an earlier worker on this queue would retire
+    # the new one before the run publishes anything.
+    (Path(queue) / "stop").unlink(missing_ok=True)
+    thread = WorkerThread(queue, **kwargs)
     thread.start()
     return thread
 
 
-def start_worker_process(queue, idle_exit_s: float = 20.0):
-    """A real ``repro worker`` subprocess — required for crash faults."""
+def start_worker_process(queue):
+    """A real ``repro worker`` subprocess — required for crash faults.
+    The caller reads its ready line, so several start in parallel."""
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "worker",
-         "--queue", str(queue), "--idle-exit-s", str(idle_exit_s)],
+        [sys.executable, "-m", "repro.cli", "worker", "--queue", str(queue)],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         env=env)
-    line = proc.stdout.readline()
-    assert line.startswith("repro worker: ready "), line
     return proc
 
 
@@ -243,24 +259,29 @@ class TestDeadWorkerReclaim:
         spec = small_fleet(cells=2)
         executor = DistributedExecutor(
             queue=queue, workers=1,
-            retry=RetryPolicy(max_attempts=3, timeout_s=2.0),
+            retry=RetryPolicy(max_attempts=3, timeout_s=1.0),
             faults=FaultInjector.parse("worker_crash:1"))
         victims = [start_worker_process(queue) for _ in range(2)]
         try:
+            for proc in victims:
+                line = proc.stdout.readline()
+                assert line.startswith("repro worker: ready "), line
             records = list(executor.run_fleet(spec))
         finally:
+            (queue / "stop").touch()
             for proc in victims:
                 try:
                     proc.wait(timeout=30)
                 finally:
                     proc.kill()
-        assert sorted(proc.returncode for proc in victims).count(170) >= 1
+                    proc.stdout.close()
+        assert sorted(proc.returncode for proc in victims).count(170) == 1
         for ref, got in zip(api.InlineExecutor().run_fleet(spec), records):
             assert_records_identical(ref, got)
-        stats = records[-1].resilience
-        assert stats is not None
-        assert stats.retries >= 1
-        assert stats.worker_crashes + stats.worker_hangs >= 1
+        # One crashed two-job unit: a dead claimant is told from a
+        # wedged one, and both jobs go round again.
+        assert records[-1].resilience == api.ResilienceStats(
+            retries=2, worker_crashes=1)
 
     def test_hung_worker_shard_is_reclaimed(self, tmp_path):
         queue = tmp_path / "q"
@@ -271,8 +292,7 @@ class TestDeadWorkerReclaim:
             retry=RetryPolicy(max_attempts=3, timeout_s=1.0),
             faults=FaultInjector.parse("worker_hang:1"))
         # Threads suffice: an injected hang only sleeps, never exits.
-        threads = [start_worker_thread(queue, idle_exit_s=8.0)
-                   for _ in range(2)]
+        threads = [start_worker_thread(queue) for _ in range(2)]
         records = list(executor.run_fleet(spec))
         for thread in threads:
             thread.join(timeout=30)
@@ -290,7 +310,7 @@ class TestDeadWorkerReclaim:
             queue=queue, workers=1,
             retry=RetryPolicy(max_attempts=1, timeout_s=0.5),
             faults=FaultInjector.parse("worker_hang:9"))
-        thread = start_worker_thread(queue, idle_exit_s=6.0)
+        thread = start_worker_thread(queue)
         with pytest.raises(ExecutionError, match="stalled or died"):
             list(executor.run_fleet(spec))
         thread.join(timeout=30)
@@ -513,7 +533,7 @@ class TestSweepPrefetch:
             execution=api.ExecutionSpec(backend="distributed",
                                         queue=str(queue), workers=2,
                                         prefetch=True))
-        thread = start_worker_thread(queue, idle_exit_s=4.0)
+        thread = start_worker_thread(queue)
         record = api.run(sweep)
         thread.join(timeout=60)
         assert len(record.records) == 2

@@ -419,7 +419,7 @@ class TestEarlyTermination:
 
 
 class TestPersistentPool:
-    """Explicit executors keep their worker pool warm across runs."""
+    """Explicit executors keep their worker slots warm across runs."""
 
     def test_explicit_executor_spawns_one_pool_for_n_runs(
             self, monkeypatch):
@@ -439,7 +439,8 @@ class TestPersistentPool:
             for _ in range(3):
                 records = list(api.iter_results(spec, backend=backend))
                 assert [r.job_name for r in records] == ["cell00", "cell01"]
-        assert spawns == [2]
+        # Two single-worker slots, spawned by the first run only.
+        assert spawns == [1, 1]
 
     def test_pool_grows_when_a_run_needs_more_shards(self, monkeypatch):
         import repro.api.executors as executors
@@ -456,19 +457,33 @@ class TestPersistentPool:
         with api.ProcessExecutor(workers=4) as backend:
             list(api.iter_results(small_fleet(cells=2, seed=150),
                                   backend=backend))
-            # Bigger fleet: the 2-worker pool is retired and regrown.
+            # Bigger fleet: two more slots join the two warm ones.
             list(api.iter_results(small_fleet(cells=4, seed=150),
                                   backend=backend))
-            # Smaller fleet again: the 4-worker pool still fits, reused.
+            # Smaller fleet again: the warm slots are reused.
             list(api.iter_results(small_fleet(cells=2, seed=150),
                                   backend=backend))
-        assert spawns == [2, 4]
+        assert spawns == [1, 1, 1, 1]
 
-    def test_spec_built_executor_is_not_persistent(self):
-        execution = api.ExecutionSpec(backend="process", workers=2)
-        backend = execution.build()
-        assert backend.persistent is False
-        # And the persistent pool results stay bit-identical to inline.
+    def test_spec_built_executor_is_not_persistent(self, monkeypatch):
+        # The runner closes the executors it builds from a spec block...
+        closed = []
+        real_close = api.ProcessExecutor.close
+
+        def close(self):
+            closed.append(self)
+            real_close(self)
+
+        monkeypatch.setattr(api.ProcessExecutor, "close", close)
+        spec = small_fleet(cells=2, seed=160, execution=api.ExecutionSpec(
+            backend="process", workers=2))
+        list(api.iter_results(spec))
+        assert len(closed) == 1 and closed[0]._slots == [None, None]
+        # ...but never a caller-supplied instance.
+        with api.ProcessExecutor(workers=2) as warm:
+            list(api.iter_results(spec, backend=warm))
+            assert len(closed) == 1
+        # And reused slots stay bit-identical to inline.
         spec = small_fleet(cells=2, seed=160)
         ref = list(api.iter_results(spec, backend=api.InlineExecutor()))
         with api.ProcessExecutor(workers=2) as warm:
@@ -480,12 +495,17 @@ class TestPersistentPool:
 
     def test_abandoned_stream_resets_persistent_pool(self):
         spec = small_fleet(cells=2, seed=170)
-        with api.ProcessExecutor(workers=2) as backend:
+        # cell01's unit stalls, so it is still running when cell00
+        # streams and the stream is abandoned.
+        with api.ProcessExecutor(workers=2, faults=api.FaultInjector.parse(
+                "worker_hang:1@cell01")) as backend:
             stream = api.iter_results(spec, backend=backend)
             next(stream)
-            stream.close()  # kills the leased pool...
-            assert backend._pool is None
-            # ...and the next run transparently spawns a fresh one.
+            stream.close()  # kills the slot still running cell01...
+            assert backend._slots[0] is not None
+            assert backend._slots[1] is None
+            # ...and the next run transparently respawns it.
+            backend.faults = None
             records = list(api.iter_results(spec, backend=backend))
             assert len(records) == 2
-            assert backend._pool is not None
+            assert all(pool is not None for pool in backend._slots)

@@ -593,20 +593,21 @@ class TestProcessExecutorIdleWorkers:
             self, monkeypatch):
         import repro.api.executors as executors
 
-        captured = {}
+        spawns = []
         real = executors.ProcessPoolExecutor
 
         class Spy(real):
             def __init__(self, max_workers=None, **kwargs):
-                captured["max_workers"] = max_workers
+                spawns.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(executors, "ProcessPoolExecutor", Spy)
         spec = small_fleet(cells=2, seed=95)
-        records = list(api.iter_results(
-            spec, backend=api.ProcessExecutor(workers=8)))
+        with api.ProcessExecutor(workers=8) as backend:
+            records = list(api.iter_results(spec, backend=backend))
         assert [r.job_name for r in records] == ["cell00", "cell01"]
-        assert captured["max_workers"] == 2
+        # One single-worker slot per unit in flight, not eight.
+        assert spawns == [1, 1]
 
     @pytest.mark.parametrize("mode", ["interleave", "contiguous"])
     def test_shard_indices_never_returns_empty_shards(self, mode):

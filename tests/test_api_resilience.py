@@ -31,13 +31,7 @@ import pytest
 
 from repro import api
 from repro.api.records import FailedAssayRecord
-from repro.api.resilience import (
-    FaultInjector,
-    FaultRule,
-    RetryPolicy,
-    supervise_fleet,
-    supervise_inline,
-)
+from repro.api.resilience import FaultInjector, FaultRule, RetryPolicy
 from repro.errors import ExecutionError, SpecError
 
 CA_DWELL = 2.0  # short dwell keeps the suite fast; physics unchanged
@@ -227,8 +221,8 @@ class TestSupervisedRecovery:
     """The headline acceptance bar: faulted == fault-free, bit for bit."""
 
     def test_crash_hang_and_error_recover_bit_identical(self):
-        # 16 cells, workers=4 (so 4-job shards), one shard crashed, one
-        # hung past its deadline, one transiently erroring twice (shard,
+        # 16 cells, workers=4 (so 4-job units), one unit crashed, one
+        # hung past its deadline, one transiently erroring twice (unit,
         # then the half still containing the match) — every failure mode
         # of the issue in one fleet, retried to a stream bit-identical
         # to the fault-free inline reference.
@@ -237,10 +231,10 @@ class TestSupervisedRecovery:
         inj = FaultInjector.parse("worker_crash:1@cell01;"
                                   "worker_hang:1@cell06;"
                                   "engine_error:2@cell11")
-        got = list(supervise_fleet(
-            spec, workers=4,
-            policy=RetryPolicy(max_attempts=3, timeout_s=4.0),
-            injector=inj))
+        with api.ProcessExecutor(
+                workers=4, retry=RetryPolicy(max_attempts=3, timeout_s=1.5),
+                faults=inj) as backend:
+            got = list(backend.run_fleet(spec))
         assert [r.job_name for r in got] == [r.job_name for r in ref]
         for a, b in zip(ref, got):
             assert_records_identical(a, b)
@@ -287,13 +281,16 @@ class TestSupervisedRecovery:
     def test_inline_supervision_retries_bit_identical(self):
         spec = small_fleet(cells=3, seed=60)
         ref = list(api.iter_results(spec))
-        got = list(supervise_inline(
-            spec, policy=RetryPolicy(max_attempts=3),
-            injector=FaultInjector.parse("engine_error:1@cell01")))
+        got = list(api.InlineExecutor(
+            retry=RetryPolicy(max_attempts=3),
+            faults=FaultInjector.parse("engine_error:1@cell01")
+        ).run_fleet(spec))
         for a, b in zip(ref, got):
             assert_records_identical(a, b)
+        # Inline runs the fleet as one unit: its one failed dispatch
+        # re-queues all three jobs, exactly as a one-unit process fleet.
         assert got[-1].resilience.engine_errors == 1
-        assert got[-1].resilience.retries == 1
+        assert got[-1].resilience.retries == 3
 
     def test_inline_supervision_via_executor(self):
         spec = small_fleet(cells=2, seed=62)
@@ -314,9 +311,10 @@ class TestDegradation:
         spec = small_fleet(cells=4, seed=70)
         ref = list(api.iter_results(spec))
         inj = FaultInjector.parse("worker_crash:3@cell01")
-        got = list(supervise_fleet(
-            spec, workers=2, policy=RetryPolicy(max_attempts=3),
-            on_error="partial", injector=inj))
+        with api.ProcessExecutor(workers=2,
+                                 retry=RetryPolicy(max_attempts=3),
+                                 on_error="partial", faults=inj) as backend:
+            got = list(backend.run_fleet(spec))
         assert [r.job_name for r in got] == [r.job_name for r in ref]
         failed = got[1]
         assert isinstance(failed, FailedAssayRecord)
@@ -334,10 +332,11 @@ class TestDegradation:
     def test_raise_mode_aborts_with_execution_error(self):
         spec = small_fleet(cells=3, seed=72)
         inj = FaultInjector.parse("worker_crash:2@cell01")
-        with pytest.raises(ExecutionError, match="cell01"):
-            list(supervise_fleet(
-                spec, workers=2, policy=RetryPolicy(max_attempts=2),
-                injector=inj))
+        with api.ProcessExecutor(workers=2,
+                                 retry=RetryPolicy(max_attempts=2),
+                                 faults=inj) as backend:
+            with pytest.raises(ExecutionError, match="cell01"):
+                list(backend.run_fleet(spec))
 
     def test_partial_fleet_record_counts_failures(self):
         spec = small_fleet(cells=3, seed=74)
@@ -360,15 +359,17 @@ class TestDegradation:
 
     def test_inline_partial_degrades_too(self):
         spec = small_fleet(cells=3, seed=76)
-        got = list(supervise_inline(
-            spec, policy=RetryPolicy(max_attempts=2), on_error="partial",
-            injector=FaultInjector.parse("engine_error:9@cell02")))
+        got = list(api.InlineExecutor(
+            retry=RetryPolicy(max_attempts=2), on_error="partial",
+            faults=FaultInjector.parse("engine_error:9@cell02")
+        ).run_fleet(spec))
         assert [r.failed for r in got] == [False, False, True]
         assert got[2].attempts == 2
         with pytest.raises(ExecutionError, match="cell02"):
-            list(supervise_inline(
-                spec, policy=RetryPolicy(max_attempts=2),
-                injector=FaultInjector.parse("engine_error:9@cell02")))
+            list(api.InlineExecutor(
+                retry=RetryPolicy(max_attempts=2),
+                faults=FaultInjector.parse("engine_error:9@cell02")
+            ).run_fleet(spec))
 
 
 class TestStoreInteraction:
@@ -431,15 +432,16 @@ class TestAbandonedStream:
     def test_abandoned_hung_worker_does_not_block_close(self):
         spec = small_fleet(cells=4, seed=86)
         inj = FaultInjector.parse("worker_hang:1@cell03")
-        stream = supervise_fleet(
-            spec, workers=2,
-            policy=RetryPolicy(max_attempts=2, timeout_s=30.0),
-            injector=inj)
-        first = next(stream)  # cell03's shard is sleeping right now
+        backend = api.ProcessExecutor(
+            workers=2, retry=RetryPolicy(max_attempts=2, timeout_s=30.0),
+            faults=inj)
+        stream = backend.run_fleet(spec)
+        first = next(stream)  # cell03's unit is sleeping right now
         assert first.job_name == "cell00"
         start = time.perf_counter()
         stream.close()  # must kill the hung worker, not join it
         assert time.perf_counter() - start < 10.0
+        backend.close()
 
 
 class TestResolution:
@@ -477,14 +479,18 @@ class TestResolution:
         with pytest.raises(SpecError, match="on_error"):
             api.InlineExecutor(on_error="ignore")
 
-    def test_unsupervised_executors_keep_fast_path(self):
-        # No retry, default on_error, no faults: the plain executors
-        # must not detour through supervision.
-        assert api.InlineExecutor()._supervised() is False
-        assert api.ProcessExecutor()._supervised() is False
-        assert api.ProcessExecutor(
-            retry=RetryPolicy(max_attempts=1))._supervised() is True
-        assert api.InlineExecutor(on_error="partial")._supervised() is True
+    def test_unsupervised_executors_stamp_no_resilience(self):
+        # No retry, default on_error, no faults: records carry no
+        # resilience snapshot; any one of the three knobs stamps one.
+        spec = small_fleet(cells=2, seed=88)
+        assert all(r.resilience is None
+                   for r in api.InlineExecutor().run_fleet(spec))
+        with api.ProcessExecutor(workers=2) as backend:
+            assert all(r.resilience is None for r in backend.run_fleet(spec))
+        for backend in (api.InlineExecutor(on_error="partial"),
+                        api.InlineExecutor(retry=RetryPolicy(max_attempts=1))):
+            last = list(backend.run_fleet(spec))[-1]
+            assert last.resilience == api.ResilienceStats()
 
 
 class TestCli:
