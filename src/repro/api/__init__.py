@@ -145,9 +145,10 @@ store stamp their hit/miss/eviction delta into record provenance under
 ``cache`` subcommand (``cache <dir>`` listing, ``cache <dir> stats``,
 ``cache <dir> gc --max-count/--max-bytes``, both with ``--json``).
 
-Stores are *hardened*: every write is sealed with a SHA-256 integrity
-checksum, every read verifies it, and a record that fails to parse or
-verify is quarantined to ``<root>/quarantine/`` (counted in
+Stores are *hardened*: every record is one sealed binary container (a
+SHA-256 digest over its stored bytes, a JSON header, raw float64 sample
+blocks), every read checks the digest before parsing, and a record
+that fails to verify or parse is quarantined to ``<root>/quarantine/`` (counted in
 ``stats().quarantined``, reported as a :class:`RuntimeWarning`) and
 treated as a miss — the job silently re-runs and re-persists a clean
 record.  Failed (degraded) records are never persisted.

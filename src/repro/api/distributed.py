@@ -17,6 +17,7 @@ store (by default) and, when the workers should go, a stop file::
     <queue>/tasks/    one JSON file per submitted unit (atomic write)
     <queue>/claims/   <task>.claim, created O_EXCL by the winning worker
     <queue>/results/  <task>.json, the unit's per-job entries or failure
+                      as one sealed container (atomic write)
     <queue>/store/    the shared RunStore workers consult (default)
     <queue>/stop      workers drain what is claimable, then exit
 
@@ -73,12 +74,14 @@ from repro.api.specs import (
     SweepSpec,
 )
 from repro.api.store import RunStore
-from repro.errors import ExecutionError, ReproError
+from repro.errors import ExecutionError, ReproError, StoreError
 from repro.io.export import (
     panel_result_from_payload,
     panel_result_to_payload,
+    write_atomic,
     write_json,
 )
+from repro.io.sealed import seal, unseal
 
 __all__ = ["DistributedExecutor", "run_worker", "sweep_prefetch_assays",
            "ensure_queue", "default_store_root"]
@@ -217,7 +220,7 @@ def _solve_records(pairs: list[tuple[int, dict]], claim: Path
 def _entry(index: int, record: AssayRunRecord, cached: bool) -> dict:
     engine = record.engine
     return {"index": index, "cached": cached,
-            "samples": panel_result_to_payload(record.result),
+            "samples": panel_result_to_payload(record.result, arrays=True),
             "wall_s": record.wall_time_s,
             "engine": (None if engine is None else
                        [engine.n_fused_dwells, engine.n_dwell_groups,
@@ -294,9 +297,10 @@ def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
         outcome = {"failure": _Failure.of(exc).to_dict()}
     # Result first (atomic), then tidy: a crash between these steps
     # leaves a completed result the submitter still consumes.
-    write_json({"run": payload.get("run"), "attempt": payload.get("attempt"),
-                "pid": os.getpid(), **outcome},
-               results_dir / f"{name}.json")
+    write_atomic(seal({"run": payload.get("run"),
+                       "attempt": payload.get("attempt"),
+                       "pid": os.getpid(), **outcome}),
+                 results_dir / f"{name}.json")
     task_path.unlink(missing_ok=True)
     claim.unlink(missing_ok=True)
     return len(pairs)
@@ -456,9 +460,8 @@ class _FileQueue:
         events: list[tuple] = []
         for name, unit in list(self.live.items()):
             try:
-                result = json.loads(
-                    (self.dirs[2] / f"{name}.json").read_text())
-            except (OSError, ValueError):
+                result = unseal((self.dirs[2] / f"{name}.json").read_bytes())
+            except (OSError, StoreError):
                 result = None
             if result is not None:
                 del self.live[name]
@@ -565,9 +568,12 @@ class DistributedExecutor:
         hands the executor the originating sweep via
         :meth:`publish_prefetch`.
 
-    Results cross the boundary as lossless
-    :func:`~repro.io.export.panel_result_to_payload` payloads; store
-    warm-hits stream as :class:`~repro.api.records.CachedAssayRecord`
+    Results cross the boundary as sealed containers
+    (:mod:`repro.io.sealed`): lossless
+    :func:`~repro.io.export.panel_result_to_payload` payloads whose
+    sample arrays travel as raw float64 blocks, checked against their
+    SHA-256 digest before the submitter parses them.  Store warm-hits
+    stream as :class:`~repro.api.records.CachedAssayRecord`
     with their original provenance.  Closing the stream early removes
     this run's unclaimed tasks; claimed units finish (and warm the
     store) on their own.

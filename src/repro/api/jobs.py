@@ -25,8 +25,8 @@ assay **job** the addressable unit of the execution pipeline:
   backend; the runner then re-merges cached and fresh records in job
   order.
 
-Planning is robust to store damage: a per-job record that fails its
-integrity checksum (or fails to parse) is quarantined by the store and
+Planning is robust to store damage: a per-job record whose stored
+bytes fail their SHA-256 seal (or fail to parse) is quarantined by the store and
 surfaces here as a plain miss, so the affected job simply re-runs on
 the backend and re-persists a clean record.  Failed (degraded) jobs
 from a supervised partial run are never persisted at all — they stay

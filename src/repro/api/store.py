@@ -29,55 +29,65 @@ cleanly.
 Storage drivers
 ===============
 
-The *cache semantics* (integrity seal, quarantine policy, LRU
-accounting, lock policy, statistics) live in :class:`RunStore`; the
-*persistence substrate* lives behind a :class:`StorageDriver` — a small
-read/write/delete/list surface over opaque text blobs plus an index
-blob and an advisory index lock.  :class:`LocalDirDriver` is the
-reference implementation (the sharded local directory below); an
-object-store driver can drop in by implementing the same eleven
-methods, and every semantic above — including cluster-wide warm hits
-for :mod:`repro.api.distributed` workers sharing one root — carries
-over unchanged.
+The *cache semantics* (record format, integrity seal, quarantine
+policy, LRU accounting, lock policy, statistics) live in
+:class:`RunStore`; the *persistence substrate* lives behind a
+:class:`StorageDriver` — a small read/write/delete/list surface over
+opaque byte blobs plus a text index blob and an advisory index lock.
+:class:`LocalDirDriver` is the reference implementation (the sharded
+local directory below); an object-store driver can drop in by
+implementing the same eleven methods, and every semantic above —
+including cluster-wide warm hits for :mod:`repro.api.distributed`
+workers sharing one root — carries over unchanged.
 
-Layout on disk (git-friendly, one JSON file per record, sharded by the
-first hash byte so a million records don't share one directory)::
+Layout on disk (one file per record, sharded by the first hash byte so
+a million records don't share one directory)::
 
     <root>/
       index.json           # LRU/size index + lifetime hit counters
       ab/
-        ab3f...e2.json     # record.to_dict() [+ "samples" for jobs]
+        ab3f...e2.json     # sealed record.to_dict() [+ "samples" for jobs]
       c0/
         c04d...91.json
 
-Records are persisted atomically (temp file + ``os.replace``) —
-concurrent workers racing on the same spec hash simply last-write-wins
-a bit-identical payload, and a reader can never observe a truncated
-record.  The ``index.json`` read-modify-write is additionally
-serialised across processes by an ``os.O_EXCL`` lockfile
-(``<root>/index.lock``, bounded wait, stale locks broken) with a
-merge-on-save that unions record entries and max-merges the monotone
-counters, and across threads by a per-store reentrant mutex — many
-service requests can multiplex onto one warm store without dropping
-each other's LRU-clock updates.  Contended lock acquisitions tick the
+Each record file is one :mod:`repro.io.sealed` container: a magic line,
+a SHA-256 digest, a sorted-key JSON header (provenance, canonical spec,
+result summary, readouts) and the sample arrays as raw little-endian
+float64 blocks.  The files keep the ``.json`` name of the older
+all-JSON format, so one shard glob finds records of either format.
+Records are persisted atomically (a per-writer temp file +
+``os.replace``) — concurrent writers, threads or processes, racing on
+the same spec hash simply last-write-wins a bit-identical payload, and
+a reader can never observe a truncated record.  The ``index.json``
+read-modify-write is additionally serialised across processes by an
+``os.O_EXCL`` lockfile (``<root>/index.lock``, bounded wait, stale
+locks broken) with a merge-on-save that unions record entries and
+max-merges the monotone counters, and across threads by a per-store
+reentrant mutex — many service requests can multiplex onto one warm
+store without dropping each other's LRU-clock updates.  Contended lock acquisitions tick the
 lifetime ``lock_waits`` counter, so index-lock churn under a worker
 fleet is visible in provenance rather than guessed at.
 
 Integrity and quarantine
 ========================
 
-Every record written carries an ``integrity`` section — a SHA-256
-checksum over the rest of the payload (the same canonical-JSON recipe
-as spec hashing) — and every read verifies it.  A record that fails to
-parse, fails its checksum, or is structurally malformed is
+Every record written is sealed: its container carries a SHA-256 digest
+of every byte after the digest line, and every read checks the stored
+bytes against it *before* parsing anything.  A record that fails its
+checksum, fails to parse, or is structurally malformed is
 **quarantined**: moved aside to ``<root>/quarantine/`` (named so the
 ``??/`` shard glob never lists it), dropped from the index, counted in
 the lifetime ``quarantined`` statistic, and reported once as a
 :class:`RuntimeWarning` naming the file and the reason.  The lookup
 that found it counts as a miss, so the affected job simply re-runs and
 re-persists a clean record — corruption degrades to recomputation, not
-to an exception five layers up.  Records from older stores without an
-``integrity`` section still load (parse and structure checks only).
+to an exception five layers up.
+
+Records of the older all-JSON format (leading byte ``{``) still load
+through one branch: their ``integrity`` section, when present, is
+checked against the canonical JSON of the rest of the payload, as that
+format specified; records without one get parse and structure checks
+only.  New writes always use the sealed container.
 
 Eviction and statistics
 =======================
@@ -117,6 +127,8 @@ from repro.api.records import (
 from repro.api.resilience import FaultInjector
 from repro.api.specs import hash_payload, spec_hash
 from repro.errors import ReproError, StoreError
+from repro.io.export import write_atomic
+from repro.io.sealed import seal, unseal
 
 __all__ = ["RunStore", "StoreStats", "StorageDriver", "LocalDirDriver"]
 
@@ -167,28 +179,35 @@ class StoreStats:
 class StorageDriver:
     """The persistence substrate behind a :class:`RunStore`.
 
-    A driver stores opaque *text blobs* under spec-hash keys, one index
-    blob, and an advisory index lock.  Everything semantic — integrity
-    sealing and verification, quarantine policy, LRU accounting, the
-    lock *policy* (bounded wait, stale break), statistics — stays in
-    :class:`RunStore`, so a driver is deliberately dumb: eleven small
-    methods, and an object-store implementation (keys → objects, the
-    lock → a conditional put) drops in without touching any cache
-    semantics.  :class:`LocalDirDriver` is the reference.
+    A driver stores opaque *byte blobs* under spec-hash keys, one text
+    index blob, and an advisory index lock.  Everything semantic — the
+    record format, integrity sealing and verification, quarantine
+    policy, LRU accounting, the lock *policy* (bounded wait, stale
+    break), statistics — stays in :class:`RunStore`, so a driver is
+    deliberately dumb: eleven small methods, and an object-store
+    implementation (keys → objects, the lock → a conditional put) drops
+    in without touching any cache semantics.  :class:`LocalDirDriver`
+    is the reference.
+
+    Record blobs are read with :meth:`read_bytes`: a driver written for
+    the older text blobs, whose ``read`` returns ``str``, fails loudly
+    instead of feeding text to the binary decoder.
     """
 
     # -- record blobs ------------------------------------------------------------
 
-    def read(self, key: str) -> str | None:
-        """The record text under ``key`` — ``None`` when absent;
+    def read_bytes(self, key: str) -> bytes | None:
+        """The record blob under ``key`` — ``None`` when absent;
         :class:`~repro.errors.StoreError` for I/O failures reading an
         existing record."""
         raise NotImplementedError
 
-    def write(self, key: str, text: str) -> int:
-        """Store ``text`` under ``key`` atomically (a concurrent
-        :meth:`read` sees the old blob or the new one, never a
-        truncation).  Returns the stored size in bytes."""
+    def write(self, key: str, data: bytes) -> int:
+        """Store ``data`` under ``key`` atomically (a concurrent
+        :meth:`read_bytes` sees the old blob or the new one, never a
+        truncation, and concurrent writers never corrupt each other).
+        Returns the stored size in bytes; :class:`~repro.errors.
+        StoreError` for I/O failures."""
         raise NotImplementedError
 
     def delete(self, key: str) -> None:
@@ -240,14 +259,15 @@ class StorageDriver:
 class LocalDirDriver(StorageDriver):
     """The reference driver: a sharded local directory.
 
-    One JSON file per record at ``<root>/<key[:2]>/<key>.json``, the
-    index at ``<root>/index.json``, quarantined records preserved under
-    ``<root>/quarantine/`` (invisible to the ``??/`` shard glob), and
-    the index lock as an ``os.O_EXCL``-created ``<root>/index.lock`` —
-    the one creation primitive that is atomic on every local (and NFS)
-    filesystem.  Writes stage to a temp file in the target directory
-    and ``os.replace`` into place, so readers never observe a
-    truncated blob.
+    One file per record blob at ``<root>/<key[:2]>/<key>.json``, the
+    text index at ``<root>/index.json``, quarantined records preserved
+    under ``<root>/quarantine/`` (invisible to the ``??/`` shard glob),
+    and the index lock as an ``os.O_EXCL``-created
+    ``<root>/index.lock`` — the one creation primitive that is atomic
+    on every local (and NFS) filesystem.  Writes stage to a temp file
+    of the writer's own in the target directory and ``os.replace`` into
+    place (:func:`~repro.io.export.write_atomic`), so readers never
+    observe a truncated blob, even with writers racing in one process.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -260,34 +280,36 @@ class LocalDirDriver(StorageDriver):
         return self.root / key[:2] / f"{key}.json"
 
     @staticmethod
-    def _replace_text(path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    def _replace(path: Path, data: bytes) -> None:
         try:
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(data, path)
+        except OSError as exc:
+            raise StoreError(f"cannot write {path}: {exc}") from exc
 
     @staticmethod
     def _prune(shard: Path) -> None:
         if shard.is_dir() and not any(shard.iterdir()):
             shard.rmdir()
 
-    def read(self, key: str) -> str | None:
+    def read_bytes(self, key: str) -> bytes | None:
         path = self._path(key)
         try:
-            return path.read_text()
+            return path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError as exc:
             raise StoreError(f"cannot read stored record {path}: "
                              f"{exc}") from exc
 
-    def write(self, key: str, text: str) -> int:
-        path = self._path(key)
-        self._replace_text(path, text)
-        return path.stat().st_size
+    #: The benchmark tracer (``perfbench/spans.py``) wraps ``read`` by
+    #: name and measures its result as text, so the store reads records
+    #: through ``read_bytes``; this alias only keeps that hook valid.
+    read = read_bytes
+
+    def write(self, key: str, data: bytes) -> int:
+        self._replace(self._path(key), data)
+        return len(data)
 
     def delete(self, key: str) -> None:
         path = self._path(key)
@@ -333,7 +355,7 @@ class LocalDirDriver(StorageDriver):
             return None
 
     def write_index(self, text: str) -> None:
-        self._replace_text(self.root / "index.json", text)
+        self._replace(self.root / "index.json", text.encode())
 
     def try_lock_index(self) -> bool:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -484,9 +506,9 @@ class RunStore:
 
     def _peek_kind(self, key: str) -> str:
         try:
-            payload = json.loads(self.driver.read(key) or "null")
+            payload = self._decode(self.driver.read_bytes(key) or b"")
             return str(payload["provenance"]["kind"])
-        except (StoreError, json.JSONDecodeError, KeyError, TypeError):
+        except (StoreError, KeyError, TypeError):
             return "?"
 
     @contextmanager
@@ -669,31 +691,44 @@ class RunStore:
 
     # -- reads -------------------------------------------------------------------
 
-    def _read_payload(self, key: str) -> dict | None:
-        """The verified JSON payload under ``key`` — ``None`` when
-        absent *or* quarantined as corrupt (unparseable, non-object, or
-        failing its ``integrity`` checksum); :class:`~repro.errors.
-        StoreError` only for I/O failures reading an existing record."""
-        text = self.driver.read(key)
-        if text is None:
-            return None
+    @staticmethod
+    def _decode(data: bytes) -> dict:
+        """The verified payload of one stored blob; :class:`~repro.
+        errors.StoreError` naming the damage otherwise.
+
+        The leading byte picks the format: ``{`` is the older all-JSON
+        record (its ``integrity`` section, when present, verified and
+        dropped), anything else must be a sealed container.
+        """
+        if not data.startswith(b"{"):
+            return unseal(data)
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            self._quarantine(key, f"not valid JSON ({exc})")
-            return None
+            payload = json.loads(data)
+        except ValueError as exc:
+            raise StoreError(f"not valid JSON ({exc})") from exc
         if not isinstance(payload, dict):
-            self._quarantine(key, "not a JSON object")
-            return None
-        integrity = payload.get("integrity")
+            raise StoreError("not a JSON object")
+        integrity = payload.pop("integrity", None)
         if integrity is not None:
             digest = (integrity.get("digest")
                       if isinstance(integrity, dict) else None)
-            body = {k: v for k, v in payload.items() if k != "integrity"}
-            if digest != hash_payload(body):
-                self._quarantine(key, "integrity checksum mismatch")
-                return None
+            if digest != hash_payload(payload):
+                raise StoreError("integrity checksum mismatch")
         return payload
+
+    def _read_payload(self, key: str) -> dict | None:
+        """The verified payload under ``key`` — ``None`` when absent
+        *or* quarantined as corrupt (failing its checksum, unparseable,
+        or not an object); :class:`~repro.errors.StoreError` only for
+        I/O failures reading an existing record."""
+        data = self.driver.read_bytes(key)
+        if data is None:
+            return None
+        try:
+            return self._decode(data)
+        except StoreError as exc:
+            self._quarantine(key, str(exc))
+            return None
 
     @staticmethod
     def _stored_record(payload: dict, key: str) -> StoredRunRecord:
@@ -716,7 +751,7 @@ class RunStore:
         """The stored record for a spec/hash, or ``None`` on a miss.
 
         Counts one hit or miss in the store statistics.  Corrupt
-        records (bad JSON, failed checksum, malformed structure) are
+        records (failed checksum, unparseable, malformed structure) are
         quarantined with a :class:`RuntimeWarning` and count as a miss
         — the caller simply re-runs the spec.
         """
@@ -813,21 +848,14 @@ class RunStore:
     # -- writes ------------------------------------------------------------------
 
     def _write(self, key: str, payload: dict, kind: str) -> Path:
-        # Seal the payload: checksum over everything *but* the seal
-        # itself, using the same canonical-JSON recipe as spec hashing,
-        # so any later on-disk mutation fails verify-on-read.
-        body = {k: v for k, v in payload.items() if k != "integrity"}
-        payload = dict(body)
-        payload["integrity"] = {"algo": "sha256",
-                                "digest": hash_payload(body)}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        nbytes = self.driver.write(key, text)
+        # The container's digest covers every stored byte after it, so
+        # any later on-disk mutation fails verify-on-read.
+        data = seal(payload)
+        nbytes = self.driver.write(key, data)
         if self.faults is not None and self.faults.corrupts(key):
             # Deterministic fault injection: truncate the just-written
             # record mid-payload, as a crash or full disk would.
-            stored = self.driver.read(key) or text
-            nbytes = self.driver.write(
-                key, stored[: max(len(stored) // 2, 1)])
+            nbytes = self.driver.write(key, data[: max(len(data) // 2, 1)])
         with self._mutex:
             index = self._load_index_locked()
             index["clock"] += 1
@@ -858,15 +886,17 @@ class RunStore:
 
         The payload is the record's ``to_dict()`` summary plus a
         ``samples`` section (:func:`~repro.io.export.
-        panel_result_to_payload`), so a later :meth:`get_job` hit
-        rehydrates the live result bit for bit.
+        panel_result_to_payload` with the sample arrays kept as float64
+        blocks), so a later :meth:`get_job` hit rehydrates the live
+        result bit for bit.
         """
         from repro.io.export import panel_result_to_payload
 
         if record.cached:
             return self.path_for(record.spec_hash)
         payload = record.to_dict()
-        payload["samples"] = panel_result_to_payload(record.result)
+        payload["samples"] = panel_result_to_payload(record.result,
+                                                     arrays=True)
         return self._write(record.spec_hash, payload, record.kind)
 
     # -- eviction, statistics, clearing ------------------------------------------

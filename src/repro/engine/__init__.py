@@ -177,8 +177,9 @@ the engine restructures it in five layers:
     layer 5's fused ``run_iter`` with fresh seeded RNGs, so a
     supervised (even deliberately faulted) run is bit-identical to a
     fault-free one — the equivalence guarantee below extends through
-    worker death.  The run store seals records with integrity
-    checksums and quarantines corrupt files as misses, and a seeded
+    worker death.  The run store seals each record's bytes with a
+    SHA-256 digest, checked before parsing, and quarantines corrupt
+    files as misses; a seeded
     :class:`~repro.api.resilience.FaultInjector` (``REPRO_FAULTS``)
     drives worker crashes, hangs, transient errors and store
     corruption deterministically in CI.

@@ -21,13 +21,14 @@ from __future__ import annotations
 import csv
 import json
 import os
+import secrets
 from pathlib import Path
 
 from repro.analysis.calibration import CalibrationCurve
 from repro.measurement.trace import Trace, Voltammogram
 
 __all__ = ["trace_to_csv", "voltammogram_to_csv", "calibration_to_json",
-           "run_record_to_json", "write_json",
+           "run_record_to_json", "write_json", "write_atomic",
            "panel_result_to_payload", "panel_result_from_payload"]
 
 
@@ -93,14 +94,19 @@ def run_record_to_json(record, path: str | Path) -> Path:
     return write_json(record.to_dict(), path)
 
 
-def _optional(array) -> list | None:
-    return None if array is None else array.tolist()
+def _to_list(array) -> list:
+    return array.tolist()
 
 
-def _trace_to_payload(trace: Trace) -> dict:
-    return {"times": trace.times.tolist(),
-            "current": trace.current.tolist(),
-            "true_current": _optional(trace.true_current),
+def _as_is(array):
+    return array
+
+
+def _trace_to_payload(trace: Trace, pack) -> dict:
+    return {"times": pack(trace.times),
+            "current": pack(trace.current),
+            "true_current": (None if trace.true_current is None
+                             else pack(trace.true_current)),
             "channel": trace.channel}
 
 
@@ -110,14 +116,15 @@ def _trace_from_payload(payload: dict) -> Trace:
                  channel=payload.get("channel", ""))
 
 
-def _voltammogram_to_payload(voltammogram: Voltammogram) -> dict:
-    return {"times": voltammogram.times.tolist(),
-            "potentials": voltammogram.potentials.tolist(),
-            "current": voltammogram.current.tolist(),
-            "sweep_sign": voltammogram.sweep_sign.tolist(),
+def _voltammogram_to_payload(voltammogram: Voltammogram, pack) -> dict:
+    return {"times": pack(voltammogram.times),
+            "potentials": pack(voltammogram.potentials),
+            "current": pack(voltammogram.current),
+            "sweep_sign": pack(voltammogram.sweep_sign),
             "scan_rate": voltammogram.scan_rate,
             "channel": voltammogram.channel,
-            "true_current": _optional(voltammogram.true_current)}
+            "true_current": (None if voltammogram.true_current is None
+                             else pack(voltammogram.true_current))}
 
 
 def _voltammogram_from_payload(payload: dict) -> Voltammogram:
@@ -157,13 +164,19 @@ def _readout_from_payload(payload: dict):
         peak=None if peak is None else Peak(**peak))
 
 
-def panel_result_to_payload(result) -> dict:
+def panel_result_to_payload(result, *, arrays: bool = False) -> dict:
     """Lossless JSON payload of a live :class:`~repro.measurement.panel.
-    PanelResult` (raw ``ChannelReading`` attachments excepted)."""
+    PanelResult` (raw ``ChannelReading`` attachments excepted).
+
+    Sample arrays become JSON lists; with ``arrays=True`` they stay the
+    result's own ``numpy`` arrays, for :func:`repro.io.sealed.seal` to
+    store as raw float64 blocks.
+    """
+    pack = _as_is if arrays else _to_list
     return {
-        "traces": {name: _trace_to_payload(trace)
+        "traces": {name: _trace_to_payload(trace, pack)
                    for name, trace in result.traces.items()},
-        "voltammograms": {name: _voltammogram_to_payload(vg)
+        "voltammograms": {name: _voltammogram_to_payload(vg, pack)
                           for name, vg in result.voltammograms.items()},
         "readouts": {target: _readout_to_payload(readout)
                      for target, readout in result.readouts.items()},
@@ -175,7 +188,9 @@ def panel_result_to_payload(result) -> dict:
 
 def panel_result_from_payload(payload: dict):
     """Rebuild the live :class:`~repro.measurement.panel.PanelResult` a
-    :func:`panel_result_to_payload` payload came from, bit for bit."""
+    :func:`panel_result_to_payload` payload came from, bit for bit.
+    Float64 arrays in place of the sample lists are used as they are,
+    without a copy."""
     from repro.measurement.panel import PanelResult
 
     return PanelResult(
@@ -191,20 +206,28 @@ def panel_result_from_payload(payload: dict):
 
 
 def write_json(payload: object, path: str | Path) -> Path:
-    """Write any JSON-serialisable payload, pretty-printed, atomically.
+    """Write any JSON-serialisable payload, pretty-printed, atomically
+    (see :func:`write_atomic`).  A serialisation failure leaves any
+    existing file untouched."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return write_atomic(text.encode(), path)
 
-    The payload is serialised up front and staged to a temp file in the
-    target directory, then moved into place with ``os.replace`` — so a
-    concurrent reader (run-store lookups, parallel workers racing on one
-    record) sees either the old file or the complete new one, never a
-    truncated write, and a serialisation failure leaves any existing
-    file untouched.
+
+def write_atomic(data: bytes, path: str | Path) -> Path:
+    """Write ``data`` to ``path`` atomically; returns the path.
+
+    The bytes are staged to a temp file of this writer's own, created
+    exclusively in the target directory, then moved into place with
+    ``os.replace``: a concurrent reader (run-store lookups, parallel
+    workers or threads racing on one record) sees either the old file
+    or the complete new one, never a truncated write, and two writers
+    of one path never share a temp file.
     """
     out = Path(path)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    tmp = out.parent / f".{out.name}.{os.getpid()}.tmp"
+    tmp = out.parent / f".{out.name}.{secrets.token_hex(8)}.tmp"
     try:
-        tmp.write_text(text)
+        with open(tmp, "xb") as handle:
+            handle.write(data)
         os.replace(tmp, out)
     finally:
         tmp.unlink(missing_ok=True)

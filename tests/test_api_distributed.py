@@ -351,34 +351,33 @@ class _MemoryDriver(StorageDriver):
     """The full driver interface over dicts — pluggability proof."""
 
     def __init__(self) -> None:
-        self.blobs: dict[str, str] = {}
-        self.quarantined: dict[str, str] = {}
+        self.blobs: dict[str, bytes] = {}
+        self.quarantined: dict[str, bytes] = {}
         self.index: str | None = None
         self.locked = False
         self.locked_at: float | None = None
 
-    def read(self, key):
+    def read_bytes(self, key):
         return self.blobs.get(key)
 
-    def write(self, key, text):
-        self.blobs[key] = text
-        return len(text.encode("utf-8"))
+    def write(self, key, data):
+        self.blobs[key] = bytes(data)
+        return len(data)
 
     def delete(self, key):
         self.blobs.pop(key, None)
 
     def size(self, key):
-        text = self.blobs.get(key)
-        return None if text is None else len(text.encode("utf-8"))
+        data = self.blobs.get(key)
+        return None if data is None else len(data)
 
     def list(self):
-        return sorted((key, len(text.encode("utf-8")))
-                      for key, text in self.blobs.items())
+        return sorted((key, len(data)) for key, data in self.blobs.items())
 
     def quarantine(self, key):
-        text = self.blobs.pop(key, None)
-        if text is not None:
-            self.quarantined[key] = text
+        data = self.blobs.pop(key, None)
+        if data is not None:
+            self.quarantined[key] = data
 
     def read_index(self):
         return self.index
@@ -410,20 +409,21 @@ class TestStorageDriver:
     def test_local_dir_round_trip_properties(self, tmp_path):
         driver = LocalDirDriver(tmp_path)
         for i, key in enumerate(self.KEYS):
-            text = json.dumps({"k": key, "n": i}) + "\n"
-            nbytes = driver.write(key, text)
-            assert nbytes == len(text.encode("utf-8"))
-            assert driver.read(key) == text
+            # Arbitrary bytes, not text: every byte value, NUL included.
+            data = bytes(range(256)) * (i + 1) + key.encode()
+            nbytes = driver.write(key, data)
+            assert nbytes == len(data)
+            assert driver.read_bytes(key) == data
             assert driver.size(key) == nbytes
         listed = driver.list()
         assert listed == sorted(listed)
         assert [key for key, _ in listed] == sorted(self.KEYS)
         driver.delete(self.KEYS[0])
-        assert driver.read(self.KEYS[0]) is None
+        assert driver.read_bytes(self.KEYS[0]) is None
         assert driver.size(self.KEYS[0]) is None
         driver.quarantine(self.KEYS[1])
         assert self.KEYS[1] not in [key for key, _ in driver.list()]
-        assert driver.read(self.KEYS[1]) is None
+        assert driver.read_bytes(self.KEYS[1]) is None
 
     def test_local_dir_index_lock(self, tmp_path):
         driver = LocalDirDriver(tmp_path)
@@ -438,10 +438,10 @@ class TestStorageDriver:
     def test_memory_driver_round_trip_properties(self):
         driver = _MemoryDriver()
         for key in self.KEYS:
-            driver.write(key, key + "\n")
+            driver.write(key, key.encode() + b"\0\xff")
         assert [key for key, _ in driver.list()] == sorted(self.KEYS)
         driver.quarantine(self.KEYS[0])
-        assert driver.read(self.KEYS[0]) is None
+        assert driver.read_bytes(self.KEYS[0]) is None
         driver.delete(self.KEYS[1])
         assert driver.size(self.KEYS[1]) is None
 
@@ -463,7 +463,7 @@ class TestStorageDriver:
 
     def test_base_class_is_abstract(self):
         driver = StorageDriver()
-        for method, args in [("read", ("k",)), ("write", ("k", "v")),
+        for method, args in [("read_bytes", ("k",)), ("write", ("k", b"v")),
                              ("delete", ("k",)), ("size", ("k",)),
                              ("list", ()), ("quarantine", ("k",)),
                              ("read_index", ()), ("write_index", ("v",)),

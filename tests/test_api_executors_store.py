@@ -23,6 +23,7 @@ import pytest
 from repro import api
 from repro.api.executors import shard_indices
 from repro.errors import SpecError, StoreError
+from repro.io.sealed import unseal
 
 CA_DWELL = 6.0  # short dwell keeps the suite fast; physics unchanged
 
@@ -203,7 +204,7 @@ class TestRunStore:
             assert api.spec_hash(assay) in store
         path = store.path_for(record.spec_hash)
         assert path.parent.name == record.spec_hash[:2]
-        assert json.loads(path.read_text())["provenance"]["spec_hash"] \
+        assert unseal(path.read_bytes())["provenance"]["spec_hash"] \
             == record.spec_hash
 
     def test_hit_skips_the_engine(self, tmp_path, monkeypatch):
@@ -256,7 +257,7 @@ class TestRunStore:
         store = api.RunStore(tmp_path)
         record = api.run(small_fleet(cells=1, seed=94), store=store)
         path = store.path_for(record.spec_hash)
-        path.write_text("{truncated")
+        path.write_bytes(path.read_bytes()[:-1])  # lose the last byte
         # Corruption degrades to recomputation: the record is moved to
         # quarantine, the lookup counts as a miss, and the run replays.
         with pytest.warns(RuntimeWarning, match="quarantined"):

@@ -30,7 +30,9 @@ import pytest
 
 from repro import api
 from repro.api.executors import shard_indices
+from repro.api.specs import hash_payload
 from repro.errors import StoreError
+from repro.io.sealed import seal, unseal
 
 CA_DWELL = 5.0  # short dwell keeps the suite fast; physics unchanged
 
@@ -45,6 +47,17 @@ def assay(name: str = "job", seed: int = 21, **protocol) -> api.AssaySpec:
 def small_fleet(cells: int = 3, seed: int = 40) -> api.FleetSpec:
     return api.FleetSpec.homogeneous(cells=cells, seed=seed,
                                      ca_dwell=CA_DWELL)
+
+
+def _json_ready(node):
+    """A decoded container payload with its arrays as JSON lists."""
+    if isinstance(node, np.ndarray):
+        return node.tolist()
+    if isinstance(node, dict):
+        return {key: _json_ready(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_json_ready(value) for value in node]
+    return node
 
 
 def assert_results_identical(ref, got):
@@ -454,6 +467,57 @@ class TestStoreConcurrency:
         # instance (cross-process counters are only best-effort).
         assert store.stats().hits == 40
 
+    def test_same_key_writers_in_one_process(self, tmp_path):
+        # Service dispatcher threads can put the same job at once, and
+        # RunStore writes outside its mutex: each writer needs its own
+        # temp file, or one thread's os.replace steals another's.
+        import os
+        import sys
+        import threading
+        import time
+
+        store = api.RunStore(tmp_path)
+        key = _digest("contended")
+        n_writers = 2 * (os.cpu_count() or 1) + 1
+        records = [_FakeRecord(key, payload=chr(65 + w) * 1_000_000)
+                   for w in range(n_writers)]
+        blobs = {seal(record.to_dict()) for record in records}
+        errors, torn = [], []
+        deadline = time.monotonic() + 2.0
+
+        def writer(record) -> None:
+            try:
+                for _ in range(40):
+                    if time.monotonic() > deadline:
+                        break
+                    store.put(record)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def reader() -> None:
+            while time.monotonic() < deadline:
+                data = store.driver.read_bytes(key)
+                if data is not None and data not in blobs:
+                    torn.append(len(data))  # pragma: no cover
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = ([threading.Thread(target=writer, args=(r,))
+                        for r in records]
+                       + [threading.Thread(target=reader) for _ in range(2)])
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and torn == []
+        assert store.driver.read_bytes(key) in blobs
+        assert not list(tmp_path.glob("**/*.tmp"))
+        assert store.get(key) is not None
+
     def test_stale_lockfile_is_broken_not_waited_out(self, tmp_path):
         import os as _os
 
@@ -498,45 +562,67 @@ class TestStoreRobustness:
         store = api.RunStore(tmp_path)
         record = api.run(assay(seed=92), store=store)
         path = store.path_for(record.spec_hash)
-        payload = json.loads(path.read_text())
-        payload["samples"] = {"traces": "nonsense"}
-        path.write_text(json.dumps(payload))
-        # The edit breaks the integrity checksum first; strip the seal
-        # to reach the structural (malformed samples) check too.
+        # Editing the header in place breaks the seal first ...
+        path.write_bytes(path.read_bytes().replace(
+            b'"samples":{', b'"samples":{"traces":"nonsense",', 1))
         with pytest.warns(RuntimeWarning, match="checksum"):
             assert store.get_job(record.spec_hash) is None
+        # ... and a correctly sealed record with nonsense samples still
+        # fails the structural (malformed samples) check.
         api.run(assay(seed=92), store=store)  # re-warm
-        payload = json.loads(path.read_text())
+        payload = unseal(path.read_bytes())
         payload["samples"] = {"traces": "nonsense"}
-        del payload["integrity"]
-        path.write_text(json.dumps(payload))
+        path.write_bytes(seal(payload))
         with pytest.warns(RuntimeWarning, match="malformed"):
             assert store.get_job(record.spec_hash) is None
         assert store.stats().quarantined == 2
 
     def test_checksum_mismatch_quarantines(self, tmp_path):
-        # A single flipped value in an otherwise well-formed record
+        # A single changed value in an otherwise well-formed record
         # fails verify-on-read — this is what distinguishes the sealed
         # store from a parse-only one.
         store = api.RunStore(tmp_path)
         record = api.run(assay(seed=93), store=store)
         path = store.path_for(record.spec_hash)
-        payload = json.loads(path.read_text())
-        payload["provenance"]["wall_time_s"] = 12345.0
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        data = path.read_bytes()
+        tampered = data.replace(b'"wall_time_s":', b'"wall_time_s":1', 1)
+        assert tampered != data and unseal(data)  # the original verifies
+        path.write_bytes(tampered)
         with pytest.warns(RuntimeWarning, match="checksum mismatch"):
             assert store.get_job(record.spec_hash) is None
         assert store.stats().quarantined == 1
 
+    @staticmethod
+    def _as_json_record(store, record, integrity: bool):
+        """Rewrite a stored record in the all-JSON format that preceded
+        the container, with or without its ``integrity`` section."""
+        path = store.path_for(record.spec_hash)
+        payload = _json_ready(unseal(path.read_bytes()))
+        if integrity:
+            payload["integrity"] = {"algo": "sha256",
+                                    "digest": hash_payload(payload)}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        return path, payload
+
     def test_legacy_record_without_integrity_still_loads(self, tmp_path):
         store = api.RunStore(tmp_path)
         record = api.run(assay(seed=94), store=store)
-        path = store.path_for(record.spec_hash)
-        payload = json.loads(path.read_text())
-        del payload["integrity"]  # pre-seal store format
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        self._as_json_record(store, record, integrity=False)
         warm = store.get_job(record.spec_hash)
         assert warm is not None and warm.cached
+        assert_results_identical(record.result, warm.result)
+
+    def test_legacy_record_with_integrity_is_verified(self, tmp_path):
+        store = api.RunStore(tmp_path)
+        record = api.run(assay(seed=95), store=store)
+        path, payload = self._as_json_record(store, record, integrity=True)
+        warm = store.get_job(record.spec_hash)
+        assert warm is not None and warm.cached
+        assert_results_identical(record.result, warm.result)
+        payload["provenance"]["wall_time_s"] += 1.0
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert store.get_job(record.spec_hash) is None
 
     def test_records_quarantines_corrupt(self, tmp_path):
         store = api.RunStore(tmp_path)
