@@ -48,8 +48,11 @@ each job) versus the fleet scheduler, whose
 :class:`~repro.engine.scheduler.SweepBatch` fuses every compatible CV
 sweep across cells into one engine and digitises each fused group in
 one :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
-call per (TIA, ADC) cluster.  Results are bit-identical; the fused pass
-must not fall behind per-cell batching (quick) / beat it (full).
+call per (TIA, ADC) cluster and record length.  Both CYP windows of the
+panel share one sample rate, so they fuse into a single group (the
+shorter record's rows retire when it ends).  Results are bit-identical;
+the fused pass must not fall behind per-cell batching (quick) / beat it
+(full).
 
 A fifth **service axis** measures diagnostics-as-a-service: an
 in-process :class:`~repro.service.server.DiagnosticsServer` takes 32
@@ -630,7 +633,8 @@ def test_panel_throughput(benchmark, report, json_report):
             "fused_speedup_vs_per_cell": cv_axis["speedup"],
             "max_relative_deviation": cv_axis["relative_deviation"],
             "acceptance": {"min_speedup": MIN_CV_SPEEDUP,
-                           "max_deviation": 1.0e-12}},
+                           "max_deviation": 1.0e-12,
+                           "n_sweep_groups": 1}},
         "backends": {
             "workload": (f"{backends['n_cells']}-cell paper-panel fleet, "
                          f"{backends['workers']} workers"),
@@ -772,6 +776,8 @@ def test_panel_throughput(benchmark, report, json_report):
            f"(acceptance: >= {MIN_CV_SPEEDUP:g}x)")
     report(f"CV-fusion max deviation  : {cv_axis['relative_deviation']:.2e}"
            f"  (acceptance: <= 1e-12)")
+    report(f"CV-fusion sweep groups   : {cv_axis['n_sweep_groups']}  "
+           f"(acceptance: 1, one per sample rate)")
     report(render_table(
         ["metric", "value"],
         [["sustained submissions/sec", f"{service['sustained_rps']:.1f}"],
@@ -825,9 +831,11 @@ def test_panel_throughput(benchmark, report, json_report):
     assert store_axis["warm_speedup_vs_uncached"] >= MIN_WARM_SPEEDUP
     assert store_axis["write_overhead_vs_uncached"] <= MAX_WRITE_OVERHEAD
     assert store_axis["bytes_ratio_vs_json_format"] <= MAX_STORE_BYTES_RATIO
-    # Cross-cell CV fusion must agree bit for bit and stay ahead.
+    # Cross-cell CV fusion must agree bit for bit and stay ahead, with
+    # both CYP windows (one sample rate) fused into one group.
     assert cv_axis["relative_deviation"] <= 1.0e-12
     assert cv_axis["speedup"] >= MIN_CV_SPEEDUP
+    assert cv_axis["n_sweep_groups"] == 1
     # The fused path must not fall behind the sequential reference in
     # raw solve-step throughput (relative floor; quick mode gates CI).
     assert (out["fleet_steps_per_sec"]

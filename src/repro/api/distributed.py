@@ -446,6 +446,7 @@ class _FileQueue:
         self.live: dict[str, int] = {}   # task name -> unit
         self.launched = time.monotonic()
         self.seen_worker = False
+        self.closed = False               # set by the executor's close()
 
     def submit(self, unit: int, jobs: list, fault, attempt: int) -> None:
         name = self.executor._publish(self.dirs[0], self.run_id, unit, fault,
@@ -453,6 +454,10 @@ class _FileQueue:
         self.live[name] = unit
 
     def poll(self, timeout) -> list:
+        if self.closed:
+            raise ExecutionError(
+                f"distributed executor closed with {len(self.live)} "
+                f"unit(s) of run {self.run_id} in flight")
         if self.sweep is not None:
             self.prefetched = self.executor._publish_prefetch_tasks(
                 self.dirs[0], self.run_id, self.sweep)
@@ -576,7 +581,9 @@ class DistributedExecutor:
     stream as :class:`~repro.api.records.CachedAssayRecord`
     with their original provenance.  Closing the stream early removes
     this run's unclaimed tasks; claimed units finish (and warm the
-    store) on their own.
+    store) on their own.  :meth:`close` interrupts the streams in
+    flight, so a stream waiting on a worker that has gone ends in a
+    bounded time.
     """
 
     name = "distributed"
@@ -602,6 +609,7 @@ class DistributedExecutor:
             else FaultInjector.from_env()
         self._seq = 0
         self._sweep: SweepSpec | None = None
+        self._streams: set[_FileQueue] = set()
 
     def __repr__(self) -> str:
         return (f"DistributedExecutor(queue={str(self.queue)!r}, "
@@ -609,8 +617,12 @@ class DistributedExecutor:
                 f"retry={self.retry!r}, on_error={self.on_error!r})")
 
     def close(self) -> None:
-        """Nothing persistent to release: each stream cleans its own
-        queue artefacts, and workers are independent processes."""
+        """Interrupt every stream in flight: its next poll raises
+        :class:`~repro.errors.ExecutionError`, and its teardown removes
+        its unclaimed tasks.  Nothing persistent is held — later
+        streams run normally, and workers are independent processes."""
+        for transport in list(self._streams):
+            transport.closed = True
 
     def publish_prefetch(self, sweep: SweepSpec) -> None:
         """Arm speculative prefetch for the next ``run_fleet`` call.
@@ -653,12 +665,14 @@ class DistributedExecutor:
             else (os.cpu_count() or 1)
         transport = _FileQueue(self, run_id, self._sweep)
         self._sweep = None
+        self._streams.add(transport)
         try:
             yield from run_units(spec, transport, units=workers,
                                  shard=self.shard, policy=self.retry,
                                  on_error=self.on_error,
                                  injector=self.faults)
         finally:
+            self._streams.discard(transport)
             for name in transport.prefetched:
                 # Unclaimed speculative tasks die with the stream;
                 # claimed ones finish into the store on their own.

@@ -687,6 +687,10 @@ def _cmd_serve(args) -> int:
         print("repro serve: shutting down", flush=True)
     finally:
         server.stop()
+    counts = server.runtime.registry.by_status()
+    print("repro serve: stopped (runs: "
+          + (", ".join(f"{status}={n}" for status, n in sorted(counts.items()))
+             or "none") + ")", flush=True)
     return 0
 
 

@@ -151,7 +151,8 @@ the engine restructures it in five layers:
    compatible sweep's redox channels into one
    :class:`~repro.engine.redox.RedoxChannelBatch` driven by a
    per-system potential matrix — one fused solve per sample for the
-   whole group.  Digitisation is fused too: the scheduler pre-draws
+   whole group, one group per sample rate (a shorter window's rows
+   retire when its record ends).  Digitisation is fused too: the scheduler pre-draws
    each job's noise streams in electrode order off the job's own RNG
    (preserving the sequential draw sequence bit for bit), then calls
    :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`

@@ -35,16 +35,19 @@ lifts batching two levels higher:
   :meth:`AssayScheduler.run_many` is now simply ``run_iter`` drained
   into a :class:`FleetResult`, so the two paths cannot diverge.
 
-CV sweeps fuse across cells too: :class:`SweepBatch` stacks the redox
-channels of many planned sweeps (:class:`~repro.measurement.voltammetry.
-CvSweep`) into one engine with a per-channel potential *program*, so
-sweeps with different waveforms advance together as long as they share
-one time axis.  Digitisation is group-level as well: each job's per-WE
+CV sweeps fuse across cells too, one :class:`SweepBatch` per sample
+rate: it stacks the redox channels of many planned sweeps
+(:class:`~repro.measurement.voltammetry.CvSweep`) into one engine with
+a per-channel potential *program*, so sweeps over different windows
+advance together.  At one sample rate every record's time axis is a
+prefix of the longest, so the paper panel's two CYP windows (different
+record lengths) fuse into one group; a sweep's rows retire when its
+record ends.  Digitisation is group-level as well: each job's per-WE
 noise streams are pre-drawn from its own generator in electrode order
 (the exact draws the sequential path makes), and every fused group then
 runs through one vectorised
 :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch` call
-per transform-compatible chain cluster.
+per transform-compatible chain cluster and record length.
 """
 
 from __future__ import annotations
@@ -233,53 +236,50 @@ class SweepBatch:
         Planned sweep objects (duck-typed, e.g.
         :class:`~repro.measurement.voltammetry.CvSweep`): each exposes
         ``times``, ``channels``, ``potentials`` and
-        ``row_from_fluxes``.  All sweeps must share one time axis (same
-        record duration and sample rate); each keeps its *own*
-        potential program, so sweeps over different windows fuse.
+        ``row_from_fluxes``.  Every sweep's time axis must be a prefix
+        of the longest one (same sample rate, any record length; the
+        library's uniform axes ``arange(n) / rate`` always are), and
+        each keeps its *own* potential program, so sweeps over
+        different windows fuse.
 
     Every channel of every sweep becomes one row of a shared
     :class:`~repro.engine.redox.RedoxChannelBatch`; one step per sample
     advances the whole group, driving each row with its sweep's
-    potential at that sample.  Because the batched solver's per-system
-    arithmetic is element-for-element independent of how many rows are
-    stacked, each sweep's assembled current row is bit-identical to its
-    standalone run.
+    potential at that sample.  A sweep's rows *retire* when its record
+    ends: the engine drains its state back onto the channel objects
+    (``sync_back``) and is rebuilt over the channels still live, so no
+    step is spent past a record's end.  Because the batched solver's
+    per-system arithmetic is element-for-element independent of how
+    many rows are stacked (and of the zero padding up to the widest
+    grid), each sweep's assembled current row is bit-identical to its
+    standalone run, however its neighbours retire.  Rows come back at
+    their own record lengths, so callers digitise per length.
     """
 
     def __init__(self, sweeps) -> None:
         self.sweeps = tuple(sweeps)
         if not self.sweeps:
             raise SimulationError("a sweep batch needs at least one sweep")
-        times = np.asarray(self.sweeps[0].times, dtype=float)
+        axes = [np.asarray(sweep.times, dtype=float) for sweep in self.sweeps]
+        times = max(axes, key=np.size)
         if times.ndim != 1 or times.size < 2:
             raise SimulationError("a sweep batch needs at least two samples")
-        for sweep in self.sweeps[1:]:
-            other = np.asarray(sweep.times, dtype=float)
-            if other.shape != times.shape or not np.array_equal(other,
-                                                                times):
+        for sweep, axis in zip(self.sweeps, axes):
+            if (axis.ndim != 1 or axis.size < 2
+                    or not np.array_equal(axis, times[:axis.size])):
                 raise SimulationError(
-                    f"sweep {getattr(sweep, 'we_name', '?')!r} does not "
-                    f"share the batch time axis")
+                    f"sweep {getattr(sweep, 'we_name', '?')!r}'s time "
+                    f"axis is not a prefix of the batch's longest axis")
         self.times = times
-        channels: list = []
-        spans: list[tuple[int, int]] = []
+        self._lengths = [axis.size for axis in axes]
+        self._potentials = [np.asarray(sweep.potentials, dtype=float)
+                            for sweep in self.sweeps]
+        self._channels: list = []
+        self._spans: list[tuple[int, int]] = []
         for sweep in self.sweeps:
-            start = len(channels)
-            channels.extend(sweep.channels)
-            spans.append((start, len(channels)))
-        self._spans = spans
-        self._engine = (SimulationEngine.for_redox_channels(channels)
-                        if channels else None)
-        if channels:
-            # The compiled potential program: row j is the potential of
-            # channel j's own sweep at every sample.
-            programs = np.empty((len(channels), times.size))
-            for (start, stop), sweep in zip(spans, self.sweeps):
-                programs[start:stop, :] = np.asarray(sweep.potentials,
-                                                     dtype=float)
-            self._programs = programs
-        else:
-            self._programs = None
+            start = len(self._channels)
+            self._channels.extend(sweep.channels)
+            self._spans.append((start, len(self._channels)))
         #: Fused engine steps actually solved; set by :meth:`simulate`.
         self.n_solve_steps = 0
 
@@ -290,31 +290,50 @@ class SweepBatch:
     @property
     def batch_size(self) -> int:
         """Redox channels fused per solve (sum over sweeps)."""
-        return sum(len(sweep.channels) for sweep in self.sweeps)
+        return len(self._channels)
 
     def simulate(self) -> list[np.ndarray]:
         """Integrate every sweep; return one true-current row per sweep.
 
-        Row ``i`` is sweep ``i``'s pre-chain cell current — the exact
-        array its standalone :meth:`~repro.measurement.voltammetry.
-        CyclicVoltammetry.simulate_true_current` loop would produce.
+        Row ``i`` is sweep ``i``'s pre-chain cell current, at its own
+        record length — the exact array its standalone
+        :meth:`~repro.measurement.voltammetry.CyclicVoltammetry.
+        simulate_true_current` loop would produce.  The steps run in
+        segments between record ends; each segment steps one engine
+        over the channels of the sweeps still recording.
         """
-        n = self.times.size
-        if self._engine is not None:
-            flux_hist = np.empty((self._engine.batch_size, n))
-            for k in range(n):
-                flux_hist[:, k] = self._engine.step(self._programs[:, k])
-            self.n_solve_steps = n
-        else:
-            flux_hist = None
-        rows = []
-        for (start, stop), sweep in zip(self._spans, self.sweeps):
-            if flux_hist is not None:
-                rows.append(sweep.row_from_fluxes(flux_hist[start:stop]))
-            else:
-                rows.append(sweep.row_from_fluxes(
-                    np.empty((0, n))))
-        return rows
+        flux_hist = np.empty((len(self._channels), self.times.size))
+        ends = sorted({length for length, (lo, hi)
+                       in zip(self._lengths, self._spans) if hi > lo})
+        engine = None
+        start = 0
+        for end in ends:
+            live = [i for i, length in enumerate(self._lengths)
+                    if length >= end]
+            rows = [j for i in live for j in range(*self._spans[i])]
+            if engine is not None:
+                engine.sync_back()
+            engine = SimulationEngine.for_redox_channels(
+                [self._channels[j] for j in rows])
+            # The segment's compiled potential program: column r drives
+            # fused row r with its own sweep's potential, and each step
+            # reads one contiguous row.
+            program = np.empty((end - start, len(rows)))
+            r = 0
+            for i in live:
+                lo, hi = self._spans[i]
+                program[:, r:r + hi - lo] = self._potentials[i][
+                    start:end, None]
+                r += hi - lo
+            segment = np.empty((end - start, len(rows)))
+            for k in range(end - start):
+                segment[k] = engine.step(program[k])
+            flux_hist[rows, start:end] = segment.T
+            start = end
+        self.n_solve_steps = start
+        return [sweep.row_from_fluxes(flux_hist[lo:hi, :length])
+                for sweep, length, (lo, hi)
+                in zip(self.sweeps, self._lengths, self._spans)]
 
 
 @dataclass(frozen=True)
@@ -474,12 +493,12 @@ class AssayScheduler:
             raise SimulationError(
                 f"duplicate job names in fleet: {', '.join(duplicates)}")
 
-        # Group compatible work across jobs: one fused solve per
-        # distinct (mode, record length, time step).  CA dwells key on
-        # the protocol's dwell settings; CV sweeps key on their waveform
-        # duration and sample rate — equal values mean an identical
-        # time axis, which is all the fused engines need (each sweep
-        # carries its own potential program).
+        # Group compatible work across jobs.  CA dwells key on the
+        # protocol's dwell length and sample rate (an identical time
+        # axis).  CV sweeps key on the sample rate alone: at one rate
+        # every record's axis is a prefix of the longest, which is all
+        # a SweepBatch needs (each sweep carries its own potential
+        # program and retires when its record ends).
         groups: dict[tuple, list[tuple[_JobPlan, object]]] = {}
         plan_keys: list[list[tuple]] = []
         for plan in plans:
@@ -491,8 +510,7 @@ class AssayScheduler:
                     groups.setdefault(key, []).append((plan, dwell))
                 keys.append(key)
             for sweep in plan.sweeps:
-                key = ("cv", float(sweep.waveform.duration),
-                       float(sweep.sample_rate))
+                key = ("cv", float(sweep.sample_rate))
                 groups.setdefault(key, []).append((plan, sweep))
                 if key not in keys:
                     keys.append(key)
@@ -608,9 +626,11 @@ class AssayScheduler:
 
         Members are clustered by their chains' (TIA, ADC) transform —
         the only chain state the noise-supplied ``digitize_batch`` path
-        reads — so one call covers every compatible row however many
-        jobs contributed.  Noise was pre-drawn per job, which is what
-        makes the clustering free of RNG-ordering concerns.
+        reads — and by record length, so one call covers every
+        compatible row however many jobs contributed.  ``times`` is the
+        group's longest axis; a shorter record's axis is its prefix.
+        Noise was pre-drawn per job, which is what makes the clustering
+        free of RNG-ordering concerns.
         """
         clusters: dict = {}
         order: list = []
@@ -618,7 +638,7 @@ class AssayScheduler:
             if not plan.fused_io:
                 continue
             chain = plan.job.chain
-            key = (chain.tia, chain.adc)
+            key = (chain.tia, chain.adc, len(rows[i]))
             if key not in clusters:
                 clusters[key] = []
                 order.append(key)
@@ -631,8 +651,8 @@ class AssayScheduler:
             wes = [members[i][1].we for i in indices]
             noise = np.asarray([members[i][0].noise[members[i][1].we_name]
                                 for i in indices])
-            readings = chain.digitize_batch(times, stacked, wes=wes,
-                                            noise=noise)
+            readings = chain.digitize_batch(times[:key[2]], stacked,
+                                            wes=wes, noise=noise)
             for reading, i in zip(readings, indices):
                 plan, unit = members[i]
                 plan.readings[unit.we_name] = reading

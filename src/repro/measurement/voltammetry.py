@@ -143,11 +143,14 @@ class CvSweep:
     Everything :meth:`CyclicVoltammetry.simulate_true_current` computes
     *outside* the diffusion solve — the potential program, the
     quasi-static and charging backgrounds, the per-channel
-    current-per-flux factors — evaluated once at planning time, so a
+    current-per-flux factors — evaluated once at planning time, each
+    background by one array call over the whole program, so a
     :class:`~repro.engine.scheduler.SweepBatch` can fuse the channels of
     many sweeps into one engine and assemble each sweep's current row
-    from the recorded flux history.  ``quasi`` and ``charging`` stay
-    separate arrays because the scalar loop adds them in that order
+    from the recorded flux history.  Sweeps at one ``sample_rate``
+    fuse whatever their window: their ``times`` are prefixes of one
+    another.  ``quasi`` and ``charging`` stay separate arrays because
+    the scalar loop adds them in that order
     (``(faradaic + quasi) + charging``) and bit-identity requires the
     same association.
     """
@@ -244,20 +247,18 @@ class CyclicVoltammetry:
         rates = self.waveform.rate(times)
         sweep_sign = np.where(rates >= 0.0, 1.0, -1.0)
 
+        quasi, charging = self._backgrounds(cell, we, potentials, rates)
         channels = self._build_channels(we, chamber, dt)
         engine = (SimulationEngine.for_redox_channels(channels)
                   if channels else None)
         currents = np.empty(n)
         for k in range(n):
-            e = float(potentials[k])
             faradaic = 0.0
             if engine is not None:
-                fluxes = engine.step(e)
+                fluxes = engine.step(float(potentials[k]))
                 for j, sim in enumerate(channels):
                     faradaic -= sim.n * C.FARADAY * we.area * float(fluxes[j])
-            currents[k] = (faradaic
-                           + self._quasi_static_current(cell, we, e)
-                           + we.electrode.charging_current(float(rates[k])))
+            currents[k] = faradaic + quasi[k] + charging[k]
         return times, potentials, sweep_sign, currents
 
     def run(self, cell: ElectrochemicalCell, we_name: str,
@@ -282,28 +283,22 @@ class CyclicVoltammetry:
                    chain: AcquisitionChain) -> CvSweep:
         """Compile this protocol's sweep on ``we_name`` for fusion.
 
-        Evaluates every potential-dependent background and per-channel
-        factor up front (sampling the same scalar functions the
-        reference loop calls, at the same arguments) and builds fresh
-        channel simulators, so a :class:`~repro.engine.scheduler.
-        SweepBatch` fusing this sweep with others reproduces
+        Evaluates the backgrounds once over the whole potential program
+        (the same :meth:`_backgrounds` call the reference loop makes)
+        and every per-channel factor up front, and builds fresh channel
+        simulators, so a :class:`~repro.engine.scheduler.SweepBatch`
+        fusing this sweep with others reproduces
         :meth:`simulate_true_current` bit for bit.
         """
         we = cell.working_electrode(we_name)
         chamber = cell.chamber
         dt = 1.0 / self.sample_rate
         times = uniform_sample_times(self.waveform.duration, self.sample_rate)
-        n = times.size
         potentials = self.waveform.value(times)
         rates = self.waveform.rate(times)
         sweep_sign = np.where(rates >= 0.0, 1.0, -1.0)
         channels = self._build_channels(we, chamber, dt)
-        quasi = np.empty(n)
-        charging = np.empty(n)
-        for k in range(n):
-            quasi[k] = self._quasi_static_current(cell, we,
-                                                  float(potentials[k]))
-            charging[k] = we.electrode.charging_current(float(rates[k]))
+        quasi, charging = self._backgrounds(cell, we, potentials, rates)
         coefficients = np.asarray([sim.n * C.FARADAY * we.area
                                    for sim in channels])
         e_applied = chain.potentiostat.applied_potential(potentials)
@@ -322,13 +317,33 @@ class CyclicVoltammetry:
                                         self.waveform.duration,
                                         self.grid_growth)
 
+    def _backgrounds(self, cell: ElectrochemicalCell, we: WorkingElectrode,
+                     potentials: np.ndarray, rates: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """The quasi-static and charging currents over a whole sweep.
+
+        One call each on the sample arrays.  Every term is an
+        element-wise product or sum taken in the order the per-sample
+        scalar call takes it, and the only transcendental,
+        ``OxidationEfficiency.at``, runs ``np.exp`` on the array and on
+        a 0-d scalar alike, so each element equals the scalar call at
+        that sample bit for bit (``tests/test_cv_planning.py``).
+        """
+        quasi = np.empty(potentials.size)
+        # A WE with neither an oxidase nor a direct oxidiser present has
+        # a potential-independent background: broadcast the scalar.
+        quasi[:] = self._quasi_static_current(cell, we, potentials)
+        return quasi, we.electrode.charging_current(rates)
+
     def _quasi_static_current(self, cell: ElectrochemicalCell,
-                              we: WorkingElectrode, e: float) -> float:
+                              we: WorkingElectrode, e):
         """Non-swept contributions: oxidase wave, direct oxidisers, leakage.
 
         These follow the potential quasi-statically at <= 20 mV/s (film
         kinetics are fast against the sweep), so their steady-state values
-        at the instantaneous potential apply.
+        at the instantaneous potential apply.  ``e`` is one potential or
+        an array of them; an array returns one value per potential, or
+        a scalar when no term depends on the potential.
         """
         total = we.electrode.leakage_current()
         probe = we.probe

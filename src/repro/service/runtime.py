@@ -50,6 +50,11 @@ __all__ = ["JobState", "JobRegistry", "ServiceRuntime"]
 _STREAMABLE_KINDS = ("assay", "fleet", "sweep")
 _TERMINAL = ("done", "failed", "cancelled")
 
+#: How long each phase of :meth:`ServiceRuntime.close` waits for the
+#: dispatchers: once after cancelling every run, once more after
+#: closing the executors.
+_CLOSE_GRACE_S = 2.0
+
 
 def record_to_wire(record, samples: bool = True) -> dict:
     """A record's NDJSON wire payload: ``to_dict()`` plus, for live
@@ -162,6 +167,10 @@ class JobRegistry:
     def get(self, job_id: str) -> JobState | None:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def jobs(self) -> list[JobState]:
+        with self._lock:
+            return list(self._jobs.values())
 
     def by_status(self) -> dict[str, int]:
         with self._lock:
@@ -309,8 +318,13 @@ class ServiceRuntime:
                     solve_steps = engine.n_solve_steps
                 job.append(record_to_wire(record))
         except ReproError as exc:
-            job.finish("failed", {"type": type(exc).__name__,
-                                  "message": str(exc)})
+            # A cancelled run may end in an error: the shutdown path
+            # interrupts a stream by closing its executor.
+            if job.cancel.is_set():
+                job.finish("cancelled")
+            else:
+                job.finish("failed", {"type": type(exc).__name__,
+                                      "message": str(exc)})
         # repro: lint-ignore[REP002] dispatcher boundary: an
         # unclassified bug must still land the job in a terminal
         # failed state instead of killing the dispatcher thread
@@ -344,12 +358,30 @@ class ServiceRuntime:
         return out
 
     def close(self) -> None:
-        """Stop accepting work, cancel what is queued, release pools."""
+        """Stop accepting work and end every run in a bounded time.
+
+        Every queued and running run is cancelled; a running stream
+        stops at its next record.  A stream with no record coming — a
+        distributed run whose worker has gone — is interrupted when
+        its executor closes, after one grace period.  Any run still
+        not terminal after a second grace period is marked cancelled,
+        so ``close`` returns within about ``2 * _CLOSE_GRACE_S``.
+        """
         self._closing = True
         self.queue.close()
-        for thread in self._dispatchers:
-            thread.join(timeout=10)
+        jobs = self.registry.jobs()
+        for job in jobs:
+            job.cancel.set()
+        self._join_dispatchers(_CLOSE_GRACE_S)
         for executor in self._executors:
             close = getattr(executor, "close", None)
             if close is not None:
                 close()
+        self._join_dispatchers(_CLOSE_GRACE_S)
+        for job in jobs:
+            job.finish("cancelled")  # a no-op on terminal runs
+
+    def _join_dispatchers(self, timeout_s: float) -> None:
+        deadline = time.monotonic() + timeout_s
+        for thread in self._dispatchers:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))

@@ -59,7 +59,8 @@ class TestFactorization:
             assert np.array_equal(factor.solve(rhs2),
                                   thomas_solve(lower, diag, upper, rhs2))
 
-    @pytest.mark.parametrize("m", [2, SMALL_BATCH, SMALL_BATCH + 1, 12])
+    @pytest.mark.parametrize("m", sorted({2, 4, 5, 12, SMALL_BATCH,
+                                          SMALL_BATCH + 1}))
     def test_batched_solve_matches_scalar_per_system(self, m):
         # Covers both dispatch paths (Python-float and node-major numpy);
         # the contract is <= 1e-12 relative, the implementation is exact.
@@ -115,7 +116,7 @@ class TestSharedFactorization:
             lower[dst], diag[dst], upper[dst] = lower[src], diag[src], upper[src]
         return lower, diag, upper, rhs
 
-    @pytest.mark.parametrize("m", [3, SMALL_BATCH + 4])
+    @pytest.mark.parametrize("m", sorted({3, 8, SMALL_BATCH + 4}))
     def test_duplicate_rows_solve_bitwise(self, m):
         rng = np.random.default_rng(m + 40)
         # Rows 1 and m-1 duplicate row 0's matrix (rhs stays distinct).
@@ -172,9 +173,9 @@ def make_steppers(boundary="dirichlet", n_systems=3):
 
 
 class TestBatchCrankNicolson:
-    # Both solver dispatch paths: 3 systems run the Python-float
+    # Both solver dispatch paths: 3 and 7 systems run the Python-float
     # sweeps, SMALL_BATCH + 3 the node-major vectorised sweeps.
-    @pytest.mark.parametrize("n_systems", [3, SMALL_BATCH + 3])
+    @pytest.mark.parametrize("n_systems", sorted({3, 7, SMALL_BATCH + 3}))
     def test_batched_step_matches_scalar_steppers(self, n_systems):
         steppers = make_steppers(n_systems=n_systems)
         batch = BatchCrankNicolson(steppers)
@@ -190,7 +191,7 @@ class TestBatchCrankNicolson:
             # Padding stays decoupled and identically zero.
             assert np.all(state[j, st.grid.n_nodes:] == 0.0)
 
-    @pytest.mark.parametrize("n_systems", [3, SMALL_BATCH + 3])
+    @pytest.mark.parametrize("n_systems", sorted({3, 7, SMALL_BATCH + 3}))
     def test_batched_linear_surface_matches_scalar(self, n_systems):
         steppers = make_steppers(n_systems=n_systems)
         batch = BatchCrankNicolson(steppers)
@@ -317,6 +318,42 @@ class TestRedoxChannelBatch:
         for ref, mirrored in zip(scalar, batched.channels):
             assert np.array_equal(mirrored.c_ox, ref.c_ox)
             assert np.array_equal(mirrored.c_red, ref.c_red)
+
+    def test_clipped_exponent_matches_scalar(self, cyp_cell):
+        # |E - E0| beyond ~6.4 V drives |n F/RT (E - E0)| past the +-500
+        # clip on both sides; then back through the ordinary window.
+        scalar = self._sims(cyp_cell)
+        batched = RedoxChannelBatch(self._sims(cyp_cell))
+        potentials = np.concatenate([np.linspace(-10.0, 10.0, 81),
+                                     np.linspace(0.3, -0.7, 400)])
+        for e in potentials:
+            fluxes = batched.step(float(e))
+            expected = [sim.step(float(e)) for sim in scalar]
+            assert np.array_equal(fluxes, np.asarray(expected))
+
+    @pytest.mark.parametrize("panel", [False, True])
+    def test_per_channel_potentials_match_scalar(self, cyp_cell, panel):
+        # Each channel follows its own potential program, as in a fused
+        # SweepBatch: 2 channels (4 systems, Python-float solves) or the
+        # 8-channel panel (16 systems, node-major solves).
+        if panel:
+            scalar, channels = (make_panel_channel_sims(),
+                                make_panel_channel_sims())
+        else:
+            scalar, channels = self._sims(cyp_cell), self._sims(cyp_cell)
+        batched = RedoxChannelBatch(channels)
+        offsets = 0.07 * np.arange(len(scalar))
+        for e in np.linspace(0.2, -0.8, 400):
+            program = e - offsets
+            fluxes = batched.step(program)
+            expected = [sim.step(float(v))
+                        for sim, v in zip(scalar, program)]
+            assert np.array_equal(fluxes, np.asarray(expected))
+
+    def test_potential_program_shape_checked(self, cyp_cell):
+        batched = RedoxChannelBatch(self._sims(cyp_cell))
+        with pytest.raises(SimulationError, match="per-channel potentials"):
+            batched.step(np.zeros(batched.batch_size + 1))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError):

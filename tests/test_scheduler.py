@@ -17,6 +17,7 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ import pytest
 from repro.chem.solution import InjectionSchedule
 from repro.data import bench_chain
 from repro.electronics.waveform import uniform_sample_times
-from repro.engine import AssayJob, AssayScheduler, DwellBatch
+from repro.engine import AssayJob, AssayScheduler, DwellBatch, SweepBatch
 from repro.errors import ProtocolError, SimulationError
 from repro.measurement.chronoamperometry import Chronoamperometry
 from repro.measurement.panel import PanelProtocol
@@ -346,6 +347,125 @@ class TestFusedCvSweeps:
         sweep, = PanelProtocol(**self.KWARGS).plan_sweeps(
             cell, bench_chain(seed=5))
         assert fleet.n_solve_steps > sweep.times.size
+
+
+class TestSampleRateFusion:
+    """One SweepBatch per sample rate: windows of different length fuse.
+
+    The paper panel's two CYP WEs sweep different windows (CYP2B4 over
+    its two drug waves, CYP11A1 over cholesterol's), so their records
+    differ in length; at one sample rate the shorter time axis is a
+    prefix of the longer and both fuse into one group, the shorter
+    sweep's rows retiring when its record ends.
+    """
+
+    KWARGS = {"ca_dwell": 6.0, "sample_rate": 4.0}
+    LOADINGS = (
+        None,                                        # mid-range panel
+        {"glucose": 3.0, "lactate": 1.0, "glutamate": 0.6,
+         "benzphetamine": 0.4, "aminopyrine": 2.5, "cholesterol": 0.08},
+        # No cholesterol: WE5 plans a sweep with no redox channel.
+        {"glucose": 1.0, "lactate": 2.0, "glutamate": 1.5,
+         "benzphetamine": 0.9, "aminopyrine": 5.0, "cholesterol": 0.0},
+    )
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        from repro.data.catalog import paper_panel_cell
+
+        cells = [paper_panel_cell(loading) for loading in self.LOADINGS]
+        protocol = PanelProtocol(batch_electrodes=False, **self.KWARGS)
+        refs = [protocol.run(cell, bench_chain(seed=70 + k),
+                             rng=np.random.default_rng(70 + k))
+                for k, cell in enumerate(cells)]
+        return cells, refs
+
+    def _fleet(self, cells, order):
+        jobs = [AssayJob(cell=cells[k], chain=bench_chain(seed=70 + k),
+                         name=f"panel{k}", rng=np.random.default_rng(70 + k))
+                for k in order]
+        return AssayScheduler(PanelProtocol(**self.KWARGS)).run_many(jobs)
+
+    def test_windows_really_differ(self, references):
+        cells, _ = references
+        sweeps = PanelProtocol(**self.KWARGS).plan_sweeps(
+            cells[0], bench_chain(seed=70))
+        sizes = sorted(sweep.times.size for sweep in sweeps)
+        assert len(sizes) == 2 and sizes[0] < sizes[1]
+
+    @pytest.mark.parametrize("rotation", [0, 1, 2])
+    def test_fleet_fuses_to_one_group_bit_identical(self, references,
+                                                    rotation):
+        cells, refs = references
+        order = [(k + rotation) % 3 for k in range(3)]
+        fleet = self._fleet(cells, order)
+        assert fleet.n_fused_sweeps == 6
+        assert fleet.n_sweep_groups == 1
+        for k, result in zip(order, fleet.results):
+            assert_panel_results_equal(refs[k], result)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_cell_fleet_bit_identical(self, references, k):
+        cells, refs = references
+        fleet = self._fleet(cells, [k])
+        assert fleet.n_sweep_groups == 1
+        assert_panel_results_equal(refs[k], fleet.results[0])
+
+    def test_rows_retire_at_their_record_length(self, references):
+        cells, _ = references
+        protocol = PanelProtocol(**self.KWARGS)
+
+        def plan():
+            return [sweep for cell in cells for sweep in
+                    protocol.plan_sweeps(cell, bench_chain(seed=70))]
+
+        batch = SweepBatch(plan())
+        rows = batch.simulate()
+        sizes = [sweep.times.size for sweep in batch.sweeps]
+        assert len(set(sizes)) == 2
+        # Steps stop at the longest record, not the sum of both windows.
+        assert batch.n_solve_steps == max(sizes)
+        for sweep, row, alone in zip(batch.sweeps, rows, plan()):
+            assert row.size == sweep.times.size
+            standalone = SweepBatch([alone])
+            assert np.array_equal(standalone.simulate()[0], row)
+            assert standalone.n_solve_steps == (row.size if alone.channels
+                                                else 0)
+
+    def test_different_sample_rates_stay_separate(self, glucose_cell,
+                                                  mixed_cell):
+        cell = mixed_cell()
+        slow = PanelProtocol(ca_dwell=6.0, sample_rate=4.0)
+        fast = PanelProtocol(ca_dwell=6.0, sample_rate=5.0)
+        jobs = [AssayJob(cell=cell, chain=bench_chain(seed=3), name="slow",
+                         rng=np.random.default_rng(3), protocol=slow),
+                AssayJob(cell=cell, chain=bench_chain(seed=4), name="fast",
+                         rng=np.random.default_rng(4), protocol=fast)]
+        fleet = AssayScheduler(slow).run_many(jobs)
+        assert fleet.n_fused_sweeps == 2
+        assert fleet.n_sweep_groups == 2
+        for job, result in zip(jobs, fleet.results):
+            reference = PanelProtocol(
+                batch_electrodes=False, ca_dwell=6.0,
+                sample_rate=job.protocol.sample_rate).run(
+                    cell, bench_chain(seed=3 if job.name == "slow" else 4),
+                    rng=np.random.default_rng(
+                        3 if job.name == "slow" else 4))
+            assert_panel_results_equal(reference, result)
+
+    def test_non_prefix_time_axis_rejected(self):
+        def sweep(name, times):
+            return SimpleNamespace(we_name=name, times=times, channels=[],
+                                   potentials=np.zeros(times.size))
+
+        long = sweep("long", np.arange(9) * 0.25)
+        with pytest.raises(SimulationError, match="not a prefix"):
+            SweepBatch([long, sweep("rate", np.arange(5) * 0.2)])
+        with pytest.raises(SimulationError, match="not a prefix"):
+            SweepBatch([sweep("offset", 0.1 + np.arange(5) * 0.25), long])
+        # A true prefix is accepted, in either order.
+        batch = SweepBatch([sweep("short", np.arange(5) * 0.25), long])
+        assert batch.times.size == 9
 
 
 class TestDigitizeBatch:

@@ -23,8 +23,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +447,70 @@ class TestServerLifecycle:
             status = client.status(job_id)
             assert status["status"] == "failed"
             assert status["error_type"] == "ExecutionError"
+
+
+class TestBoundedShutdown:
+    """Shutdown ends every run in a bounded time, even one waiting on a
+    distributed worker that is not there."""
+
+    #: close() waits two grace periods at most; the rest is slack for
+    #: a loaded host.
+    EXIT_BOUND_S = 4 * runtime_mod._CLOSE_GRACE_S
+
+    @staticmethod
+    def _wait_running(client, job_id):
+        deadline = time.monotonic() + 30.0
+        while client.status(job_id)["status"] != "running":
+            assert time.monotonic() < deadline, "run never started"
+            time.sleep(0.02)
+
+    def test_stop_cancels_a_run_waiting_on_no_worker(self, tmp_path):
+        server = DiagnosticsServer(ServeSpec(
+            backend="distributed", queue=str(tmp_path / "q"),
+            dispatchers=1))
+        server.start()
+        try:
+            client = ServiceClient(server.port)
+            job_id = client.submit(small_fleet(cells=1, seed=96))["id"]
+            self._wait_running(client, job_id)
+        finally:
+            start = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - start
+        assert elapsed < self.EXIT_BOUND_S
+        assert server.runtime.registry.get(job_id).status == "cancelled"
+        # The interrupted stream's teardown removed its unclaimed task.
+        assert list((tmp_path / "q" / "tasks").iterdir()) == []
+
+    def test_sigint_exits_bounded_with_a_distributed_run_in_flight(
+            self, tmp_path):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        queue = tmp_path / "q"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--backend",
+             "distributed", "--queue", str(queue), "--dispatchers", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.split("http://")[1].split()[0].rsplit(":", 1)[1])
+            client = ServiceClient(port)
+            job_id = client.submit(small_fleet(cells=1, seed=97))["id"]
+            self._wait_running(client, job_id)
+            start = time.monotonic()
+            proc.send_signal(signal.SIGINT)
+            out, _ = proc.communicate(timeout=self.EXIT_BOUND_S)
+            elapsed = time.monotonic() - start
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert elapsed < self.EXIT_BOUND_S
+        # Every run ended terminal: the one in flight was cancelled.
+        assert "stopped (runs: cancelled=1)" in out, out
+        assert list((queue / "tasks").iterdir()) == []
