@@ -356,9 +356,18 @@ def kill_pool(pool: ProcessPoolExecutor, grace_s: float = 2.0) -> None:
     forever, if a worker is hung — so teardown goes through here: cancel
     everything queued, terminate the workers, give them ``grace_s``
     seconds, then SIGKILL the stragglers.
+
+    A worker killed while sending a result leaves a truncated message
+    in the result pipe, and the pool's manager thread blocks reading
+    the rest.  This process holds the pipe's write end too, so the read
+    would never end, and interpreter exit joins that thread.  Once every
+    worker is dead that write end is closed: the read ends in EOF and
+    the manager thread winds down.
     """
-    # shutdown() drops the pool's process table: take it first.
+    # shutdown() drops the process table and the result queue: take
+    # them first.
     workers = list((getattr(pool, "_processes", None) or {}).values())
+    results = getattr(pool, "_result_queue", None)
     pool.shutdown(wait=False, cancel_futures=True)
     for worker in workers:
         if worker.is_alive():
@@ -370,6 +379,8 @@ def kill_pool(pool: ProcessPoolExecutor, grace_s: float = 2.0) -> None:
         if worker.is_alive():  # pragma: no cover - SIGTERM ignored
             worker.kill()
             worker.join(grace_s)
+    if results is not None and not any(w.is_alive() for w in workers):
+        results._writer.close()
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,23 @@ Pins the acceptance bar of the resilience layer:
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import struct
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.api.records import FailedAssayRecord
-from repro.api.resilience import FaultInjector, FaultRule, RetryPolicy
+from repro.api.resilience import (
+    FaultInjector,
+    FaultRule,
+    RetryPolicy,
+    kill_pool,
+)
 from repro.errors import ExecutionError, SpecError
 
 CA_DWELL = 2.0  # short dwell keeps the suite fast; physics unchanged
@@ -417,6 +426,14 @@ class TestStoreInteraction:
         assert third.cached is True  # the healed store serves warm
 
 
+def _die_mid_send(result_fd: int, sent: str) -> None:
+    """Start a 1000-byte result message, send 7 bytes of it, and stall:
+    a worker about to be killed while sending."""
+    os.write(result_fd, struct.pack("!i", 1000) + b"partial")
+    open(sent, "w").close()
+    time.sleep(60)
+
+
 class TestAbandonedStream:
     def test_supervised_stream_close_is_bounded(self):
         spec = small_fleet(cells=4, seed=84)
@@ -442,6 +459,26 @@ class TestAbandonedStream:
         stream.close()  # must kill the hung worker, not join it
         assert time.perf_counter() - start < 10.0
         backend.close()
+
+    def test_worker_killed_mid_send_leaves_no_manager_thread(
+            self, tmp_path):
+        pool = ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"))
+        results = pool._result_queue
+        sent = tmp_path / "sent"
+        pool.submit(_die_mid_send, results._writer.fileno(), str(sent))
+        manager = pool._executor_manager_thread
+        deadline = time.monotonic() + 30.0
+        while not sent.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert sent.exists(), "worker never started"
+        time.sleep(0.2)  # the manager thread is now reading the rest
+        kill_pool(pool)
+        # Interpreter exit joins this thread: it must end on its own.
+        manager.join(timeout=10.0)
+        stuck = manager.is_alive()
+        results._writer.close()  # frees the thread if kill_pool did not
+        assert not stuck
 
 
 class TestResolution:

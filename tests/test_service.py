@@ -489,8 +489,14 @@ class TestBoundedShutdown:
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), env.get("PYTHONPATH")]))
         queue = tmp_path / "q"
+        # A suite started in the background by a non-interactive shell
+        # inherits SIGINT as ignored, and so would the server; restore
+        # Python's KeyboardInterrupt handler before serving.
+        launch = ("import signal, sys; "
+                  "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                  "from repro.cli import main; sys.exit(main(sys.argv[1:]))")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "serve", "--backend",
+            [sys.executable, "-c", launch, "serve", "--backend",
              "distributed", "--queue", str(queue), "--dispatchers", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
             env=env)
