@@ -207,12 +207,14 @@ def _solve_records(pairs: list[tuple[int, dict]], claim: Path
         _beat(claim)
         now = time.perf_counter()
         payload = payloads[index]
-        out.append((index, AssayRunRecord(
+        record = AssayRunRecord(
             spec=payload, spec_hash=JobKey.for_payload(payload).digest,
             schema_version=SCHEMA_VERSION, seed=int(payload["seed"]),
             wall_time_s=now - tick,
             job_name=payload.get("name") or f"job{index}",
-            result=result, engine=EngineStats(*deltas))))
+            result=result, engine=EngineStats(*deltas[:3]))
+        object.__setattr__(record, "n_solved_systems", deltas[3])
+        out.append((index, record))
         tick = now
     return out
 
@@ -224,7 +226,8 @@ def _entry(index: int, record: AssayRunRecord, cached: bool) -> dict:
             "wall_s": record.wall_time_s,
             "engine": (None if engine is None else
                        [engine.n_fused_dwells, engine.n_dwell_groups,
-                        engine.n_solve_steps])}
+                        engine.n_solve_steps]),
+            "solved": record.n_solved_systems}
 
 
 def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
@@ -518,7 +521,7 @@ class _FileQueue:
                     None if engine is None else EngineStats(*engine))))
             else:
                 events.append((unit, "job", entry["index"],
-                               (samples, *engine)))
+                               (samples, *engine, entry["solved"])))
         return events
 
     def kill(self, unit: int) -> None:

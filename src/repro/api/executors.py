@@ -145,16 +145,18 @@ def shard_indices(n_jobs: int, n_shards: int,
 def solve(pairs) -> Iterator[tuple]:
     """One fused scheduler pass over ``[(index, AssaySpec), ...]``.
 
-    Yields ``(index, result, d_fused, d_groups, d_steps)`` per job in
-    order, where the ``d_*`` are the engine statistics each job added to
-    the pass — the core re-accumulates them in merged job order.
+    Yields ``(index, result, d_fused, d_groups, d_steps, d_solved)``
+    per job in order, where the ``d_*`` are the engine statistics each
+    job added to the pass — the core re-accumulates them in merged job
+    order.
     """
     from repro.engine.scheduler import AssayScheduler
 
-    prev = (0, 0, 0)
+    prev = (0, 0, 0, 0)
     jobs = [assay.build_job() for _, assay in pairs]
     for (index, _), item in zip(pairs, AssayScheduler().run_iter(jobs)):
-        now = (item.n_fused_dwells, item.n_dwell_groups, item.n_solve_steps)
+        now = (item.n_fused_dwells, item.n_dwell_groups, item.n_solve_steps,
+               item.n_solved_systems)
         yield (index, item.result, *(a - b for a, b in zip(now, prev)))
         prev = now
 
@@ -190,7 +192,7 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     The fleet is cut into ``units`` units (:func:`shard_indices`); the
     re-dispatch ladder may cut more, but at most ``units`` are ever in
     flight.  Transport events are ``(unit, kind, index, value)``:
-    ``"job"`` with ``(result, d_fused, d_groups, d_steps)``,
+    ``"job"`` with ``(result, d_fused, d_groups, d_steps, d_solved)``,
     ``"cached"`` with ``(result, wall_s, engine)`` for a store hit, or a
     unit failure — ``"crash"``, ``"hang"`` or ``"error"`` with index
     ``None`` and a ``_Failure`` — which charges one attempt to every job
@@ -213,7 +215,7 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     queue = [(0.0, indices) for indices in shard_indices(n_jobs, units, shard)]
     active: dict[int, set[int]] = {}   # unit -> jobs not yet completed
     ready: dict[int, tuple] = {}       # job -> (kind, value), awaiting merge
-    cum = [0, 0, 0]
+    cum = [0, 0, 0, 0]
     next_unit = next_index = 0
     start = time.perf_counter()
 
@@ -290,7 +292,8 @@ def run_units(spec: FleetSpec, transport, *, units: int,
                     cum = [a + b for a, b in zip(cum, value[1:])]
                     record = AssayRunRecord(
                         **common, wall_time_s=time.perf_counter() - start,
-                        result=value[0], engine=EngineStats(*cum))
+                        result=value[0], engine=EngineStats(*cum[:3]))
+                    object.__setattr__(record, "n_solved_systems", cum[3])
                 elif kind == "cached":
                     record = CachedAssayRecord(
                         **common, wall_time_s=value[1], result=value[0],

@@ -192,6 +192,13 @@ class AssayRunRecord(RunRecord):
     result: "PanelResult"
     engine: EngineStats | None = None
 
+    #: Distinct engine rows solved per step, summed over the fused
+    #: groups run so far in the stream (cumulative like ``engine``;
+    #: replicate rows count once).  Stamped by the execution core on
+    #: fresh records, ``None`` elsewhere; an observation only, kept out
+    #: of ``engine``, provenance and the store.
+    n_solved_systems = None
+
     def _result_dict(self) -> dict:
         summary = self.result.summary_dict()
         summary["job_name"] = self.job_name

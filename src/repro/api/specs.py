@@ -160,7 +160,9 @@ class ChainSpec:
     chain; ``readout`` names a :data:`~repro.data.catalog.
     READOUT_CLASSES` entry) or ``"bench"`` (the laboratory-grade chain
     behind the cited Table III numbers).  ``seed`` pins the chain's own
-    noise generator.
+    noise generator and nothing else: it selects acquisition noise only,
+    for chronoamperometric dwells and CV sweeps alike, never the
+    chemistry the chain digitises.
     """
 
     kind: str = "integrated"
@@ -409,11 +411,14 @@ class AssaySpec:
     """One declarative panel assay: cell x chain x protocol x seed.
 
     ``seed`` pins the acquisition-noise generator the protocol draws
-    from (dwell chemistry consumes no randomness), so two runs of the
-    same spec are bit-identical.  ``screening`` opts the assay into the
-    coarse-grid screening profile — never the default; the flag is part
-    of the canonical payload, so a screening run can never share a
-    content address (or a store slot) with its full-fidelity twin.
+    from and selects nothing else: neither dwell nor CV chemistry
+    consumes randomness, so two runs of the same spec are bit-identical,
+    and assays differing only in their seeds (technical replicates)
+    share every diffusion solve in a fused fleet.  ``screening`` opts
+    the assay into the coarse-grid screening profile — never the
+    default; the flag is part of the canonical payload, so a screening
+    run can never share a content address (or a store slot) with its
+    full-fidelity twin.
     """
 
     name: str = "assay"

@@ -525,19 +525,23 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
         mode = "sequential per-cell panels"
     else:
         stats = None
+        solved = None
         resilience = None
         for record in api.iter_results(spec, backend=backend,
                                        retry=retry, on_error=on_error):
             report(record)
             n_failed += 1 if record.failed else 0
             stats = record.engine if record.engine is not None else stats
+            solved = getattr(record, "n_solved_systems", None) or solved
             resilience = (getattr(record, "resilience", None)
                           or resilience)
         _print_resilience(resilience)
+        rows = (f", {solved} distinct engine rows solved"
+                if solved is not None else "")
         mode = (f"{backend_name} backend "
                 f"({stats.n_fused_dwells} dwell systems in "
-                f"{stats.n_dwell_groups} group(s))" if stats is not None
-                else f"{backend_name} backend")
+                f"{stats.n_dwell_groups} group(s){rows})"
+                if stats is not None else f"{backend_name} backend")
     elapsed = time.perf_counter() - start
     print(f"mode      : {mode}")
     print(f"wall time : {elapsed:.2f} s")

@@ -43,7 +43,11 @@ the engine restructures it in five layers:
    coefficients shared
    (:func:`~repro.engine.tridiag.factor_tridiagonal_shared`), and
    scalar steppers over the same (grid, D, dt, boundary) share one
-   cached factorization outright.
+   cached factorization outright.  Whole rows go one step further:
+   rows whose keys (every value their step reads, as exact bytes) are
+   equal are solved once and their fluxes fanned back out
+   (:func:`~repro.engine.tridiag.first_occurrences`), so technical
+   replicates in a fused fleet cost one row per distinct chemistry.
 
 4. **Cross-electrode dwell fusion** (:mod:`repro.engine.scheduler`).
    A panel's chronoamperometric dwells — one mechanism set per working

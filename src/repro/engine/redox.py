@@ -24,6 +24,12 @@ initial ``c_ox``/``c_red`` profiles, and the scalars ``n`` (electrons),
 ``k0``, ``alpha``, ``e_formal``.  Flux sign convention follows the
 scalar simulator: positive flux = net reduction (ox consumed at the
 surface, red produced).
+
+:func:`channel_key` collects, as bytes, every per-channel value a step
+reads.  The batch itself solves every row it is given; a caller that
+also fixes each row's potential program (the fleet scheduler's
+:class:`~repro.engine.scheduler.SweepBatch`) extends the key with that
+program and hands the batch one representative per distinct key.
 """
 
 from __future__ import annotations
@@ -36,7 +42,29 @@ from repro.chem import constants as C
 from repro.engine.batch import BatchCrankNicolson
 from repro.errors import SimulationError
 
-__all__ = ["RedoxChannelBatch"]
+__all__ = ["RedoxChannelBatch", "channel_key"]
+
+
+def channel_key(channel) -> tuple[bytes, ...]:
+    """Every per-channel value :meth:`RedoxChannelBatch.step` reads.
+
+    The Butler-Volmer constants (``n``, ``k0``, ``alpha``,
+    ``e_formal``), the solver's implicit and explicit bands, ``dt``,
+    surface volume, surface response and source scale, and the current
+    ``c_ox``/``c_red`` profiles, each as exact bytes.  Two channels with
+    equal keys driven by the same potentials follow bit-identical
+    trajectories.
+    """
+    solver = channel.solver
+    scalars = np.asarray([channel.n, channel.k0, channel.alpha,
+                          channel.e_formal, solver.dt, solver.surface_volume,
+                          solver.surface_source_scale], dtype=float)
+    return (scalars.tobytes(),
+            *(np.asarray(band, dtype=float).tobytes()
+              for band in (*solver.implicit_coefficients,
+                           *solver.explicit_coefficients,
+                           solver.surface_response(), channel.c_ox,
+                           channel.c_red)))
 
 
 class RedoxChannelBatch:

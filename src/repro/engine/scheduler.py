@@ -48,6 +48,21 @@ noise streams are pre-drawn from its own generator in electrode order
 runs through one vectorised
 :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch` call
 per transform-compatible chain cluster and record length.
+
+Replicate assays share engine rows.  An assay's seed selects only its
+chain's acquisition noise, so a sweep over seeds (technical replicates)
+plans the same diffusion problems again and again.  Inside each fused
+group every row gets a key of exactly the values its step reads — the
+redox key (:func:`~repro.engine.redox.channel_key` plus the sweep's
+potential program and record length) lives in :class:`SweepBatch`, the
+mechanism key (:func:`~repro.engine.mechanisms.mechanism_key`) in
+:class:`~repro.engine.mechanisms.MechanismBatch` — and the engine solves
+one representative per key, fanning its flux history back out through
+an inverse index.  Keys are exact bytes, so rows merge only when their
+trajectories are bit-identical: an 8-seed x 2-loading paper-panel sweep
+solves 3 distinct CV channels instead of 48, and every result is
+unchanged.  ``n_solved_systems`` on the batches, :class:`FleetItem` and
+:class:`FleetResult` reports the rows actually solved.
 """
 
 from __future__ import annotations
@@ -59,7 +74,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.redox import channel_key
 from repro.engine.simulation import SimulationEngine
+from repro.engine.tridiag import first_occurrences
 from repro.errors import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -109,6 +126,10 @@ class DwellBatch:
                                 if d.injections.injections)
         #: Fused engine steps actually solved; set by :meth:`simulate`.
         self.n_solve_steps = 0
+        #: Distinct mechanism rows solved per step, the most of any
+        #: engine between injections (<= batch_size, which counts
+        #: replicate rows); set by :meth:`simulate`.
+        self.n_solved_systems = 0
 
     @property
     def n_dwells(self) -> int:
@@ -203,6 +224,7 @@ class DwellBatch:
                      if engine is not None else None)
         seg_start = 1
         steps = 0
+        solved = engine.stepper.n_solved_systems if engine is not None else 0
         for k in range(1, n):
             pending = program.get(k)
             if pending:
@@ -218,12 +240,15 @@ class DwellBatch:
                 engine, spans = self._build_engine()
                 flux_hist = (np.empty((engine.batch_size, n))
                              if engine is not None else None)
+                if engine is not None:
+                    solved = max(solved, engine.stepper.n_solved_systems)
                 seg_start = k
             if engine is not None:
                 flux_hist[:, k] = engine.step()
                 steps += 1
         self._flush_segment(currents, flux_hist, spans, seg_start, n)
         self.n_solve_steps = steps
+        self.n_solved_systems = solved
         return currents
 
 
@@ -242,18 +267,25 @@ class SweepBatch:
         each keeps its *own* potential program, so sweeps over
         different windows fuse.
 
-    Every channel of every sweep becomes one row of a shared
+    Every distinct channel of every sweep becomes one row of a shared
     :class:`~repro.engine.redox.RedoxChannelBatch`; one step per sample
     advances the whole group, driving each row with its sweep's
-    potential at that sample.  A sweep's rows *retire* when its record
-    ends: the engine drains its state back onto the channel objects
-    (``sync_back``) and is rebuilt over the channels still live, so no
-    step is spent past a record's end.  Because the batched solver's
+    potential at that sample.  A channel's row key is its
+    :func:`~repro.engine.redox.channel_key` plus its sweep's potential
+    program and record length: channels with equal keys (technical
+    replicates — the same chemistry read with another acquisition seed)
+    share one solved row, and the flux history fans back out to every
+    channel through an inverse index.  A sweep's rows *retire* when its
+    record ends: the engine drains its state back onto the channel
+    objects (``sync_back``, each duplicate getting its own copy of its
+    row's profile) and is rebuilt over the rows still live, so no step
+    is spent past a record's end.  Because the batched solver's
     per-system arithmetic is element-for-element independent of how
     many rows are stacked (and of the zero padding up to the widest
     grid), each sweep's assembled current row is bit-identical to its
-    standalone run, however its neighbours retire.  Rows come back at
-    their own record lengths, so callers digitise per length.
+    standalone run, however its neighbours retire or collapse.  Rows
+    come back at their own record lengths, so callers digitise per
+    length.
     """
 
     def __init__(self, sweeps) -> None:
@@ -276,10 +308,18 @@ class SweepBatch:
                             for sweep in self.sweeps]
         self._channels: list = []
         self._spans: list[tuple[int, int]] = []
-        for sweep in self.sweeps:
+        keys, owner = [], []
+        for i, (sweep, length) in enumerate(zip(self.sweeps, self._lengths)):
             start = len(self._channels)
             self._channels.extend(sweep.channels)
             self._spans.append((start, len(self._channels)))
+            drive = (length, self._potentials[i][:length].tobytes())
+            keys.extend((*channel_key(ch), *drive) for ch in sweep.channels)
+            owner.extend([i] * len(sweep.channels))
+        # Row r of the engine solves channel unique[r]; channel j reads
+        # row inverse[j].  _row_sweep[r] is the sweep driving row r.
+        self._unique, self._inverse = first_occurrences(keys)
+        self._row_sweep = [owner[j] for j in self._unique]
         #: Fused engine steps actually solved; set by :meth:`simulate`.
         self.n_solve_steps = 0
 
@@ -292,6 +332,21 @@ class SweepBatch:
         """Redox channels fused per solve (sum over sweeps)."""
         return len(self._channels)
 
+    @property
+    def n_solved_systems(self) -> int:
+        """Distinct channel rows actually solved (<= batch_size)."""
+        return len(self._unique)
+
+    def _sync_back(self, engine, rows: list[int]) -> None:
+        """Drain ``engine`` (over ``rows``) onto every channel it serves."""
+        engine.sync_back()
+        live = set(rows)
+        for j, r in enumerate(self._inverse):
+            source = self._channels[self._unique[r]]
+            if r in live and self._channels[j] is not source:
+                self._channels[j].c_ox = source.c_ox.copy()
+                self._channels[j].c_red = source.c_red.copy()
+
     def simulate(self) -> list[np.ndarray]:
         """Integrate every sweep; return one true-current row per sweep.
 
@@ -300,37 +355,34 @@ class SweepBatch:
         :meth:`~repro.measurement.voltammetry.CyclicVoltammetry.
         simulate_true_current` loop would produce.  The steps run in
         segments between record ends; each segment steps one engine
-        over the channels of the sweeps still recording.
+        over the distinct rows of the sweeps still recording.
         """
-        flux_hist = np.empty((len(self._channels), self.times.size))
-        ends = sorted({length for length, (lo, hi)
-                       in zip(self._lengths, self._spans) if hi > lo})
+        solved = np.empty((len(self._unique), self.times.size))
+        ends = sorted({self._lengths[i] for i in self._row_sweep})
         engine = None
+        rows: list[int] = []
         start = 0
         for end in ends:
-            live = [i for i, length in enumerate(self._lengths)
-                    if length >= end]
-            rows = [j for i in live for j in range(*self._spans[i])]
             if engine is not None:
-                engine.sync_back()
+                self._sync_back(engine, rows)
+            rows = [r for r, i in enumerate(self._row_sweep)
+                    if self._lengths[i] >= end]
             engine = SimulationEngine.for_redox_channels(
-                [self._channels[j] for j in rows])
-            # The segment's compiled potential program: column r drives
-            # fused row r with its own sweep's potential, and each step
+                [self._channels[self._unique[r]] for r in rows])
+            # The segment's compiled potential program: column c drives
+            # engine row c with its own sweep's potential, and each step
             # reads one contiguous row.
             program = np.empty((end - start, len(rows)))
-            r = 0
-            for i in live:
-                lo, hi = self._spans[i]
-                program[:, r:r + hi - lo] = self._potentials[i][
-                    start:end, None]
-                r += hi - lo
+            for c, r in enumerate(rows):
+                program[:, c] = self._potentials[self._row_sweep[r]][
+                    start:end]
             segment = np.empty((end - start, len(rows)))
             for k in range(end - start):
                 segment[k] = engine.step(program[k])
-            flux_hist[rows, start:end] = segment.T
+            solved[rows, start:end] = segment.T
             start = end
         self.n_solve_steps = start
+        flux_hist = solved[self._inverse]
         return [sweep.row_from_fluxes(flux_hist[lo:hi, :length])
                 for sweep, length, (lo, hi)
                 in zip(self.sweeps, self._lengths, self._spans)]
@@ -366,6 +418,10 @@ class FleetItem:
     ``n_solve_steps`` counts the fused engine steps actually solved
     (dwell and sweep engines alike) — the observable a job-level cache
     uses to prove a warm re-run never touched the engine.
+    ``n_solved_systems`` sums, over the same groups, the distinct rows
+    each group's engine solved per step (dwell mechanisms plus CV
+    channels); replicate rows collapse into one, so on a CA-only fleet
+    it is at most ``n_fused_dwells``.
     """
 
     index: int
@@ -377,6 +433,7 @@ class FleetItem:
     n_solve_steps: int = 0
     n_fused_sweeps: int = 0
     n_sweep_groups: int = 0
+    n_solved_systems: int = 0
 
 
 @dataclass(frozen=True)
@@ -390,6 +447,7 @@ class FleetResult:
     n_solve_steps: int = 0
     n_fused_sweeps: int = 0
     n_sweep_groups: int = 0
+    n_solved_systems: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -533,6 +591,7 @@ class AssayScheduler:
         n_steps = 0
         n_fused_sweeps = 0
         n_sweep_groups = 0
+        n_solved = 0
         try:
             for index, plan in enumerate(plans):
                 for key in plan_keys[index]:
@@ -548,6 +607,7 @@ class AssayScheduler:
                         n_ca_groups += 1
                         rows = batch.simulate()
                         n_steps += batch.n_solve_steps
+                        n_solved += batch.n_solved_systems
                         for i, (member, dwell) in enumerate(members):
                             member.rows[dwell.we_name] = (dwell, times,
                                                           rows[i])
@@ -558,6 +618,7 @@ class AssayScheduler:
                         times = batch.times
                         rows = batch.simulate()
                         n_steps += batch.n_solve_steps
+                        n_solved += batch.n_solved_systems
                         for i, (member, sweep) in enumerate(members):
                             member.cv_rows[sweep.we_name] = (sweep, rows[i])
                     self._digitize_group(times, members, rows)
@@ -576,7 +637,8 @@ class AssayScheduler:
                                 n_dwell_groups=n_ca_groups,
                                 n_solve_steps=n_steps,
                                 n_fused_sweeps=n_fused_sweeps,
-                                n_sweep_groups=n_sweep_groups)
+                                n_sweep_groups=n_sweep_groups,
+                                n_solved_systems=n_solved)
         finally:
             # A consumer may abandon the stream mid-fleet (close() or a
             # partial iteration — see repro.api.iter_results).  Drop all
@@ -672,6 +734,7 @@ class AssayScheduler:
         n_steps = 0
         n_fused_sweeps = 0
         n_sweep_groups = 0
+        n_solved = 0
         for item in self.run_iter(jobs):
             results.append(item.result)
             names.append(item.name)
@@ -680,9 +743,11 @@ class AssayScheduler:
             n_steps = item.n_solve_steps
             n_fused_sweeps = item.n_fused_sweeps
             n_sweep_groups = item.n_sweep_groups
+            n_solved = item.n_solved_systems
         return FleetResult(results=tuple(results), names=tuple(names),
                            n_fused_dwells=n_fused,
                            n_dwell_groups=n_groups,
                            n_solve_steps=n_steps,
                            n_fused_sweeps=n_fused_sweeps,
-                           n_sweep_groups=n_sweep_groups)
+                           n_sweep_groups=n_sweep_groups,
+                           n_solved_systems=n_solved)

@@ -32,6 +32,7 @@ __all__ = [
     "factor_tridiagonal",
     "factor_tridiagonal_shared",
     "batch_thomas_solve",
+    "first_occurrences",
 ]
 
 
@@ -238,22 +239,35 @@ def factor_tridiagonal_shared(lower: np.ndarray, diag: np.ndarray,
     if n < 2 or lower.shape != band_shape or upper.shape != band_shape:
         raise SimulationError(
             "tridiagonal system arrays have inconsistent sizes")
-    first: dict[bytes, int] = {}
-    unique: list[int] = []
-    inverse = np.empty(diag.shape[0], dtype=int)
-    for j in range(diag.shape[0]):
-        key = (lower[j].tobytes() + diag[j].tobytes() + upper[j].tobytes())
-        slot = first.get(key)
-        if slot is None:
-            slot = len(unique)
-            first[key] = slot
-            unique.append(j)
-        inverse[j] = slot
+    unique, inverse = first_occurrences(
+        (lower[j].tobytes(), diag[j].tobytes(), upper[j].tobytes())
+        for j in range(diag.shape[0]))
     if len(unique) == diag.shape[0]:
         return factor_tridiagonal(lower, diag, upper)
     base = factor_tridiagonal(lower[unique], diag[unique], upper[unique])
     return TridiagonalFactorization(
         lower.copy(), base.denom[inverse], base.c_prime[inverse])
+
+
+def first_occurrences(keys) -> tuple[list[int], np.ndarray]:
+    """Collapse rows with equal keys onto their first occurrence.
+
+    Returns ``(unique, inverse)``: ``unique[s]`` is the index of the
+    first row carrying the ``s``-th distinct key, and ``inverse[j]`` the
+    slot of row ``j``'s key, so ``per_slot[inverse]`` fans values solved
+    once per key back out to every row.  Keys are compared for equality
+    only (build them from exact bytes, never a hash, so two rows merge
+    only when they are equal); all-distinct keys give the identity.
+    """
+    first: dict = {}
+    unique: list[int] = []
+    inverse: list[int] = []
+    for j, key in enumerate(keys):
+        slot = first.setdefault(key, len(unique))
+        if slot == len(unique):
+            unique.append(j)
+        inverse.append(slot)
+    return unique, np.asarray(inverse, dtype=np.intp)
 
 
 def batch_thomas_solve(lower: np.ndarray, diag: np.ndarray,
