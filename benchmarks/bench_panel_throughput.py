@@ -52,7 +52,9 @@ bit-identical and perform zero fused engine solves
 vs uncached (>= 5x), cold-with-write vs uncached (<= 1.2x) and stored
 bytes per record (<= 1/3 of what the all-JSON record format wrote for
 the same sweep).  Wall and CPU seconds of each pass go into
-``BENCH_panel.json``.
+``BENCH_panel.json``.  The cold pass also writes the engine row records
+beneath the jobs (the store's chemistry layer); they are reported on a
+line of their own and stay out of the per-record bytes.
 
 A fourth **CV-fusion axis** (PR 6) times a fleet of paper-panel cells —
 mixed chronoamperometric and cyclic-voltammetry electrodes — through
@@ -455,7 +457,9 @@ def run_store_experiment() -> dict:
             "warm_fresh_jobs": sum(1 for r in warm if not r.cached),
             "relative_deviation": deviation,
             "store_bytes": stats.bytes,
-            "store_hit_rate": stats.hit_rate}
+            "store_hit_rate": stats.hit_rate,
+            "row_records": written.row_records,
+            "row_bytes": written.row_bytes}
 
 
 def run_distributed_experiment() -> dict:
@@ -712,6 +716,8 @@ def test_panel_throughput(benchmark, report, json_report):
             "max_relative_deviation": store_axis["relative_deviation"],
             "store_bytes": store_axis["store_bytes"],
             "store_hit_rate": store_axis["store_hit_rate"],
+            "row_records": store_axis["row_records"],
+            "row_bytes": store_axis["row_bytes"],
             "acceptance": {"min_warm_speedup_vs_uncached": 5.0,
                            "max_write_overhead_vs_uncached": 1.2,
                            "max_bytes_ratio_vs_json_format":
@@ -823,6 +829,9 @@ def test_panel_throughput(benchmark, report, json_report):
            f"{store_axis['bytes_per_record']:.0f}  "
            f"({store_axis['bytes_ratio_vs_json_format']:.2f}x the all-JSON "
            f"format's {JSON_FORMAT_BYTES_PER_RECORD}; acceptance: <= 1/3)")
+    report(f"engine row records       : {store_axis['row_records']} rows, "
+           f"{store_axis['row_bytes']} bytes (written by the cold pass, "
+           f"beside {store_axis['n_points']} job records)")
     report(render_table(
         ["implementation", "assays/sec"],
         [["per-cell batched (CV per WE)", f"{cv_axis['per_cell_rate']:.2f}"],

@@ -130,6 +130,11 @@ sharing 90 of 100 grid points with an earlier study simulates only the
 (observable via :class:`~repro.api.records.EngineStats.n_solve_steps`).
 Because the per-job key is the assay payload hash, fleet members, sweep
 grid points and standalone assay runs all share one cache entry.
+Beneath the jobs, the store also keeps **engine rows**: the miss
+fleet's scheduler pass serves every row whose exact key bytes the store
+holds (:meth:`~repro.api.store.RunStore.get_row`) and keeps the rows it
+solves, so a fresh seed over known chemistry solves nothing while its
+jobs stay fresh records (``cached=False``).
 
 Records live at ``<root>/<hash[:2]>/<hash>.json`` (the record's
 ``to_dict()``: provenance + canonical spec + result summary, plus a

@@ -39,9 +39,10 @@ rules, so workers need no fault configuration of their own.  A worker
 carries out the command, looks every job up in the shared
 :class:`~repro.api.store.RunStore` by :class:`~repro.api.jobs.JobKey`
 (warm jobs come back as ``cached`` entries with the original run's
-provenance), solves the rest in one fused pass, writes the fresh
-results back to the store — so any worker's work warms every later run
-on the cluster — and reports per-job entries, or one unit failure.
+provenance), solves the rest in one fused pass — serving known engine
+rows from the same store — writes the fresh results and rows back to
+the store — so any worker's work warms every later run on the cluster
+— and reports per-job entries, or one unit failure.
 
 **Speculative prefetch.**  Sweeps opt in via ``execution:
 {prefetch: true}`` (schema v5): the submitter extrapolates the sweep's
@@ -191,9 +192,10 @@ def _scrub(name: str, tasks_dir: Path, claims_dir: Path, results_dir: Path,
 # -- the worker -------------------------------------------------------------
 
 
-def _solve_records(pairs: list[tuple[int, dict]], claim: Path
-                   ) -> list[tuple[int, AssayRunRecord]]:
-    """One fused pass over ``[(index, payload), ...]``, beating per job.
+def _solve_records(pairs: list[tuple[int, dict]], claim: Path,
+                   store: RunStore) -> list[tuple[int, AssayRunRecord]]:
+    """One fused pass over ``[(index, payload), ...]``, beating per job,
+    with engine rows served from and written to the shared ``store``.
 
     Each record describes only its own job — delta engine statistics
     and the job's own wall time — which is the shape the store persists
@@ -203,7 +205,8 @@ def _solve_records(pairs: list[tuple[int, dict]], claim: Path
     out = []
     tick = time.perf_counter()
     for index, result, *deltas in solve(
-            [(i, AssaySpec.from_dict(payload)) for i, payload in pairs]):
+            [(i, AssaySpec.from_dict(payload)) for i, payload in pairs],
+            store):
         _beat(claim)
         now = time.perf_counter()
         payload = payloads[index]
@@ -214,6 +217,7 @@ def _solve_records(pairs: list[tuple[int, dict]], claim: Path
             job_name=payload.get("name") or f"job{index}",
             result=result, engine=EngineStats(*deltas[:3]))
         object.__setattr__(record, "n_solved_systems", deltas[3])
+        object.__setattr__(record, "n_store_rows", deltas[4])
         out.append((index, record))
         tick = now
     return out
@@ -227,7 +231,8 @@ def _entry(index: int, record: AssayRunRecord, cached: bool) -> dict:
             "engine": (None if engine is None else
                        [engine.n_fused_dwells, engine.n_dwell_groups,
                         engine.n_solve_steps]),
-            "solved": record.n_solved_systems}
+            "solved": record.n_solved_systems,
+            "stored": record.n_store_rows}
 
 
 def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
@@ -242,7 +247,7 @@ def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
             else:
                 entries.append(_entry(index, hit, cached=True))
     _beat(claim)
-    fresh = _solve_records(pending, claim) if pending else []
+    fresh = _solve_records(pending, claim, store) if pending else []
     if fresh:
         with store.batched():
             for _, record in fresh:
@@ -266,7 +271,7 @@ def _run_prefetch(pairs: list[tuple[int, dict]], store: RunStore,
     if not fresh:
         return 0
     try:
-        records = _solve_records(fresh, claim)
+        records = _solve_records(fresh, claim, store)
     except _ClaimLost:
         raise
     except ReproError:
@@ -521,7 +526,8 @@ class _FileQueue:
                     None if engine is None else EngineStats(*engine))))
             else:
                 events.append((unit, "job", entry["index"],
-                               (samples, *engine, entry["solved"])))
+                               (samples, *engine, entry["solved"],
+                                entry["stored"])))
         return events
 
     def kill(self, unit: int) -> None:
@@ -659,7 +665,11 @@ class DistributedExecutor:
             names.append(name)
         return names
 
-    def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
+    def run_fleet(self, spec: FleetSpec,
+                  store=None) -> Iterator[AssayRunRecord]:
+        """Stream ``spec`` through the queue.  ``store`` is accepted for
+        the executor protocol but unused: workers serve and warm engine
+        rows from their own shared store."""
         tasks_dir, claims_dir, _ = _queue_dirs(ensure_queue(self.queue))
         self._seq += 1
         run_id = (f"{JobKey.for_payload(spec.to_dict()).digest[:12]}"

@@ -65,6 +65,7 @@ import os
 import threading
 import time
 from collections.abc import Iterator
+from contextlib import nullcontext
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Protocol, runtime_checkable
@@ -108,7 +109,8 @@ class Executor(Protocol):
     ``run_fleet`` streams one :class:`~repro.api.records.AssayRunRecord`
     per job, in job order; records must be backend-independent bit for
     bit (wall time and engine statistics excepted — they describe the
-    actual execution).
+    actual execution).  A store-backed run also passes its run store as
+    ``store=``, whose engine rows the backend may serve and warm.
     """
 
     def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
@@ -142,23 +144,32 @@ def shard_indices(n_jobs: int, n_shards: int,
     return shards
 
 
-def solve(pairs) -> Iterator[tuple]:
+def solve(pairs, store=None) -> Iterator[tuple]:
     """One fused scheduler pass over ``[(index, AssaySpec), ...]``.
 
-    Yields ``(index, result, d_fused, d_groups, d_steps, d_solved)``
-    per job in order, where the ``d_*`` are the engine statistics each
-    job added to the pass — the core re-accumulates them in merged job
-    order.
+    Yields ``(index, result, d_fused, d_groups, d_steps, d_solved,
+    d_stored)`` per job in order, where the ``d_*`` are the engine
+    statistics each job added to the pass — the core re-accumulates
+    them in merged job order.  With a ``store`` (a
+    :class:`~repro.api.store.RunStore`) the pass serves known engine
+    rows from it and writes the rows it solves back, one index save
+    for the whole pass; ``d_stored`` counts the rows served.  The
+    inline transport passes the runner's store, a process slot the
+    same store re-opened in the slot, and a distributed worker its own
+    shared store.
     """
     from repro.engine.scheduler import AssayScheduler
 
-    prev = (0, 0, 0, 0)
+    prev = (0, 0, 0, 0, 0)
     jobs = [assay.build_job() for _, assay in pairs]
-    for (index, _), item in zip(pairs, AssayScheduler().run_iter(jobs)):
-        now = (item.n_fused_dwells, item.n_dwell_groups, item.n_solve_steps,
-               item.n_solved_systems)
-        yield (index, item.result, *(a - b for a, b in zip(now, prev)))
-        prev = now
+    with store.batched() if store is not None else nullcontext():
+        for (index, _), item in zip(
+                pairs, AssayScheduler(store=store).run_iter(jobs)):
+            now = (item.n_fused_dwells, item.n_dwell_groups,
+                   item.n_solve_steps, item.n_solved_systems,
+                   item.n_store_rows)
+            yield (index, item.result, *(a - b for a, b in zip(now, prev)))
+            prev = now
 
 
 def injected_hang_s(policy: RetryPolicy | None) -> float:
@@ -192,7 +203,8 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     The fleet is cut into ``units`` units (:func:`shard_indices`); the
     re-dispatch ladder may cut more, but at most ``units`` are ever in
     flight.  Transport events are ``(unit, kind, index, value)``:
-    ``"job"`` with ``(result, d_fused, d_groups, d_steps, d_solved)``,
+    ``"job"`` with ``(result, d_fused, d_groups, d_steps, d_solved,
+    d_stored)``,
     ``"cached"`` with ``(result, wall_s, engine)`` for a store hit, or a
     unit failure — ``"crash"``, ``"hang"`` or ``"error"`` with index
     ``None`` and a ``_Failure`` — which charges one attempt to every job
@@ -215,7 +227,7 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     queue = [(0.0, indices) for indices in shard_indices(n_jobs, units, shard)]
     active: dict[int, set[int]] = {}   # unit -> jobs not yet completed
     ready: dict[int, tuple] = {}       # job -> (kind, value), awaiting merge
-    cum = [0, 0, 0, 0]
+    cum = [0, 0, 0, 0, 0]
     next_unit = next_index = 0
     start = time.perf_counter()
 
@@ -294,6 +306,7 @@ def run_units(spec: FleetSpec, transport, *, units: int,
                         **common, wall_time_s=time.perf_counter() - start,
                         result=value[0], engine=EngineStats(*cum[:3]))
                     object.__setattr__(record, "n_solved_systems", cum[3])
+                    object.__setattr__(record, "n_store_rows", cum[4])
                 elif kind == "cached":
                     record = CachedAssayRecord(
                         **common, wall_time_s=value[1], result=value[0],
@@ -326,13 +339,15 @@ class _InThread:
     hung in-thread solve hangs the caller).
     """
 
-    def __init__(self, assays) -> None:
+    def __init__(self, assays, store=None) -> None:
         self.assays = assays
+        self.store = store
         self.stream = None
 
     def submit(self, unit: int, jobs: list, fault, attempt: int) -> None:
         self.unit, self.fault, self.left = unit, fault, len(jobs)
-        self.stream = solve([(i, self.assays[i]) for i, _ in jobs])
+        self.stream = solve([(i, self.assays[i]) for i, _ in jobs],
+                            self.store)
 
     def poll(self, timeout) -> list:
         try:
@@ -378,8 +393,9 @@ class InlineExecutor:
         self.faults = faults if faults is not None \
             else FaultInjector.from_env()
 
-    def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
-        yield from run_units(spec, _InThread(spec.assays), units=1,
+    def run_fleet(self, spec: FleetSpec,
+                  store=None) -> Iterator[AssayRunRecord]:
+        yield from run_units(spec, _InThread(spec.assays, store), units=1,
                              policy=self.retry, on_error=self.on_error,
                              injector=self.faults)
 
@@ -392,14 +408,15 @@ class InlineExecutor:
 
 
 def _run_unit(jobs: list[tuple[int, dict]], fault: str | None,
-              hang_s: float) -> list[tuple]:
+              hang_s: float, store=None) -> list[tuple]:
     """Slot entry point: carry out the unit's fault command, then one
-    fused pass over ``[(index, payload), ...]`` rebuilt from payloads."""
+    fused pass over ``[(index, payload), ...]`` rebuilt from payloads,
+    against ``store`` (the run's store, re-opened in the slot)."""
     from repro.api.specs import AssaySpec
 
     inject(fault, hang_s)
     return list(solve([(i, AssaySpec.from_dict(payload))
-                       for i, payload in jobs]))
+                       for i, payload in jobs], store))
 
 
 def _close_slots(slots: list) -> None:
@@ -414,8 +431,10 @@ class _Slots:
     hang (deadline expiry) or a raising job is attributed to exactly one
     unit, and only a crashed or hung slot is torn down."""
 
-    def __init__(self, slots: list, policy: RetryPolicy | None) -> None:
+    def __init__(self, slots: list, policy: RetryPolicy | None,
+                 store=None) -> None:
         self.slots = slots        # the executor's pools, kept until close()
+        self.store = store        # pickled into each unit: re-opened there
         self.running: dict = {}   # future -> (unit, slot, deadline)
         self.timeout_s = policy.timeout_s if policy is not None else None
         self.hang_s = injected_hang_s(policy)
@@ -427,7 +446,8 @@ class _Slots:
             self.slots.append(None)
         if self.slots[slot] is None:
             self.slots[slot] = ProcessPoolExecutor(max_workers=1)
-        future = self.slots[slot].submit(_run_unit, jobs, fault, self.hang_s)
+        future = self.slots[slot].submit(_run_unit, jobs, fault, self.hang_s,
+                                         self.store)
         deadline = (math.inf if self.timeout_s is None
                     else time.monotonic() + self.timeout_s)
         self.running[future] = (unit, slot, deadline)
@@ -527,13 +547,14 @@ class ProcessExecutor:
                 f"shard={self.shard!r}, retry={self.retry!r}, "
                 f"on_error={self.on_error!r})")
 
-    def run_fleet(self, spec: FleetSpec) -> Iterator[AssayRunRecord]:
+    def run_fleet(self, spec: FleetSpec,
+                  store=None) -> Iterator[AssayRunRecord]:
         owned = self._busy.acquire(blocking=False)
         slots = self._slots if owned else []
         workers = self.workers if self.workers is not None \
             else (os.cpu_count() or 1)
         try:
-            yield from run_units(spec, _Slots(slots, self.retry),
+            yield from run_units(spec, _Slots(slots, self.retry, store),
                                  units=workers, shard=self.shard,
                                  policy=self.retry, on_error=self.on_error,
                                  injector=self.faults)

@@ -198,6 +198,9 @@ class AssayRunRecord(RunRecord):
     #: fresh records, ``None`` elsewhere; an observation only, kept out
     #: of ``engine``, provenance and the store.
     n_solved_systems = None
+    #: Distinct engine rows served from the run store instead of solved,
+    #: stamped and accumulated like ``n_solved_systems``.
+    n_store_rows = None
 
     def _result_dict(self) -> dict:
         summary = self.result.summary_dict()

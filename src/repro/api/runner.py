@@ -46,11 +46,16 @@ granularities:
   re-merged in job order — bit-identical to the uncached stream.  A
   sweep sharing 90 of 100 grid points with an earlier study simulates
   only the 10 new points; a fully warm sweep performs zero engine
-  solves.
+  solves;
+- **engine rows** beneath the jobs — the miss fleet's scheduler pass
+  serves every engine row the store already holds and keeps the rows
+  it solves (:meth:`~repro.api.store.RunStore.get_row`), so a new
+  seed over known chemistry solves nothing.  Its jobs are still fresh
+  records (``cached=False``), persisted per job as usual.
 
 Runs that consulted a store carry a :class:`~repro.api.store.StoreStats`
-delta (job hits/misses/evictions plus the store footprint) in their
-provenance under ``"store"``.
+delta (job and row hits/misses, evictions, plus the store footprint)
+in their provenance under ``"store"``.
 
 Execution is also *supervised* on request: ``retry=`` (a
 :class:`~repro.api.resilience.RetryPolicy`), ``on_error=`` (``"raise"``
@@ -219,7 +224,10 @@ def run(spec, backend=None, store=None, screening=None,
         evictions=after.evictions - before.evictions,
         records=after.records, bytes=after.bytes,
         quarantined=after.quarantined - before.quarantined,
-        lock_waits=after.lock_waits - before.lock_waits))
+        lock_waits=after.lock_waits - before.lock_waits,
+        row_records=after.row_records, row_bytes=after.row_bytes,
+        row_hits=after.row_hits - before.row_hits,
+        row_misses=after.row_misses - before.row_misses))
     return record
 
 
@@ -234,7 +242,7 @@ def _dispatch(spec, backend, store, retry=None, on_error=None,
             fleet = FleetSpec(name=spec.name, assays=(spec,))
             return _run_fleet(fleet, backend, store=store, retry=retry,
                               on_error=on_error, faults=faults).records[0]
-        return _run_assay(spec)
+        return _run_assay(spec, store)
     if isinstance(spec, FleetSpec):
         return _run_fleet(spec, backend, store=store, retry=retry,
                           on_error=on_error, faults=faults)
@@ -305,14 +313,17 @@ def iter_results(spec, backend=None, store=None, screening=None,
 
 
 def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
-             faults=None, sweep=None) -> Iterator[AssayRunRecord]:
+             faults=None, sweep=None, store=None
+             ) -> Iterator[AssayRunRecord]:
     """Stream ``spec`` through the executor ``backend`` resolves to.
 
     A prefetch-capable backend (duck-typed: the distributed executor)
     is handed the sweep the fleet compiled from, since the grid is gone
-    by the time it sees the fleet.  An executor the runner built itself
-    is closed when the stream ends; a caller-supplied instance stays
-    open for the caller's next run.
+    by the time it sees the fleet.  A run ``store`` is passed on as
+    ``run_fleet(spec, store=store)``, so the backend serves engine rows
+    from it.  An executor the runner built itself is closed when the
+    stream ends; a caller-supplied instance stays open for the caller's
+    next run.
     """
     from repro.api.executors import resolve_executor
 
@@ -322,7 +333,8 @@ def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
     if sweep is not None and publish is not None:
         publish(sweep)
     try:
-        yield from executor.run_fleet(spec)
+        yield from (executor.run_fleet(spec) if store is None
+                    else executor.run_fleet(spec, store=store))
     finally:
         close = getattr(executor, "close", None)
         if executor is not backend and close is not None:
@@ -345,7 +357,7 @@ def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
     plan = JobPlan.plan(spec, store)
     miss = plan.miss_fleet()
     fresh = iter(()) if miss is None else _execute(
-        miss, backend, retry, on_error, faults, sweep)
+        miss, backend, retry, on_error, faults, sweep, store)
     prev_engine = None
     prev_wall = 0.0
     try:
@@ -400,21 +412,21 @@ def _per_job_snapshot(record: AssayRunRecord, prev_engine, prev_wall: float
         wall_time_s=record.wall_time_s - prev_wall)
 
 
-def _run_assay(spec: AssaySpec) -> AssayRunRecord:
-    from repro.engine.scheduler import AssayScheduler
+def _run_assay(spec: AssaySpec, store=None) -> AssayRunRecord:
+    from repro.api.executors import solve
 
     payload = spec.to_dict()
     start = time.perf_counter()
-    job = spec.build_job()
     if spec.protocol.batch_electrodes:
-        # A single-job fleet: same fused solve as PanelProtocol.run's
-        # batched path (pinned bit-identical), plus engine statistics.
-        item = next(AssayScheduler().run_iter([job]))
-        result = item.result
-        engine = EngineStats(n_fused_dwells=item.n_fused_dwells,
-                             n_dwell_groups=item.n_dwell_groups,
-                             n_solve_steps=item.n_solve_steps)
+        # A single-job fleet pass: the same fused solve as
+        # PanelProtocol.run's batched path (pinned bit-identical), plus
+        # engine statistics; a run store serves and keeps its rows.
+        stream = solve([(0, spec)], store)
+        _, result, *deltas = next(stream)
+        stream.close()
+        engine = EngineStats(*deltas[:3])
     else:
+        job = spec.build_job()
         result = job.protocol.run(job.cell, job.chain, rng=job.rng)
         engine = None
     return AssayRunRecord(

@@ -26,6 +26,31 @@ injection schedules and all — two specs collide only when they would
 execute identically, and a spec edited in any meaningful way misses
 cleanly.
 
+Engine rows
+===========
+
+Beneath the jobs sits the chemistry layer.  A fused batch's engine row
+follows a trajectory fixed by its exact key bytes (see
+:mod:`repro.engine.scheduler`), and an acquisition seed never enters
+it, so a store-backed run keeps each solved row as a **row record**
+(:meth:`put_row`) and serves it to any later run that meets the same
+key (:meth:`get_row`): a fresh seed over known chemistry solves
+nothing.  A row record holds the row's flux history over one engine
+segment and its end state, plus the full key bytes; it is addressed by
+the sha256 of those bytes (:func:`row_address`), and a lookup compares
+the stored bytes with the asked-for key, so a hash collision is a miss,
+never an alias.  Row records share the job records' sealing,
+quarantine and LRU clock.  The rule for the two kinds:
+
+- ``len(store)``, :meth:`hashes`, :meth:`records`, ``max_count`` and
+  the ``records``/``bytes`` statistics count job (and whole-run)
+  records only; ``row_records``/``row_bytes`` and the lifetime
+  ``row_hits``/``row_misses`` describe the rows.
+- ``max_bytes`` bounds the bytes of both kinds, evicting the least
+  recently used record of either kind first; ``max_count`` never
+  evicts a row.
+- :meth:`clear` removes both kinds.
+
 Storage drivers
 ===============
 
@@ -106,6 +131,7 @@ stamps into record provenance.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -115,6 +141,8 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from repro.api.jobs import JobKey
 from repro.api.records import (
@@ -139,7 +167,25 @@ _LOCK_STALE_S = 30.0  # a lockfile older than this belongs to a dead writer
 
 #: Lifetime counters persisted in (and max-merged across) ``index.json``.
 _INDEX_COUNTERS = ("clock", "hits", "misses", "evictions",
-                   "quarantined", "lock_waits")
+                   "quarantined", "lock_waits", "row_hits", "row_misses")
+
+#: The index kind of row records; every other kind is a job record.
+_ROW = "row"
+#: Leads every row key blob, so row and job addresses hash disjoint
+#: preimages.
+_ROW_TAG = b"repro-row 1\n"
+
+
+def _row_blob(key: tuple[bytes, ...]) -> bytes:
+    """A row key's exact bytes: each part length-prefixed, so no two
+    keys share a blob."""
+    return _ROW_TAG + b"".join(len(part).to_bytes(8, "little") + part
+                               for part in key)
+
+
+def row_address(blob: bytes) -> str:
+    """The record key a row key blob is stored under."""
+    return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -153,6 +199,9 @@ class StoreStats:
     footprint.  ``lock_waits`` counts contended index-lock
     acquisitions — how often this store met another writer on the
     shared index, the observable for index churn under a worker fleet.
+    ``records``/``bytes``/``hits``/``misses`` describe job (and
+    whole-run) records; ``row_records``/``row_bytes``/``row_hits``/
+    ``row_misses`` the engine row records beneath them.
     """
 
     hits: int = 0
@@ -162,6 +211,10 @@ class StoreStats:
     bytes: int = 0
     quarantined: int = 0
     lock_waits: int = 0
+    row_records: int = 0
+    row_bytes: int = 0
+    row_hits: int = 0
+    row_misses: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -173,7 +226,10 @@ class StoreStats:
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "records": self.records,
                 "bytes": self.bytes, "quarantined": self.quarantined,
-                "lock_waits": self.lock_waits}
+                "lock_waits": self.lock_waits,
+                "row_records": self.row_records,
+                "row_bytes": self.row_bytes, "row_hits": self.row_hits,
+                "row_misses": self.row_misses}
 
 
 class StorageDriver:
@@ -383,9 +439,16 @@ class LocalDirDriver(StorageDriver):
 class RunStore:
     """A directory of run records, content-addressed by spec hash.
 
+    Job and whole-run records are keyed by spec hash; beneath them,
+    engine row records (:meth:`get_row` / :meth:`put_row`) are keyed by
+    the sha256 of a row's exact key bytes and let a scheduler pass skip
+    every row the store has solved before (module docstring).
+
     ``max_count`` / ``max_bytes`` (optional) cap the store: after every
     write the least-recently-used records are evicted until both limits
-    hold.  Limits may also be applied one-off through :meth:`gc`.
+    hold — ``max_count`` over job records, ``max_bytes`` over the bytes
+    of both kinds.  Limits may also be applied one-off through
+    :meth:`gc`.
 
     ``driver`` (optional) swaps the persistence substrate — any
     :class:`StorageDriver`; the default is a :class:`LocalDirDriver`
@@ -397,6 +460,10 @@ class RunStore:
     ``store_corrupt`` fault rules: matched writes land on disk
     deliberately truncated, exercising the verify-on-read + quarantine
     path end to end.  Production stores simply leave it unset.
+
+    A store pickles as its configuration (root, limits, faults, driver)
+    and unpickles as a fresh handle on the same records, which is how a
+    process slot opens the run's store.
     """
 
     def __init__(self, root: str | Path, max_count: int | None = None,
@@ -428,6 +495,10 @@ class RunStore:
 
     def __repr__(self) -> str:
         return f"RunStore({str(self.root)!r})"
+
+    def __reduce__(self):
+        return (RunStore, (self.root, self.max_count, self.max_bytes,
+                           self.faults, self.driver))
 
     # -- keys and paths ----------------------------------------------------------
 
@@ -463,16 +534,19 @@ class RunStore:
         return sum(1 for _ in self.hashes())
 
     def hashes(self) -> Iterator[str]:
-        """Every stored spec hash, sorted for stable listings."""
-        return iter([key for key, _ in self.driver.list()])
+        """Every stored spec hash (row records excluded), sorted for
+        stable listings."""
+        with self._mutex:
+            records = self._sync_index_locked()["records"]
+            return iter(sorted(key for key, entry in records.items()
+                               if entry.get("kind") != _ROW))
 
     # -- the LRU/size index ------------------------------------------------------
 
     @staticmethod
     def _empty_index() -> dict:
-        return {"version": _INDEX_VERSION, "clock": 0,
-                "hits": 0, "misses": 0, "evictions": 0,
-                "quarantined": 0, "lock_waits": 0, "records": {}}
+        return {"version": _INDEX_VERSION, "records": {},
+                **dict.fromkeys(_INDEX_COUNTERS, 0)}
 
     def _load_index_locked(self) -> dict:
         if self._index is not None:
@@ -507,6 +581,8 @@ class RunStore:
     def _peek_kind(self, key: str) -> str:
         try:
             payload = self._decode(self.driver.read_bytes(key) or b"")
+            if payload.get("kind") == _ROW:
+                return _ROW
             return str(payload["provenance"]["kind"])
         except (StoreError, KeyError, TypeError):
             return "?"
@@ -645,28 +721,29 @@ class RunStore:
                                 "kind": self._peek_kind(key)}
         return index
 
-    def _note_lookup(self, key: str | None, hit: bool) -> None:
-        """Count a hit/miss; hits also refresh the record's LRU clock."""
+    def _note_lookup(self, key: str | None, hit: bool,
+                     row: bool = False) -> None:
+        """Count a job (or ``row``) hit/miss; hits also refresh the
+        record's LRU clock."""
+        prefix = "row_" if row else ""
         with self._mutex:
-            self._note_lookup_locked(key, hit)
-
-    def _note_lookup_locked(self, key: str | None, hit: bool) -> None:
-        index = self._load_index_locked()
-        if hit and key is not None:
-            index["hits"] += 1
-            index["clock"] += 1
-            entry = index["records"].get(key)
-            if entry is None:
-                # A record the index has not seen (written by another
-                # process, or a pre-index store): adopt it on access.
-                size = self.driver.size(key)
-                entry = {"bytes": size if size is not None else 0,
-                         "kind": self._peek_kind(key)}
-                index["records"][key] = entry
-            entry["used"] = index["clock"]
-        else:
-            index["misses"] += 1
-        self._save_index_locked()
+            index = self._load_index_locked()
+            if hit and key is not None:
+                index[f"{prefix}hits"] += 1
+                index["clock"] += 1
+                entry = index["records"].get(key)
+                if entry is None:
+                    # A record the index has not seen (written by
+                    # another process, or a pre-index store): adopt it
+                    # on access.
+                    size = self.driver.size(key)
+                    entry = {"bytes": size if size is not None else 0,
+                             "kind": _ROW if row else self._peek_kind(key)}
+                    index["records"][key] = entry
+                entry["used"] = index["clock"]
+            else:
+                index[f"{prefix}misses"] += 1
+            self._save_index_locked()
 
     # -- quarantine --------------------------------------------------------------
 
@@ -845,6 +922,42 @@ class RunStore:
             except StoreError as exc:
                 self._quarantine(key, str(exc))
 
+    def get_row(self, key: tuple[bytes, ...]):
+        """The ``(fluxes, state)`` stored for engine row ``key``, or
+        ``None`` on a miss.
+
+        ``key`` is the row's exact key as a tuple of bytes (see
+        :mod:`repro.engine.scheduler`); ``fluxes`` is its flux history
+        over the keyed segment and ``state`` maps its end-state
+        attribute names to arrays.  A record under the same address
+        whose key bytes differ is a miss; a corrupt or malformed one is
+        quarantined and is a miss too, so the row is solved again.
+        Counts one row hit or miss.
+        """
+        blob = _row_blob(key)
+        address = row_address(blob)
+        payload = self._read_payload(address)
+        hit = None
+        if payload is not None and payload.get("kind") == _ROW:
+            try:
+                stored = payload["key"].tobytes()[:payload["key_bytes"]]
+                if stored == blob:
+                    hit = payload["fluxes"], dict(payload["state"])
+            except (KeyError, TypeError, AttributeError) as exc:
+                self._quarantine(address, f"malformed row record ({exc!r})")
+        self._note_lookup(address if hit else None, hit is not None,
+                          row=True)
+        return hit
+
+    def put_row(self, key: tuple[bytes, ...], fluxes: np.ndarray,
+                state: dict) -> None:
+        """Persist one solved engine row under its key (:meth:`get_row`)."""
+        blob = _row_blob(key)
+        padded = blob + bytes(-len(blob) % 8)
+        self._write(row_address(blob), {
+            "kind": _ROW, "key": np.frombuffer(padded, dtype="<f8"),
+            "key_bytes": len(blob), "fluxes": fluxes, "state": state}, _ROW)
+
     # -- writes ------------------------------------------------------------------
 
     def _write(self, key: str, payload: dict, kind: str) -> Path:
@@ -907,15 +1020,18 @@ class RunStore:
 
         Limits default to the store's own ``max_count``/``max_bytes``;
         pass either explicitly for a one-off collection.  Returns
-        ``(n_evicted, bytes_freed)``.  A limit of ``None`` does not
-        constrain that axis; ``gc()`` with no limits anywhere is a no-op.
+        ``(n_evicted, bytes_freed)``, row records included.  A limit of
+        ``None`` does not constrain that axis; ``gc()`` with no limits
+        anywhere is a no-op.  ``max_count`` counts job records only and
+        ``max_bytes`` the bytes of both kinds (module docstring).
         """
         max_count = self.max_count if max_count is None else max_count
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
         with self._mutex:
             index = self._sync_index_locked()
             records = index["records"]
-            count = len(records)
+            count = sum(1 for entry in records.values()
+                        if entry.get("kind") != _ROW)
             total = sum(entry["bytes"] for entry in records.values())
             evicted = 0
             freed = 0
@@ -926,9 +1042,13 @@ class RunStore:
                     over_bytes = max_bytes is not None and total > max_bytes
                     if not over_count and not over_bytes:
                         break
+                    row = entry.get("kind") == _ROW
+                    if row and not over_bytes:
+                        continue
                     self.driver.delete(key)
                     del records[key]
-                    count -= 1
+                    if not row:
+                        count -= 1
                     total -= entry["bytes"]
                     freed += entry["bytes"]
                     evicted += 1
@@ -941,25 +1061,30 @@ class RunStore:
         with self._mutex:
             index = self._sync_index_locked()
             self._save_index_locked()
-            records = index["records"]
+            jobs, rows = [], []
+            for entry in index["records"].values():
+                (rows if entry.get("kind") == _ROW else jobs).append(
+                    entry["bytes"])
             return StoreStats(
                 hits=index["hits"], misses=index["misses"],
-                evictions=index["evictions"], records=len(records),
-                bytes=sum(entry["bytes"] for entry in records.values()),
-                quarantined=index["quarantined"],
-                lock_waits=index["lock_waits"])
+                evictions=index["evictions"], records=len(jobs),
+                bytes=sum(jobs), quarantined=index["quarantined"],
+                lock_waits=index["lock_waits"], row_records=len(rows),
+                row_bytes=sum(rows), row_hits=index["row_hits"],
+                row_misses=index["row_misses"])
 
     def clear(self) -> int:
-        """Delete every stored record; returns how many were removed.
+        """Delete every stored record, row records included; returns
+        how many job records were removed.
 
         Lifetime hit/miss/eviction counters survive a clear (they
         describe the store's history, not its contents).
         """
         with self._mutex:
             removed = 0
-            for key in list(self.hashes()):
+            for key, entry in self._sync_index_locked()["records"].items():
                 self.driver.delete(key)
-                removed += 1
+                removed += entry.get("kind") != _ROW
             if removed or self.driver.read_index() is not None:
                 index = self._load_index_locked()
                 index["records"] = {}

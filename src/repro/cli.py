@@ -517,8 +517,10 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
                 print(f"  {'hit ' if rec.cached else 'done'} "
                       f"{rec.job_name}: {recovered}/{n_targets} "
                       f"targets, assay {rec.result.assay_time:.0f} s")
+            stored = max(rec.n_store_rows or 0 for rec in record.records)
             mode = (f"{backend_name} backend, stored "
-                    f"({n_hits}/{len(record.records)} jobs from store)")
+                    f"({n_hits}/{len(record.records)} jobs from store, "
+                    f"{stored} rows from store)")
     elif sequential:
         for assay in spec.assays:
             report(api.run(assay))
@@ -526,6 +528,7 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
     else:
         stats = None
         solved = None
+        stored = None
         resilience = None
         for record in api.iter_results(spec, backend=backend,
                                        retry=retry, on_error=on_error):
@@ -533,10 +536,12 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
             n_failed += 1 if record.failed else 0
             stats = record.engine if record.engine is not None else stats
             solved = getattr(record, "n_solved_systems", None) or solved
+            stored = getattr(record, "n_store_rows", None) or stored
             resilience = (getattr(record, "resilience", None)
                           or resilience)
         _print_resilience(resilience)
-        rows = (f", {solved} distinct engine rows solved"
+        rows = (f", {solved} distinct engine rows solved, "
+                f"{stored or 0} rows from store"
                 if solved is not None else "")
         mode = (f"{backend_name} backend "
                 f"({stats.n_fused_dwells} dwell systems in "
@@ -769,6 +774,11 @@ def _cmd_cache_stats(store, as_json: bool) -> int:
     print(f"quarantined: {stats.quarantined}")
     print(f"lock waits: {stats.lock_waits}")
     print(f"hit rate  : {100.0 * stats.hit_rate:.1f}%")
+    print(f"row records: {stats.row_records}")
+    print(f"row bytes : {stats.row_bytes} "
+          f"({_human_bytes(stats.row_bytes)})")
+    print(f"row hits  : {stats.row_hits}")
+    print(f"row misses: {stats.row_misses}")
     return 0
 
 

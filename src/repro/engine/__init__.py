@@ -48,6 +48,10 @@ the engine restructures it in five layers:
    equal are solved once and their fluxes fanned back out
    (:func:`~repro.engine.tridiag.first_occurrences`), so technical
    replicates in a fused fleet cost one row per distinct chemistry.
+   The same keys address a cache layer in the run store: a
+   store-backed scheduler pass serves every row the store already
+   holds and steps only the rest, so a new seed over known chemistry
+   solves nothing (:mod:`repro.engine.scheduler`).
 
 4. **Cross-electrode dwell fusion** (:mod:`repro.engine.scheduler`).
    A panel's chronoamperometric dwells — one mechanism set per working

@@ -56,13 +56,28 @@ group every row gets a key of exactly the values its step reads — the
 redox key (:func:`~repro.engine.redox.channel_key` plus the sweep's
 potential program and record length) lives in :class:`SweepBatch`, the
 mechanism key (:func:`~repro.engine.mechanisms.mechanism_key`) in
-:class:`~repro.engine.mechanisms.MechanismBatch` — and the engine solves
-one representative per key, fanning its flux history back out through
-an inverse index.  Keys are exact bytes, so rows merge only when their
-trajectories are bit-identical: an 8-seed x 2-loading paper-panel sweep
-solves 3 distinct CV channels instead of 48, and every result is
-unchanged.  ``n_solved_systems`` on the batches, :class:`FleetItem` and
-:class:`FleetResult` reports the rows actually solved.
+:class:`DwellBatch` — and the engine solves one representative per key,
+fanning its flux history back out through an inverse index.  Keys are
+exact bytes, so rows merge only when their trajectories are
+bit-identical: an 8-seed x 2-loading paper-panel sweep solves 3
+distinct CV channels instead of 48, and every result is unchanged.
+
+The same keys make true currents a cache layer of their own.  A
+scheduler given a run store (``AssayScheduler(store=...)``, which
+:func:`repro.api.executors.solve` passes on) looks every distinct row
+up before it builds an engine.  One cached unit is one distinct row
+over one engine *segment* — the steps between two engine builds (an
+injection for dwells, a record end for sweeps) — keyed by the row's
+key at the segment start, the segment's potential program (sweeps) and
+its step count.  A hit hands the row its stored flux history and end
+state (``field``, or ``c_ox``/``c_red``), exactly what stepping it
+would have left; only the misses are stacked into the engine, and each
+newly solved row is written back.  A new seed over known chemistry
+therefore solves nothing.  Without a store there are no lookups.
+``n_solved_systems`` on the batches, :class:`FleetItem` and
+:class:`FleetResult` reports the rows actually solved and
+``n_store_rows`` the rows served from the store (per batch, the most of
+any segment).
 """
 
 from __future__ import annotations
@@ -74,6 +89,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.engine.mechanisms import mechanism_key
 from repro.engine.redox import channel_key
 from repro.engine.simulation import SimulationEngine
 from repro.engine.tridiag import first_occurrences
@@ -90,6 +106,52 @@ __all__ = ["DwellBatch", "SweepBatch", "AssayJob", "FleetItem",
 _NO_FLUXES = np.empty(0)
 
 
+def _solve_rows(rows, steps: int, build, state: tuple[str, ...], store,
+                keys=None, program=None) -> tuple[np.ndarray, int, int]:
+    """Advance distinct engine rows one segment, serving what ``store`` has.
+
+    ``rows`` holds one representative object per distinct row (redox
+    channels or surface mechanisms); ``build`` makes an engine over a
+    list of them, ``state`` names a row's end-state attributes and
+    ``program`` is an optional ``(steps, len(rows))`` potential program.
+    With a ``store``, row ``i`` is first looked up under ``keys[i]``
+    plus the step count: a hit sets the row's end state from the
+    record, and only the misses are stacked into one engine, stepped,
+    drained back and written to the store.  Returns ``(fluxes,
+    n_solved, n_stored)``, ``fluxes`` of shape ``(len(rows), steps)``.
+    """
+    fluxes = np.empty((len(rows), steps))
+    missed = []
+    steps_key = steps.to_bytes(8, "little")
+    for i, row in enumerate(rows):
+        hit = (store.get_row((*keys[i], steps_key)) if store is not None
+               else None)
+        if hit is None:
+            missed.append(i)
+            continue
+        fluxes[i], end = hit
+        for name in state:
+            setattr(row, name, end[name].copy())
+    if missed:
+        engine = build([rows[i] for i in missed])
+        solved = np.empty((steps, len(missed)))
+        if program is None:
+            for k in range(steps):
+                solved[k] = engine.step()
+        else:
+            drive = program[:, missed]
+            for k in range(steps):
+                solved[k] = engine.step(drive[k])
+        engine.sync_back()
+        fluxes[missed] = solved.T
+        if store is not None:
+            for i in missed:
+                store.put_row((*keys[i], steps_key), fluxes[i],
+                              {name: getattr(rows[i], name)
+                               for name in state})
+    return fluxes, len(missed), len(rows) - len(missed)
+
+
 class DwellBatch:
     """Advance many chronoamperometric dwells through one fused engine.
 
@@ -98,14 +160,17 @@ class DwellBatch:
     dwells:
         Dwell objects (duck-typed, e.g. :class:`~repro.measurement.
         chronoamperometry.ChronoDwell`); their mechanisms are stacked in
-        dwell order into one :class:`~repro.engine.mechanisms.
-        MechanismBatch`.
+        dwell order, keyed by :func:`~repro.engine.mechanisms.
+        mechanism_key`, and one representative per key is solved.
     times:
         The shared uniform sample times, seconds; every dwell must have
         been built for this time step.
+    store:
+        Optional run store serving and keeping solved rows (module
+        docstring); ``None`` solves every distinct row.
     """
 
-    def __init__(self, dwells, times: np.ndarray) -> None:
+    def __init__(self, dwells, times: np.ndarray, store=None) -> None:
         self.dwells = tuple(dwells)
         if not self.dwells:
             raise SimulationError("a dwell batch needs at least one dwell")
@@ -120,6 +185,7 @@ class DwellBatch:
                     f"for dt={dwell.dt!r} but the batch time axis is "
                     f"spaced {spacing!r}")
         self.times = times
+        self.store = store
         # Injection checks are per step; only dwells that actually carry
         # a schedule need scanning.
         self._scheduled = tuple(d for d in self.dwells
@@ -127,9 +193,11 @@ class DwellBatch:
         #: Fused engine steps actually solved; set by :meth:`simulate`.
         self.n_solve_steps = 0
         #: Distinct mechanism rows solved per step, the most of any
-        #: engine between injections (<= batch_size, which counts
+        #: segment between injections (<= batch_size, which counts
         #: replicate rows); set by :meth:`simulate`.
         self.n_solved_systems = 0
+        #: Distinct rows served from the store, the most of any segment.
+        self.n_store_rows = 0
 
     @property
     def n_dwells(self) -> int:
@@ -139,18 +207,6 @@ class DwellBatch:
     def batch_size(self) -> int:
         """Diffusion systems fused per solve (sum over dwells)."""
         return sum(len(d.mechanisms) for d in self.dwells)
-
-    def _build_engine(self):
-        """One engine over every dwell's mechanisms, plus per-dwell spans."""
-        mechanisms: list = []
-        spans: list[tuple[int, int]] = []
-        for dwell in self.dwells:
-            start = len(mechanisms)
-            mechanisms.extend(dwell.mechanisms.values())
-            spans.append((start, len(mechanisms)))
-        engine = (SimulationEngine.for_mechanisms(mechanisms)
-                  if mechanisms else None)
-        return engine, spans
 
     def _compile_injection_program(self, n: int) -> dict:
         """Map step index -> [(dwell, events)] for every scheduled event.
@@ -172,10 +228,40 @@ class DwellBatch:
             t_prev = t_now
         return program
 
+    def _advance(self, steps: int):
+        """Solve one injection-free segment of every dwell's mechanisms.
+
+        Returns the ``(batch_size, steps)`` flux history (``None`` when
+        no dwell has a mechanism) and the per-dwell row spans; every
+        mechanism is left holding its own copy of its end profile.
+        """
+        mechanisms: list = []
+        spans: list[tuple[int, int]] = []
+        for dwell in self.dwells:
+            start = len(mechanisms)
+            mechanisms.extend(dwell.mechanisms.values())
+            spans.append((start, len(mechanisms)))
+        if not mechanisms:
+            return None, spans
+        keys = [mechanism_key(mech) for mech in mechanisms]
+        unique, inverse = first_occurrences(keys)
+        rows = [mechanisms[j] for j in unique]
+        fluxes, solved, stored = _solve_rows(
+            rows, steps, SimulationEngine.for_mechanisms, ("field",),
+            self.store, keys=[keys[j] for j in unique])
+        for mech, slot in zip(mechanisms, inverse):
+            if mech is not rows[slot]:
+                mech.field = rows[slot].field.copy()
+        if solved:
+            self.n_solve_steps += steps
+        self.n_solved_systems = max(self.n_solved_systems, solved)
+        self.n_store_rows = max(self.n_store_rows, stored)
+        return fluxes[inverse], spans
+
     def _flush_segment(self, currents: np.ndarray,
-                       flux_hist: np.ndarray | None, spans,
+                       fluxes: np.ndarray | None, spans,
                        lo: int, hi: int) -> None:
-        """Assemble currents for steps [lo, hi) from the flux history.
+        """Assemble currents for steps [lo, hi) from the segment's fluxes.
 
         Within an injection-free segment each dwell's mechanism set is
         fixed, so ``static + sum(coef * flux)`` vectorises over the
@@ -184,23 +270,21 @@ class DwellBatch:
         keeps the assembled rows bit-identical to the per-step scalar
         sum (no reductions that would reassociate the terms).
         """
-        if hi <= lo:
-            return
         for i, dwell in enumerate(self.dwells):
             start, stop = spans[i]
             row = currents[i]
             coefficients = getattr(dwell, "current_coefficients", None)
-            if coefficients is None or flux_hist is None:
+            if coefficients is None or fluxes is None:
                 # Duck-typed dwells without the compiled form keep the
                 # per-sample reference path.
                 for k in range(lo, hi):
-                    fluxes = (flux_hist[start:stop, k]
-                              if flux_hist is not None else _NO_FLUXES)
-                    row[k] = dwell.current_from_fluxes(fluxes)
+                    row[k] = dwell.current_from_fluxes(
+                        fluxes[start:stop, k - lo] if fluxes is not None
+                        else _NO_FLUXES)
                 continue
             row[lo:hi] = dwell.static
             for p, coef in enumerate(coefficients()):
-                row[lo:hi] += coef * flux_hist[start + p, lo:hi]
+                row[lo:hi] += coef * fluxes[start + p]
 
     def simulate(self) -> np.ndarray:
         """Integrate every dwell; return (n_dwells, n_samples) currents.
@@ -209,46 +293,25 @@ class DwellBatch:
         exact array its standalone
         :meth:`~repro.measurement.chronoamperometry.Chronoamperometry.
         simulate_true_current` loop would produce.  The schedule is
-        compiled before stepping: injection windows are resolved into a
-        step-indexed program, the engine's fluxes are recorded into one
-        history matrix, and currents assemble per injection-free
-        segment as vectorised ``static + coef * flux`` rows.
+        compiled before stepping: injection windows split the record
+        into segments, each segment's distinct rows are solved (or
+        served from the store) in one go, and currents assemble per
+        segment as vectorised ``static + coef * flux`` rows.  Injections
+        mutate the mechanism objects between segments, which always
+        hold their end-of-segment profiles by then.
         """
         n = self.times.size
         currents = np.empty((self.n_dwells, n))
         for i, dwell in enumerate(self.dwells):
             currents[i, 0] = dwell.initial_current()
         program = self._compile_injection_program(n)
-        engine, spans = self._build_engine()
-        flux_hist = (np.empty((engine.batch_size, n))
-                     if engine is not None else None)
-        seg_start = 1
-        steps = 0
-        solved = engine.stepper.n_solved_systems if engine is not None else 0
-        for k in range(1, n):
-            pending = program.get(k)
-            if pending:
-                # Injections mutate mechanism objects: flush the closed
-                # segment, drain the batched state back, refresh the
-                # affected dwells, rebuild.
-                self._flush_segment(currents, flux_hist, spans,
-                                    seg_start, k)
-                if engine is not None:
-                    engine.sync_back()
-                for dwell, events in pending:
-                    dwell.apply_injection_events(events)
-                engine, spans = self._build_engine()
-                flux_hist = (np.empty((engine.batch_size, n))
-                             if engine is not None else None)
-                if engine is not None:
-                    solved = max(solved, engine.stepper.n_solved_systems)
-                seg_start = k
-            if engine is not None:
-                flux_hist[:, k] = engine.step()
-                steps += 1
-        self._flush_segment(currents, flux_hist, spans, seg_start, n)
-        self.n_solve_steps = steps
-        self.n_solved_systems = solved
+        self.n_solve_steps = self.n_solved_systems = self.n_store_rows = 0
+        bounds = sorted({1, n, *program})
+        for lo, hi in zip(bounds, bounds[1:]):
+            for dwell, events in program.get(lo, ()):
+                dwell.apply_injection_events(events)
+            fluxes, spans = self._advance(hi - lo)
+            self._flush_segment(currents, fluxes, spans, lo, hi)
         return currents
 
 
@@ -279,7 +342,9 @@ class SweepBatch:
     record ends: the engine drains its state back onto the channel
     objects (``sync_back``, each duplicate getting its own copy of its
     row's profile) and is rebuilt over the rows still live, so no step
-    is spent past a record's end.  Because the batched solver's
+    is spent past a record's end.  With a ``store``, each segment's
+    distinct rows are looked up first and only the misses are stepped
+    (module docstring).  Because the batched solver's
     per-system arithmetic is element-for-element independent of how
     many rows are stacked (and of the zero padding up to the widest
     grid), each sweep's assembled current row is bit-identical to its
@@ -288,7 +353,7 @@ class SweepBatch:
     length.
     """
 
-    def __init__(self, sweeps) -> None:
+    def __init__(self, sweeps, store=None) -> None:
         self.sweeps = tuple(sweeps)
         if not self.sweeps:
             raise SimulationError("a sweep batch needs at least one sweep")
@@ -303,6 +368,7 @@ class SweepBatch:
                     f"sweep {getattr(sweep, 'we_name', '?')!r}'s time "
                     f"axis is not a prefix of the batch's longest axis")
         self.times = times
+        self.store = store
         self._lengths = [axis.size for axis in axes]
         self._potentials = [np.asarray(sweep.potentials, dtype=float)
                             for sweep in self.sweeps]
@@ -322,6 +388,11 @@ class SweepBatch:
         self._row_sweep = [owner[j] for j in self._unique]
         #: Fused engine steps actually solved; set by :meth:`simulate`.
         self.n_solve_steps = 0
+        #: Distinct channel rows solved (<= batch_size), the most of any
+        #: segment; set by :meth:`simulate`.
+        self.n_solved_systems = 0
+        #: Distinct rows served from the store, the most of any segment.
+        self.n_store_rows = 0
 
     @property
     def n_sweeps(self) -> int:
@@ -332,14 +403,9 @@ class SweepBatch:
         """Redox channels fused per solve (sum over sweeps)."""
         return len(self._channels)
 
-    @property
-    def n_solved_systems(self) -> int:
-        """Distinct channel rows actually solved (<= batch_size)."""
-        return len(self._unique)
-
-    def _sync_back(self, engine, rows: list[int]) -> None:
-        """Drain ``engine`` (over ``rows``) onto every channel it serves."""
-        engine.sync_back()
+    def _fan_out(self, rows: list[int]) -> None:
+        """Give every duplicate of ``rows`` its own copy of the row's
+        end state."""
         live = set(rows)
         for j, r in enumerate(self._inverse):
             source = self._channels[self._unique[r]]
@@ -354,34 +420,38 @@ class SweepBatch:
         record length — the exact array its standalone
         :meth:`~repro.measurement.voltammetry.CyclicVoltammetry.
         simulate_true_current` loop would produce.  The steps run in
-        segments between record ends; each segment steps one engine
-        over the distinct rows of the sweeps still recording.
+        segments between record ends; each segment solves (or serves
+        from the store) the distinct rows of the sweeps still recording,
+        and leaves every channel holding its end-of-segment profiles.
         """
         solved = np.empty((len(self._unique), self.times.size))
         ends = sorted({self._lengths[i] for i in self._row_sweep})
-        engine = None
-        rows: list[int] = []
+        self.n_solve_steps = self.n_solved_systems = self.n_store_rows = 0
         start = 0
         for end in ends:
-            if engine is not None:
-                self._sync_back(engine, rows)
             rows = [r for r, i in enumerate(self._row_sweep)
                     if self._lengths[i] >= end]
-            engine = SimulationEngine.for_redox_channels(
-                [self._channels[self._unique[r]] for r in rows])
+            channels = [self._channels[self._unique[r]] for r in rows]
             # The segment's compiled potential program: column c drives
-            # engine row c with its own sweep's potential, and each step
-            # reads one contiguous row.
+            # row c with its own sweep's potential, and each step reads
+            # one contiguous row.
             program = np.empty((end - start, len(rows)))
             for c, r in enumerate(rows):
                 program[:, c] = self._potentials[self._row_sweep[r]][
                     start:end]
-            segment = np.empty((end - start, len(rows)))
-            for k in range(end - start):
-                segment[k] = engine.step(program[k])
-            solved[rows, start:end] = segment.T
+            keys = None if self.store is None else [
+                (*channel_key(ch), program[:, c].tobytes())
+                for c, ch in enumerate(channels)]
+            fluxes, n_solved, n_stored = _solve_rows(
+                channels, end - start, SimulationEngine.for_redox_channels,
+                ("c_ox", "c_red"), self.store, keys=keys, program=program)
+            solved[rows, start:end] = fluxes
+            self._fan_out(rows)
+            if n_solved:
+                self.n_solve_steps += end - start
+            self.n_solved_systems = max(self.n_solved_systems, n_solved)
+            self.n_store_rows = max(self.n_store_rows, n_stored)
             start = end
-        self.n_solve_steps = start
         flux_hist = solved[self._inverse]
         return [sweep.row_from_fluxes(flux_hist[lo:hi, :length])
                 for sweep, length, (lo, hi)
@@ -421,7 +491,8 @@ class FleetItem:
     ``n_solved_systems`` sums, over the same groups, the distinct rows
     each group's engine solved per step (dwell mechanisms plus CV
     channels); replicate rows collapse into one, so on a CA-only fleet
-    it is at most ``n_fused_dwells``.
+    it is at most ``n_fused_dwells``.  ``n_store_rows`` sums the rows
+    the same groups served from the scheduler's run store instead.
     """
 
     index: int
@@ -434,6 +505,7 @@ class FleetItem:
     n_fused_sweeps: int = 0
     n_sweep_groups: int = 0
     n_solved_systems: int = 0
+    n_store_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -448,6 +520,7 @@ class FleetResult:
     n_fused_sweeps: int = 0
     n_sweep_groups: int = 0
     n_solved_systems: int = 0
+    n_store_rows: int = 0
 
     def __len__(self) -> int:
         return len(self.results)
@@ -497,10 +570,17 @@ class AssayScheduler:
     its original electrode order so every
     :class:`~repro.measurement.panel.PanelResult` is bit-identical to a
     sequential per-cell run.
+
+    ``store`` (optional, a :class:`~repro.api.store.RunStore` or
+    anything with its ``get_row``/``put_row`` pair) makes the fused
+    batches serve known engine rows from it and keep the rows they
+    solve (module docstring); results are identical either way.
     """
 
-    def __init__(self, protocol: "PanelProtocol | None" = None) -> None:
+    def __init__(self, protocol: "PanelProtocol | None" = None,
+                 store=None) -> None:
         self.protocol = protocol
+        self.store = store
 
     def _default_protocol(self) -> "PanelProtocol":
         from repro.measurement.panel import PanelProtocol
@@ -592,6 +672,7 @@ class AssayScheduler:
         n_fused_sweeps = 0
         n_sweep_groups = 0
         n_solved = 0
+        n_stored = 0
         try:
             for index, plan in enumerate(plans):
                 for key in plan_keys[index]:
@@ -602,23 +683,27 @@ class AssayScheduler:
                     if key[0] == "ca":
                         times = uniform_sample_times(key[1], key[2])
                         batch = DwellBatch(
-                            [dwell for _, dwell in members], times)
+                            [dwell for _, dwell in members], times,
+                            store=self.store)
                         n_fused += batch.batch_size
                         n_ca_groups += 1
                         rows = batch.simulate()
                         n_steps += batch.n_solve_steps
                         n_solved += batch.n_solved_systems
+                        n_stored += batch.n_store_rows
                         for i, (member, dwell) in enumerate(members):
                             member.rows[dwell.we_name] = (dwell, times,
                                                           rows[i])
                     else:
-                        batch = SweepBatch([sweep for _, sweep in members])
+                        batch = SweepBatch([sweep for _, sweep in members],
+                                           store=self.store)
                         n_fused_sweeps += batch.n_sweeps
                         n_sweep_groups += 1
                         times = batch.times
                         rows = batch.simulate()
                         n_steps += batch.n_solve_steps
                         n_solved += batch.n_solved_systems
+                        n_stored += batch.n_store_rows
                         for i, (member, sweep) in enumerate(members):
                             member.cv_rows[sweep.we_name] = (sweep, rows[i])
                     self._digitize_group(times, members, rows)
@@ -638,7 +723,8 @@ class AssayScheduler:
                                 n_solve_steps=n_steps,
                                 n_fused_sweeps=n_fused_sweeps,
                                 n_sweep_groups=n_sweep_groups,
-                                n_solved_systems=n_solved)
+                                n_solved_systems=n_solved,
+                                n_store_rows=n_stored)
         finally:
             # A consumer may abandon the stream mid-fleet (close() or a
             # partial iteration — see repro.api.iter_results).  Drop all
@@ -735,6 +821,7 @@ class AssayScheduler:
         n_fused_sweeps = 0
         n_sweep_groups = 0
         n_solved = 0
+        n_stored = 0
         for item in self.run_iter(jobs):
             results.append(item.result)
             names.append(item.name)
@@ -744,10 +831,12 @@ class AssayScheduler:
             n_fused_sweeps = item.n_fused_sweeps
             n_sweep_groups = item.n_sweep_groups
             n_solved = item.n_solved_systems
+            n_stored = item.n_store_rows
         return FleetResult(results=tuple(results), names=tuple(names),
                            n_fused_dwells=n_fused,
                            n_dwell_groups=n_groups,
                            n_solve_steps=n_steps,
                            n_fused_sweeps=n_fused_sweeps,
                            n_sweep_groups=n_sweep_groups,
-                           n_solved_systems=n_solved)
+                           n_solved_systems=n_solved,
+                           n_store_rows=n_stored)

@@ -56,16 +56,20 @@ _TERMINAL = ("done", "failed", "cancelled")
 _CLOSE_GRACE_S = 2.0
 
 
-def record_to_wire(record, samples: bool = True) -> dict:
+def record_to_wire(record, samples: bool = True,
+                   arrays: bool = False) -> dict:
     """A record's NDJSON wire payload: ``to_dict()`` plus, for live
     assay results, the lossless ``samples`` section — the same recipe
     :meth:`~repro.api.store.RunStore.put_job` persists, so a streamed
     record carries everything needed to rebuild the result bit for
-    bit."""
+    bit.  ``arrays=True`` keeps the sample arrays as ``numpy`` arrays
+    (a quarter of the memory of float lists) for an encoder that lists
+    them as it writes, as the server's does."""
     wire = record.to_dict()
     if (samples and isinstance(record, AssayRunRecord)
             and record.result is not None):
-        wire["samples"] = panel_result_to_payload(record.result)
+        wire["samples"] = panel_result_to_payload(record.result,
+                                                  arrays=arrays)
     return wire
 
 
@@ -299,7 +303,7 @@ class ServiceRuntime:
                             solve_steps = record.engine.n_solve_steps
                         if record.resilience is not None:
                             last_resilience = record.resilience
-                        job.append(record_to_wire(record))
+                        job.append(record_to_wire(record, arrays=True))
                         if job.cancel.is_set():
                             cancelled = True
                             break
@@ -316,7 +320,7 @@ class ServiceRuntime:
                 engine = getattr(record, "engine", None)
                 if engine is not None:
                     solve_steps = engine.n_solve_steps
-                job.append(record_to_wire(record))
+                job.append(record_to_wire(record, arrays=True))
         except ReproError as exc:
             # A cancelled run may end in an error: the shutdown path
             # interrupts a stream by closing its executor.

@@ -45,6 +45,8 @@ import json
 import threading
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as np
+
 from repro.errors import (
     RateLimitError,
     ReproError,
@@ -63,8 +65,18 @@ _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             429: "Too Many Requests", 500: "Internal Server Error"}
 
 
+class _WireEncoder(json.JSONEncoder):
+    """Lists the sample arrays a job keeps (``record_to_wire(...,
+    arrays=True)``) as ``tolist()`` would have stored them."""
+
+    def default(self, value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        return super().default(value)
+
+
 def _encode(payload: dict) -> bytes:
-    return json.dumps(payload).encode()
+    return json.dumps(payload, cls=_WireEncoder).encode()
 
 
 class DiagnosticsServer:

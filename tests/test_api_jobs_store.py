@@ -229,7 +229,14 @@ class TestWarmStoreBitIdentity:
         # The fleet's engine totals describe the live pass only: the
         # miss fleet fused fewer dwells (steps per group are job-count
         # independent, so the dwell count is the discriminating stat).
-        assert got.engine.n_solve_steps > 0
+        # The standalone run warmed every engine row the miss needs (a
+        # new seed over the same chemistry), so the store served them
+        # all and the engine stepped nothing.
+        fresh = got.records[1]
+        assert fresh.n_store_rows > 0 and fresh.n_solved_systems == 0
+        assert got.store_stats.row_hits >= fresh.n_store_rows
+        assert got.store_stats.row_misses == 0
+        assert got.engine.n_solve_steps == 0
         assert 0 < got.engine.n_fused_dwells < ref.engine.n_fused_dwells
 
 

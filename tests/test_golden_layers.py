@@ -18,6 +18,8 @@ The workloads are the paper panel (``repro panel --seed 2011``), a
 replicate mixed CA/CV sweep (4 acquisition seeds x 2 glucose loadings,
 so replicate chemistry repeats) and a calibration ladder (a glucose
 ladder of panel assays plus ``repro calibrate glucose``'s record).
+Each takes an optional run store, which ``tests/test_row_store.py``
+uses to run them over a store holding every engine row already.
 
 Regenerate the file only when a change is meant to move numbers::
 
@@ -39,15 +41,15 @@ GOLDEN = Path(__file__).parent / "data" / "golden_layers.json"
 LAYERS = ("true", "digitised", "readouts")
 
 
-def _panel():
+def _panel(store=None):
     from repro import api
 
     spec = api.AssaySpec(name="fig4-panel", seed=2011,
                          chain=api.ChainSpec(seed=2011))
-    return [api.run(spec).result], []
+    return [api.run(spec, store=store).result], []
 
 
-def _replicate_fleet():
+def _replicate_fleet(store=None):
     from repro import api
 
     base = api.AssaySpec(name="rep", seed=5000,
@@ -56,10 +58,11 @@ def _replicate_fleet():
     sweep = api.SweepSpec(name="replicates", base=base, grid={
         "seed": [5000, 5001, 5002, 5003],
         "cell.concentrations.glucose": [1.0, 2.5]})
-    return [record.result for record in api.iter_results(sweep)], []
+    return [record.result
+            for record in api.iter_results(sweep, store=store)], []
 
 
-def _calibration_ladder():
+def _calibration_ladder(store=None):
     from repro import api
 
     assays = tuple(
@@ -69,9 +72,10 @@ def _calibration_ladder():
                       protocol=api.PanelProtocolSpec(ca_dwell=5.0))
         for k, level in enumerate((0.5, 1.0, 2.0, 4.0, 8.0)))
     fleet = api.FleetSpec(name="ladder", assays=assays)
-    results = [record.result for record in api.iter_results(fleet)]
+    results = [record.result
+               for record in api.iter_results(fleet, store=store)]
     curve = api.run(api.CalibrationSpec(target="glucose", points=5,
-                                        seed=2011))
+                                        seed=2011), store=store)
     return results, [curve.to_dict()["result"]]
 
 
