@@ -14,7 +14,7 @@ Three implementations run the identical potential program:
   which reuses the stepper's one-time factorization but still loops
   over channels in Python;
 - **batched** — :class:`repro.engine.simulation.SimulationEngine`: all
-  2M fields advance in one prefactored, batch-vectorised solve.
+  2M fields advance in one prefactored batched solve.
 
 All three produce bit-identical currents (pinned in
 ``tests/test_engine.py``); the acceptance bar here is >= 5x steps/sec

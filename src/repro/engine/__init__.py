@@ -22,10 +22,13 @@ the engine restructures it in five layers:
    it for every step of a run.
 
 2. **Batched tridiagonal sweeps** (same module).  M independent systems
-   stack into ``(M, N)`` arrays and the forward/backward recurrences
-   vectorise across the batch: one numpy operation per grid node
-   advances *every* channel, instead of one Python iteration per node
-   per channel.
+   stack into ``(M, N)`` arrays and one small C kernel runs the
+   forward and back substitutions over the whole batch, node by node
+   with the systems in the inner loop.  It is compiled with the system
+   ``cc`` on first import and cached beside the module's bytecode;
+   without a compiler the same substitutions run as a Python-float
+   sweep per system.  Both paths perform the scalar solve's operations
+   in its order, so they agree bit for bit.
 
 3. **Batch steppers and the protocol facade**
    (:mod:`repro.engine.batch`, :mod:`repro.engine.redox`,

@@ -13,15 +13,28 @@ module splits the solve into its two natural halves:
 
 Both halves accept **stacked systems**: arrays of shape ``(..., N)`` /
 ``(..., N-1)`` are treated as independent tridiagonal systems sharing a
-node count, and every sweep is one numpy recurrence across the whole
-batch.  The per-row arithmetic is kept in exactly the order of the
-scalar ``thomas_solve`` — ``(rhs[i] - lower[i-1]*d[i-1]) / denom[i]`` —
-so a batched solve reproduces the scalar solution bit for bit, which is
-what lets the protocols switch to the batched engine without moving any
-existing bench result.
+node count.  The substitutions run in one small C kernel
+(``_thomas.c``, built and loaded by :func:`load_kernel`) over the whole
+row-major batch, node by node with the systems in the inner loop so
+their divides overlap; without a compiler they run as a Python-float
+sweep per system.  Both paths perform the scalar ``thomas_solve``'s
+operations in its order — ``(rhs[i] - lower[i-1]*d[i-1]) / denom[i]``
+forward, ``d[i] - c_prime[i]*x[i+1]`` back — and the kernel is built
+without multiply-add contraction, so a batched solve reproduces the
+scalar solution bit for bit on either path.  That is what lets the
+protocols share one engine without moving any pinned result.
 """
 
 from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -33,62 +46,126 @@ __all__ = [
     "factor_tridiagonal_shared",
     "batch_thomas_solve",
     "first_occurrences",
+    "kernel_loaded",
+    "load_kernel",
 ]
 
+_SOURCE = Path(__file__).with_name("_thomas.c")
 
-#: Batches at or below this many stacked systems solve through the
-#: scalar (Python-float) sweeps; larger batches amortise numpy's
-#: per-operation overhead across the batch axis and switch to the
-#: node-major vectorised sweeps.  Both paths perform the identical IEEE
-#: operation per element, so the dispatch never changes a result bit.
-#: The value is the measured crossover at the voltammetry grids' 45
-#: nodes (best of 7 x 300 solves, 2-CPU x86-64 host, numpy 2.4):
-#: Python-float vs node-major 65 vs 87 us at 8 systems, 82 vs 90 us at
-#: 10 and 102 vs 100 us at 12.  A one-cell paper panel fuses 6 systems
-#: (two CYP WEs, three channels, ox + red), so it stays scalar.
-SMALL_BATCH = 10
+#: Never ``-march=native``: the cached library must not depend on the
+#: build host's extensions, and no multiply-add may be fused (GCC fuses
+#: them by default where the target has FMA), since that moves bits.
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+
+
+def load_kernel(directory: Path | None = None, compiler: str = "cc"):
+    """Build (once per source, flags and machine) and load the kernel.
+
+    The library is cached in ``directory``, by default this package's
+    ``__pycache__``; when that is not writable and holds no build, one
+    is made in a private temporary directory, removed once loaded.  A
+    build writes a temporary file and renames it into place, so
+    processes building into one directory at once never load a
+    half-written library.  Returns the kernel's ctypes function, or
+    ``None`` when there is no compiler or the build or load fails.
+    """
+    try:
+        name = "_thomas-{}.so".format(hashlib.sha256(b"\0".join([
+            _SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+            platform.machine().encode()])).hexdigest()[:16])
+        if directory is not None:
+            return _load(Path(directory), name, compiler)
+        cache = Path(__file__).with_name("__pycache__")
+        try:
+            cache.mkdir(exist_ok=True)
+            writable = os.access(cache, os.W_OK)
+        except OSError:
+            writable = False
+        if writable or (cache / name).exists():
+            return _load(cache, name, compiler)
+        private = tempfile.mkdtemp(prefix="repro-thomas-")
+        try:
+            return _load(Path(private), name, compiler)
+        finally:
+            shutil.rmtree(private, ignore_errors=True)
+    except (OSError, subprocess.CalledProcessError,
+            subprocess.TimeoutExpired):
+        return None
+
+
+def _load(directory: Path, name: str, compiler: str):
+    library = directory / name
+    if not library.exists():
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, library)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    kernel = ctypes.CDLL(str(library)).thomas_sweep
+    kernel.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
+                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    kernel.restype = None
+    return kernel
+
+
+#: The compiled substitution sweep, or ``None`` to run the Python one.
+_KERNEL = load_kernel()
+
+
+def kernel_loaded() -> bool:
+    """Whether solves run in the compiled kernel (else the Python sweep)."""
+    return _KERNEL is not None
+
+
+def _owned(a: np.ndarray) -> np.ndarray:
+    """A private, read-only, C-contiguous float64 copy of ``a``."""
+    a = np.array(a, dtype=float, order="C")
+    a.flags.writeable = False
+    return a
 
 
 class TridiagonalFactorization:
     """The reusable half of a Thomas solve, for one or many systems.
 
     Holds the sub-diagonal, the pivoted denominators and the eliminated
-    super-diagonal (``c_prime``) of ``shape[:-1]`` independent systems.
+    super-diagonal (``c_prime``) of ``shape[:-1]`` independent systems,
+    as private read-only copies whose addresses are taken once here.
     Instances are produced by :func:`factor_tridiagonal`; every pivot is
     guaranteed nonzero, so :meth:`solve` runs without checks.
     """
 
-    __slots__ = ("lower", "denom", "c_prime", "_scalar", "_node_major")
+    __slots__ = ("lower", "denom", "c_prime", "_args", "_rows")
 
     def __init__(self, lower: np.ndarray, denom: np.ndarray,
                  c_prime: np.ndarray) -> None:
-        self.lower = lower
-        self.denom = denom
-        self.c_prime = c_prime
-        # The batch shape is fixed, so only one solve path can ever
-        # run; build only that representation.
-        if denom.ndim == 1 or (denom.ndim == 2
-                               and denom.shape[0] <= SMALL_BATCH):
-            # Python-float coefficient rows for the small-batch sweeps
-            # (a Python float multiply is several times cheaper than
-            # the same op on a 0-d numpy scalar, and bit-identical).
-            if denom.ndim == 1:
-                self._scalar = [(lower.tolist(), denom.tolist(),
-                                 c_prime.tolist())]
-            else:
-                self._scalar = [(lower[j].tolist(), denom[j].tolist(),
-                                 c_prime[j].tolist())
-                                for j in range(denom.shape[0])]
-            self._node_major = None
-        else:
-            # Node-major (contiguous per-node rows) copies for the
-            # vectorised sweeps over large batches, pre-split into row
-            # views so the hot loop never re-slices coefficient arrays.
-            self._scalar = None
-            self._node_major = (
-                list(np.ascontiguousarray(np.moveaxis(lower, -1, 0))),
-                list(np.ascontiguousarray(np.moveaxis(denom, -1, 0))),
-                list(np.ascontiguousarray(np.moveaxis(c_prime, -1, 0))))
+        self.lower = _owned(lower)
+        self.denom = _owned(denom)
+        self.c_prime = _owned(c_prime)
+        n = self.denom.shape[-1]
+        band = self.denom.shape[:-1] + (n - 1,)
+        if n < 1 or self.lower.shape != band or self.c_prime.shape != band:
+            raise SimulationError(
+                "factorization arrays have inconsistent shapes")
+        # The kernel's leading arguments: (systems, nodes, coefficient
+        # pointers).  Deriving them per solve would cost more than a
+        # small solve itself.
+        self._args = (ctypes.c_long(self.denom.size // n),
+                      ctypes.c_long(n),
+                      *(ctypes.c_void_p(a.ctypes.data)
+                        for a in (self.lower, self.denom, self.c_prime)))
+        # Python-float coefficient rows for the fallback sweep, built on
+        # first use (a Python float multiply is several times cheaper
+        # than the same op on a 0-d numpy scalar, and bit-identical).
+        self._rows = None
+
+    def __reduce__(self):
+        # Addresses are per process: an unpickled copy re-derives them.
+        return (TridiagonalFactorization,
+                (self.lower, self.denom, self.c_prime))
 
     @property
     def n(self) -> int:
@@ -120,61 +197,47 @@ class TridiagonalFactorization:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve every stacked system for its right-hand side.
 
-        ``rhs`` must have the factorization's full shape ``(..., N)``.
-        Large batches run node-major vectorised sweeps (one numpy
-        operation per grid node advances the whole batch); small ones
-        run Python-float sweeps per system.  Every path performs the
-        same IEEE operation sequence per element, so results are
-        identical bit for bit whichever is taken.
+        ``rhs`` must have the factorization's full shape ``(..., N)``;
+        it is copied once and never modified.  The compiled kernel and
+        the Python fallback perform the same IEEE operation sequence
+        per element, so results are identical bit for bit whichever
+        runs.
         """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != self.denom.shape:
+        x = np.array(rhs, dtype=float, order="C")
+        if x.shape != self.denom.shape:
             raise SimulationError(
-                f"rhs shape {rhs.shape} does not match the factorization "
+                f"rhs shape {x.shape} does not match the factorization "
                 f"shape {self.denom.shape}")
-        if rhs.ndim == 1:
-            return np.asarray(self._solve_scalar(0, rhs.tolist()))
-        if rhs.ndim == 2 and rhs.shape[0] <= SMALL_BATCH:
-            return np.array([self._solve_scalar(j, row)
-                             for j, row in enumerate(rhs.tolist())])
-        return self._solve_vectorised(rhs)
+        kernel = _KERNEL
+        if kernel is None:
+            return self._solve_python(x)
+        if x.size:
+            kernel(*self._args, ctypes.byref(ctypes.c_double.from_buffer(x)))
+        return x
 
-    def _solve_scalar(self, system: int, rhs: list) -> list:
-        lower, denom, c_prime = self._scalar[system]
-        prev = rhs[0] / denom[0]
-        d = [prev]
-        for r, lo, de in zip(rhs[1:], lower, denom[1:]):
-            prev = (r - lo * prev) / de
-            d.append(prev)
-        nxt = prev
-        for i in range(len(d) - 2, -1, -1):
-            nxt = d[i] - c_prime[i] * nxt
-            d[i] = nxt
-        return d
-
-    def _solve_vectorised(self, rhs: np.ndarray) -> np.ndarray:
-        lower, denom, c_prime = self._node_major
+    def _solve_python(self, x: np.ndarray) -> np.ndarray:
         n = self.n
-        # Work node-major: row i is the batch's node-i values, contiguous.
-        d = np.ascontiguousarray(rhs.T if rhs.ndim == 2
-                                 else np.moveaxis(rhs, -1, 0))
-        rows = list(d)
-        buf = np.empty_like(rows[0])
-        mul, sub, div = np.multiply, np.subtract, np.divide
-        prev = rows[0]
-        div(prev, denom[0], out=prev)
-        for i in range(1, n):
-            row = rows[i]
-            mul(lower[i - 1], prev, out=buf)
-            sub(row, buf, out=row)
-            div(row, denom[i], out=row)
-            prev = row
-        for i in range(n - 2, -1, -1):
-            row = rows[i]
-            mul(c_prime[i], rows[i + 1], out=buf)
-            sub(row, buf, out=row)
-        return np.ascontiguousarray(d.T if rhs.ndim == 2
-                                    else np.moveaxis(d, 0, -1))
+        if self._rows is None:
+            self._rows = list(zip(self.lower.reshape(-1, n - 1).tolist(),
+                                  self.denom.reshape(-1, n).tolist(),
+                                  self.c_prime.reshape(-1, n - 1).tolist()))
+        solved = [_sweep(rhs, *coefficients) for rhs, coefficients
+                  in zip(x.reshape(-1, n).tolist(), self._rows)]
+        return np.array(solved, dtype=float).reshape(x.shape)
+
+
+def _sweep(rhs: list, lower: list, denom: list, c_prime: list) -> list:
+    """Forward and back substitution of one system, in Python floats."""
+    prev = rhs[0] / denom[0]
+    d = [prev]
+    for r, lo, de in zip(rhs[1:], lower, denom[1:]):
+        prev = (r - lo * prev) / de
+        d.append(prev)
+    nxt = prev
+    for i in range(len(d) - 2, -1, -1):
+        nxt = d[i] - c_prime[i] * nxt
+        d[i] = nxt
+    return d
 
 
 def factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
@@ -213,7 +276,7 @@ def factor_tridiagonal(lower: np.ndarray, diag: np.ndarray,
         row = int(np.argwhere(denom == 0.0)[0][-1])
         raise SimulationError(
             f"zero pivot in tridiagonal solve (row {row})")
-    return TridiagonalFactorization(lower.copy(), denom, c_prime)
+    return TridiagonalFactorization(lower, denom, c_prime)
 
 
 def factor_tridiagonal_shared(lower: np.ndarray, diag: np.ndarray,
@@ -246,7 +309,7 @@ def factor_tridiagonal_shared(lower: np.ndarray, diag: np.ndarray,
         return factor_tridiagonal(lower, diag, upper)
     base = factor_tridiagonal(lower[unique], diag[unique], upper[unique])
     return TridiagonalFactorization(
-        lower.copy(), base.denom[inverse], base.c_prime[inverse])
+        lower, base.denom[inverse], base.c_prime[inverse])
 
 
 def first_occurrences(keys) -> tuple[list[int], np.ndarray]:

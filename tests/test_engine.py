@@ -7,9 +7,20 @@ These tests pin that contract at every layer: raw tridiagonal solves,
 stacked Crank-Nicolson stepping (including mass conservation under
 sealed boundaries), the redox-channel batch behind CV/DPV, and the
 mechanism batch behind chronoamperometry.
+
+The Thomas solves run in a compiled kernel when one loads and in a
+Python-float sweep otherwise.  The solver and Crank-Nicolson classes run
+once per path: each ``*Fallback`` subclass reruns its parent's tests
+with the kernel handle patched out.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,13 +38,29 @@ from repro.engine import (
     factor_tridiagonal,
     factor_tridiagonal_shared,
 )
-from repro.engine.tridiag import SMALL_BATCH
+from repro.engine import tridiag
 from repro.errors import SimulationError
 from repro.measurement.chronoamperometry import Chronoamperometry
 from repro.measurement.voltammetry import (
     CyclicVoltammetry,
     build_channel_simulators,
 )
+
+
+#: Stacked-system counts the parity tests run: a lone system, the 6
+#: distinct rows of a fused panel group, neighbours of both, and a
+#: large fused batch.
+PARITY_SIZES = (1, 3, 6, 7, 12, 13, 128)
+
+
+@pytest.fixture(autouse=True)
+def _solve_path(request, monkeypatch):
+    """Run a test class on the solve path its ``solve_path`` names."""
+    path = getattr(request.cls, "solve_path", None)
+    if path == "fallback":
+        monkeypatch.setattr(tridiag, "_KERNEL", None)
+    elif path == "kernel" and not tridiag.kernel_loaded():
+        pytest.skip("the compiled Thomas kernel did not load")
 
 
 def random_dominant_system(rng, n):
@@ -45,7 +72,20 @@ def random_dominant_system(rng, n):
     return lower, diag, upper, rhs
 
 
+def random_batch(rng, m, n):
+    """``m`` stacked random dominant systems of ``n`` nodes."""
+    lower = np.empty((m, n - 1))
+    diag = np.empty((m, n))
+    upper = np.empty((m, n - 1))
+    rhs = np.empty((m, n))
+    for j in range(m):
+        lower[j], diag[j], upper[j], rhs[j] = random_dominant_system(rng, n)
+    return lower, diag, upper, rhs
+
+
 class TestFactorization:
+    solve_path = "kernel"
+
     def test_prefactored_solve_matches_thomas_bitwise(self):
         rng = np.random.default_rng(7)
         for n in (3, 7, 40, 121):
@@ -59,20 +99,11 @@ class TestFactorization:
             assert np.array_equal(factor.solve(rhs2),
                                   thomas_solve(lower, diag, upper, rhs2))
 
-    @pytest.mark.parametrize("m", sorted({2, 4, 5, 12, SMALL_BATCH,
-                                          SMALL_BATCH + 1}))
+    @pytest.mark.parametrize("m", sorted({*range(1, 14), *PARITY_SIZES}))
     def test_batched_solve_matches_scalar_per_system(self, m):
-        # Covers both dispatch paths (Python-float and node-major numpy);
-        # the contract is <= 1e-12 relative, the implementation is exact.
+        # The contract is <= 1e-12 relative, the implementation is exact.
         rng = np.random.default_rng(m)
-        n = 35
-        lower = np.empty((m, n - 1))
-        diag = np.empty((m, n))
-        upper = np.empty((m, n - 1))
-        rhs = np.empty((m, n))
-        for j in range(m):
-            lower[j], diag[j], upper[j], rhs[j] = random_dominant_system(
-                rng, n)
+        lower, diag, upper, rhs = random_batch(rng, m, 35)
         out = batch_thomas_solve(lower, diag, upper, rhs)
         for j in range(m):
             expected = thomas_solve(lower[j], diag[j], upper[j], rhs[j])
@@ -89,6 +120,36 @@ class TestFactorization:
         assert np.array_equal(out[0], base)
         assert np.array_equal(out[2], base)
 
+    def test_pickled_factorization_solves_bit_identically(self):
+        rng = np.random.default_rng(21)
+        lower, diag, upper, rhs = random_batch(rng, 6, 45)
+        factor = factor_tridiagonal(lower, diag, upper)
+        clone = pickle.loads(pickle.dumps(factor))
+        assert np.array_equal(clone.solve(rhs), factor.solve(rhs))
+        assert np.array_equal(clone.tile(2).solve(np.vstack([rhs, rhs])),
+                              np.vstack([factor.solve(rhs)] * 2))
+
+    def test_solve_leaves_strided_rhs_untouched(self):
+        rng = np.random.default_rng(22)
+        lower, diag, upper, rhs = random_batch(rng, 4, 30)
+        factor = factor_tridiagonal(lower, diag, upper)
+        expected = factor.solve(rhs)
+        transposed = rhs.T.copy().T
+        strided = np.repeat(rhs, 2, axis=1)[:, ::2]
+        for view in (transposed, strided):
+            before = view.copy()
+            assert np.array_equal(factor.solve(view), expected)
+            assert np.array_equal(view, before)
+        assert np.array_equal(factor.solve(rhs.tolist()), expected)
+
+    def test_coefficients_are_private_and_read_only(self):
+        lower, diag, upper, _ = random_dominant_system(
+            np.random.default_rng(23), 8)
+        factor = factor_tridiagonal(lower, diag, upper)
+        assert not factor.lower.flags.writeable
+        assert not factor.denom.flags.writeable
+        assert not np.shares_memory(factor.lower, lower)
+
     def test_zero_pivot_rejected(self):
         with pytest.raises(SimulationError, match="zero pivot"):
             factor_tridiagonal(np.zeros(2), np.zeros(3), np.zeros(2))
@@ -99,24 +160,29 @@ class TestFactorization:
             factor.solve(np.ones(4))
         with pytest.raises(SimulationError):
             factor_tridiagonal(np.zeros(3), np.ones(3), np.zeros(2))
+        # The kernel reads every band by the node count: a direct
+        # construction with a short band must fail before any solve.
+        with pytest.raises(SimulationError, match="inconsistent"):
+            tridiag.TridiagonalFactorization(np.zeros(1), np.ones(3),
+                                             np.zeros(2))
+
+
+class TestFactorizationFallback(TestFactorization):
+    solve_path = "fallback"
 
 
 class TestSharedFactorization:
     """Deduplicated eliminations: (grid, D, dt)-identical systems."""
 
+    solve_path = "kernel"
+
     def _banded_batch(self, m, n, rng, duplicates):
-        lower = np.empty((m, n - 1))
-        diag = np.empty((m, n))
-        upper = np.empty((m, n - 1))
-        rhs = np.empty((m, n))
-        for j in range(m):
-            lower[j], diag[j], upper[j], rhs[j] = random_dominant_system(
-                rng, n)
+        lower, diag, upper, rhs = random_batch(rng, m, n)
         for dst, src in duplicates:
             lower[dst], diag[dst], upper[dst] = lower[src], diag[src], upper[src]
         return lower, diag, upper, rhs
 
-    @pytest.mark.parametrize("m", sorted({3, 8, SMALL_BATCH + 4}))
+    @pytest.mark.parametrize("m", sorted({*range(2, 15), *PARITY_SIZES[1:]}))
     def test_duplicate_rows_solve_bitwise(self, m):
         rng = np.random.default_rng(m + 40)
         # Rows 1 and m-1 duplicate row 0's matrix (rhs stays distinct).
@@ -155,27 +221,86 @@ class TestSharedFactorization:
         assert np.array_equal(st1.step(c, 1.0e-8), st2.step(c, 1.0e-8))
 
 
-def make_steppers(boundary="dirichlet", n_systems=3):
-    """Steppers with deliberately different grids and diffusivities.
+class TestSharedFactorizationFallback(TestSharedFactorization):
+    solve_path = "fallback"
 
-    ``n_systems`` above :data:`SMALL_BATCH` exercises the vectorised
-    solve dispatch instead of the Python-float one.
-    """
+
+class TestKernelBuild:
+    """Building and loading the compiled sweep."""
+
+    def test_missing_compiler_falls_back(self, tmp_path):
+        assert tridiag.load_kernel(tmp_path,
+                                   compiler=str(tmp_path / "no-cc")) is None
+        assert list(tmp_path.iterdir()) == []
+
+    def test_read_only_package_builds_privately(self, tmp_path,
+                                                monkeypatch):
+        # A package directory that cannot be written to gets a private
+        # build, loaded and then removed; nothing lands in the package.
+        package = tmp_path / "package"
+        (package / "__pycache__").mkdir(parents=True)
+        monkeypatch.setattr(tridiag, "__file__", str(package / "tridiag.py"))
+        monkeypatch.setattr(tridiag.os, "access", lambda *args: False)
+        kernel = tridiag.load_kernel()
+        assert kernel is not None
+        assert list((package / "__pycache__").iterdir()) == []
+        rng = np.random.default_rng(24)
+        lower, diag, upper, rhs = random_batch(rng, 3, 12)
+        factor = factor_tridiagonal(lower, diag, upper)
+        monkeypatch.setattr(tridiag, "_KERNEL", kernel)
+        solved = factor.solve(rhs)
+        monkeypatch.setattr(tridiag, "_KERNEL", None)
+        assert np.array_equal(solved, factor.solve(rhs))
+
+    def test_concurrent_builds_into_one_directory(self, tmp_path):
+        # Two processes race to build into the same empty directory; the
+        # atomic rename means both load a complete library.
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from repro.engine import tridiag\n"
+            "kernel = tridiag.load_kernel(Path(sys.argv[1]))\n"
+            "assert kernel is not None\n"
+            "rng = np.random.default_rng(0)\n"
+            "lo, up = rng.uniform(-1, 1, (2, 5, 19))\n"
+            "factor = tridiag.factor_tridiagonal(lo, 3 + rng.random((5, 20)), up)\n"
+            "rhs = rng.random((5, 20))\n"
+            "tridiag._KERNEL = None\n"
+            "expected = factor.solve(rhs)\n"
+            "tridiag._KERNEL = kernel\n"
+            "assert np.array_equal(factor.solve(rhs), expected)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [subprocess.Popen([sys.executable, "-c", script,
+                                   str(tmp_path)], env=env,
+                                  stderr=subprocess.PIPE)
+                 for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+        built = sorted(p.name for p in tmp_path.iterdir())
+        assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+def make_steppers(boundary="dirichlet", n_systems=3):
+    """Steppers with deliberately different grids and diffusivities."""
     dt = 0.05
     specs = [(6.7e-10, Grid1D.expanding(1.0e-6, 8.0e-4, growth=1.10)),
              (2.0e-10, Grid1D.expanding(8.0e-7, 5.0e-4, growth=1.08)),
              (1.1e-9, Grid1D.uniform(6.0e-4, 45))]
     while len(specs) < n_systems:
         d = 1.0e-10 * (len(specs) + 2)
-        specs.append((d, Grid1D.uniform(4.0e-4, 30 + 3 * len(specs))))
+        specs.append((d, Grid1D.uniform(4.0e-4,
+                                        30 + 3 * (len(specs) % 16))))
     return [CrankNicolsonDiffusion(grid, d, dt, bulk_boundary=boundary)
             for d, grid in specs[:n_systems]]
 
 
 class TestBatchCrankNicolson:
-    # Both solver dispatch paths: 3 and 7 systems run the Python-float
-    # sweeps, SMALL_BATCH + 3 the node-major vectorised sweeps.
-    @pytest.mark.parametrize("n_systems", sorted({3, 7, SMALL_BATCH + 3}))
+    solve_path = "kernel"
+
+    @pytest.mark.parametrize("n_systems", PARITY_SIZES)
     def test_batched_step_matches_scalar_steppers(self, n_systems):
         steppers = make_steppers(n_systems=n_systems)
         batch = BatchCrankNicolson(steppers)
@@ -191,7 +316,7 @@ class TestBatchCrankNicolson:
             # Padding stays decoupled and identically zero.
             assert np.all(state[j, st.grid.n_nodes:] == 0.0)
 
-    @pytest.mark.parametrize("n_systems", sorted({3, 7, SMALL_BATCH + 3}))
+    @pytest.mark.parametrize("n_systems", PARITY_SIZES)
     def test_batched_linear_surface_matches_scalar(self, n_systems):
         steppers = make_steppers(n_systems=n_systems)
         batch = BatchCrankNicolson(steppers)
@@ -247,9 +372,12 @@ class TestBatchCrankNicolson:
             batch.stack_states([np.ones(3)] * 3)
 
 
+class TestBatchCrankNicolsonFallback(TestBatchCrankNicolson):
+    solve_path = "fallback"
+
+
 def make_panel_channel_sims(n_channels=8, dt=0.1, duration=70.0):
-    """An n-channel CYP workload (the bench's panel shape): 2n fields,
-    enough stacked systems to exercise the vectorised solve path."""
+    """An n-channel CYP workload (the bench's panel shape): 2n fields."""
     from repro.chem.enzymes import (CypSubstrateChannel, CytochromeP450,
                                     ProstheticGroup)
     from repro.chem.redox import ButlerVolmerKinetics, RedoxCouple
@@ -288,11 +416,11 @@ class TestRedoxChannelBatch:
         return build_channel_simulators(we, cyp_cell.chamber, dt, duration)
 
     def test_eight_channel_batch_matches_scalar(self):
-        # 16 stacked systems: the node-major vectorised dispatch, the
-        # same shape the bench's acceptance criterion runs on.
+        # 16 stacked systems, the same shape the bench's acceptance
+        # criterion runs on.
         scalar = make_panel_channel_sims()
         batched = RedoxChannelBatch(make_panel_channel_sims())
-        assert 2 * batched.batch_size > SMALL_BATCH
+        assert 2 * batched.batch_size == 16
         for e in np.linspace(0.0, -0.7, 200):
             fluxes = batched.step(float(e))
             expected = np.asarray([sim.step(float(e)) for sim in scalar])
@@ -334,8 +462,7 @@ class TestRedoxChannelBatch:
     @pytest.mark.parametrize("panel", [False, True])
     def test_per_channel_potentials_match_scalar(self, cyp_cell, panel):
         # Each channel follows its own potential program, as in a fused
-        # SweepBatch: 2 channels (4 systems, Python-float solves) or the
-        # 8-channel panel (16 systems, node-major solves).
+        # SweepBatch: 2 channels (4 systems) or the 8-channel panel (16).
         if panel:
             scalar, channels = (make_panel_channel_sims(),
                                 make_panel_channel_sims())

@@ -19,7 +19,9 @@ replicate mixed CA/CV sweep (4 acquisition seeds x 2 glucose loadings,
 so replicate chemistry repeats) and a calibration ladder (a glucose
 ladder of panel assays plus ``repro calibrate glucose``'s record).
 Each takes an optional run store, which ``tests/test_row_store.py``
-uses to run them over a store holding every engine row already.
+uses to run them over a store holding every engine row already.  Every
+digest is checked twice: with the compiled Thomas kernel when it loads,
+and with the kernel switched off, on the Python sweep it falls back to.
 
 Regenerate the file only when a change is meant to move numbers::
 
@@ -125,6 +127,17 @@ def _computed(workload: str) -> dict[str, str]:
     return layer_digests(*WORKLOADS[workload]())
 
 
+@functools.lru_cache(maxsize=None)
+def _computed_without_kernel(workload: str) -> dict[str, str]:
+    from repro.engine import tridiag
+
+    kernel, tridiag._KERNEL = tridiag._KERNEL, None
+    try:
+        return layer_digests(*WORKLOADS[workload]())
+    finally:
+        tridiag._KERNEL = kernel
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())["workloads"]
 
@@ -144,6 +157,17 @@ def test_layer_digest(workload, layer):
     assert got == expected, (
         f"golden digest moved: workload {workload!r}, layer {layer!r} "
         f"(expected {expected[:16]}..., got {got[:16]}...)")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_layer_digest_without_kernel(workload, layer):
+    expected = _golden()[workload][layer]
+    got = _computed_without_kernel(workload)[layer]
+    assert got == expected, (
+        f"golden digest moved on the Python Thomas sweep: workload "
+        f"{workload!r}, layer {layer!r} (expected {expected[:16]}..., "
+        f"got {got[:16]}...)")
 
 
 def _write() -> None:
