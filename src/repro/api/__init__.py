@@ -30,7 +30,7 @@ bit-identical to inline.  Select a backend declaratively through the
 fleet's ``execution`` block::
 
     {"kind": "fleet", ..., "execution":
-        {"backend": "process", "workers": 4, "shard": "interleave"}}
+        {"backend": "process", "workers": 4}}
 
 or programmatically: ``run(spec, backend="process")`` /
 ``run(spec, backend=ProcessExecutor(workers=4))`` (the explicit
@@ -201,15 +201,6 @@ content-addressed JSON under a sharded directory tree), the same
 store, executor and worker code runs unchanged over any backing that
 implements the driver's read/write/list/lock surface.
 
-**Speculative sweep prefetch** (opt-in: ``execution: {"prefetch":
-true}`` or ``--prefetch``) puts idle workers ahead of the user: when a
-sweep is submitted, the executor also publishes the sweep's *next*
-grid point along its last axis as low-priority prefetch tasks that
-workers drain only after all primary shards.  Their results go
-straight into the shared store — never into the submitted run's
-stream, which stays exactly the spec's grid — so the widened re-sweep
-a parameter study typically runs next starts warm.
-
 Spec schema
 ===========
 
@@ -238,26 +229,36 @@ live in :mod:`repro.api.specs`:
 Versioning policy
 =================
 
-``SCHEMA_VERSION`` (currently 5) is written into every payload and
+``SCHEMA_VERSION`` (currently 6) is written into every payload and
 checked on load; a reader raises :class:`~repro.errors.SpecError` on
 any version it does not understand, naming the offending file/path.
 Version 2 added the fleet ``execution`` block and the ``sweep`` kind;
 version 3 added the opt-in ``screening`` flag on assay and sweep
 payloads; version 4 added the ``retry`` policy and ``on_error`` mode
 to the execution block; version 5 added the ``distributed`` backend
-with its ``queue`` directory and the opt-in ``prefetch`` flag.  All
-are additive, so readers accept every version in
-``SUPPORTED_SCHEMAS`` (1 through 5) and older files keep loading with
+with its ``queue`` directory and an opt-in speculative ``prefetch``
+flag; version 6 removed the execution block's ``shard`` strategy and
+``prefetch`` flag, which moved work but never changed a result.
+
+Every spec field added or removed bumps the version.  ``repro lint``
+(REP004) fails on a field change without a bump, and each bump
+re-anchors ``repro/devtools/schema_snapshot.json`` with ``repro lint
+--write-schema``; the test suite checks that the committed snapshot
+matches the source.
+Readers accept every version in ``SUPPORTED_SCHEMAS`` (1 through 6):
+missing keys take their defaults, so older files keep loading with
 their original behaviour (inline execution, full fidelity,
-unsupervised).  The
-version bumps only on payload changes an older reader would misread;
-adding optional keys with defaults is not a bump.  Unknown keys are
-ignored on read — forward-written files degrade gracefully — and
-``to_dict`` always emits the complete canonical payload, so
-:func:`spec_hash` (SHA-256 over the sorted canonical JSON) is stable
-across round trips and is the provenance key every
-:class:`~repro.api.records.RunRecord` carries and every
-:class:`~repro.api.store.RunStore` keys by.
+unsupervised), and unknown keys are ignored, so a v5 ``shard`` or
+``prefetch`` key simply drops.  ``to_dict`` always emits the complete
+canonical payload at the current version, so :func:`spec_hash`
+(SHA-256 over the sorted canonical JSON) is stable across round trips
+and is the provenance key every :class:`~repro.api.records.RunRecord`
+carries and every :class:`~repro.api.store.RunStore` keys by.  The
+payload's ``schema`` joins that hash, so a bump re-keys every
+:class:`~repro.api.jobs.JobKey`: job records written under the old
+version miss once and are re-solved.  Engine rows are keyed by their
+chemistry bytes, not by a spec payload, so they survive a bump and the
+re-run solves nothing.
 
 Screening provenance
 ====================

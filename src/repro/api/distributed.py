@@ -43,14 +43,6 @@ provenance), solves the rest in one fused pass — serving known engine
 rows from the same store — writes the fresh results and rows back to
 the store — so any worker's work warms every later run on the cluster
 — and reports per-job entries, or one unit failure.
-
-**Speculative prefetch.**  Sweeps opt in via ``execution:
-{prefetch: true}`` (schema v5): the submitter extrapolates the sweep's
-last grid axis one step forward and publishes the genuinely-new points
-as low-priority tasks (named to sort after every primary task), which
-idle workers execute straight into the shared store.  They are
-best-effort: the stream never waits on them, and unclaimed ones are
-removed when it closes.
 """
 
 from __future__ import annotations
@@ -67,15 +59,9 @@ from repro.api.executors import injected_hang_s, run_units, solve
 from repro.api.jobs import JobKey
 from repro.api.records import AssayRunRecord, EngineStats
 from repro.api.resilience import FaultInjector, RetryPolicy, _Failure, inject
-from repro.api.specs import (
-    SCHEMA_VERSION,
-    AssaySpec,
-    ExecutionSpec,
-    FleetSpec,
-    SweepSpec,
-)
+from repro.api.specs import SCHEMA_VERSION, AssaySpec, ExecutionSpec, FleetSpec
 from repro.api.store import RunStore
-from repro.errors import ExecutionError, ReproError, StoreError
+from repro.errors import ExecutionError, StoreError
 from repro.io.export import (
     panel_result_from_payload,
     panel_result_to_payload,
@@ -84,8 +70,8 @@ from repro.io.export import (
 )
 from repro.io.sealed import seal, unseal
 
-__all__ = ["DistributedExecutor", "run_worker", "sweep_prefetch_assays",
-           "ensure_queue", "default_store_root"]
+__all__ = ["DistributedExecutor", "run_worker", "ensure_queue",
+           "default_store_root"]
 
 #: How often an idle worker re-scans the task directory.
 _WORKER_POLL_S = 0.05
@@ -101,13 +87,6 @@ _CLAIM_STALE_S = 300.0
 
 #: Warn the submitter once after this long with no worker activity.
 _NO_WORKER_WARN_S = 30.0
-
-#: Upper bound on speculative tasks published per sweep.
-_MAX_PREFETCH = 16
-
-#: Speculative task-name prefix — sorts after every primary task name
-#: (run ids are hex-led), so scanning workers drain real work first.
-_PREFETCH_PREFIX = "zz-prefetch"
 
 #: Idle workers sweep result files this stale: a unit that finished
 #: after its submitting stream closed leaves a result nobody consumes.
@@ -256,42 +235,11 @@ def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
                       for index, record in fresh]
 
 
-def _run_prefetch(pairs: list[tuple[int, dict]], store: RunStore,
-                  claim: Path) -> int:
-    """Execute a speculative task straight into the shared store.
-
-    No result file — prefetch is best-effort warmup, invisible to the
-    submitting stream.  A failing point is dropped (it would fail again,
-    loudly, if a real sweep ever asks for it).  Returns the number of
-    points actually warmed.
-    """
-    with store.batched():
-        fresh = [(index, payload) for index, payload in pairs
-                 if store.get_job(JobKey.for_payload(payload)) is None]
-    if not fresh:
-        return 0
-    try:
-        records = _solve_records(fresh, claim, store)
-    except _ClaimLost:
-        raise
-    except ReproError:
-        return 0
-    with store.batched():
-        for _, record in records:
-            store.put_job(record)
-    return len(records)
-
-
 def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
               results_dir: Path, store: RunStore) -> int:
     """Execute one claimed task file; returns the job count handled."""
     pairs = [(int(index), dict(job)) for index, job in
              payload.get("jobs", [])]
-    if payload.get("kind") == "prefetch":
-        warmed = _run_prefetch(pairs, store, claim)
-        task_path.unlink(missing_ok=True)
-        claim.unlink(missing_ok=True)
-        return warmed
     try:
         inject(payload.get("fault"), float(payload.get("hang_s", 3600.0)),
                claim.exists)
@@ -317,23 +265,22 @@ def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
 def run_worker(queue, store=None, max_shards: int | None = None) -> dict:
     """The ``repro worker`` claim-and-execute loop.
 
-    Scans ``<queue>/tasks/`` in sorted order (primary units before
-    speculative prefetch), claims the first unclaimed task via
-    ``O_EXCL``, executes it against the shared store, and repeats.
-    ``store`` defaults to ``<queue>/store``; pass a path or an open
-    :class:`~repro.api.store.RunStore` to point elsewhere.
-    ``max_shards`` bounds how many *primary* units this worker executes
-    (prefetch tasks ride free).  The worker drains and exits once
-    ``<queue>/stop`` exists and nothing is claimable; without a stop
-    file it serves forever.
+    Scans ``<queue>/tasks/`` in sorted order, claims the first
+    unclaimed task via ``O_EXCL``, executes it against the shared
+    store, and repeats.  ``store`` defaults to ``<queue>/store``; pass
+    a path or an open :class:`~repro.api.store.RunStore` to point
+    elsewhere.  ``max_shards`` bounds how many units this worker
+    executes.  The worker drains and exits once ``<queue>/stop``
+    exists and nothing is claimable; without a stop file it serves
+    forever.
 
-    Returns ``{"shards": n, "jobs": n, "prefetched": n}``.
+    Returns ``{"shards": n, "jobs": n}``.
     """
     root = ensure_queue(queue)
     tasks_dir, claims_dir, results_dir = _queue_dirs(root)
     run_store = store if isinstance(store, RunStore) else RunStore(
         default_store_root(root) if store is None else store)
-    done = {"shards": 0, "jobs": 0, "prefetched": 0}
+    done = {"shards": 0, "jobs": 0}
     while True:
         claimed_any = False
         for task_path in sorted(tasks_dir.glob("*.json")):
@@ -356,11 +303,8 @@ def run_worker(queue, store=None, max_shards: int | None = None) -> dict:
                                     results_dir, run_store)
             except _ClaimLost:
                 continue
-            if payload.get("kind") == "prefetch":
-                done["prefetched"] += handled
-            else:
-                done["shards"] += 1
-                done["jobs"] += handled
+            done["shards"] += 1
+            done["jobs"] += handled
             if max_shards is not None and done["shards"] >= max_shards:
                 return done
         if not claimed_any:
@@ -387,64 +331,15 @@ def _sweep_orphan_results(results_dir: Path,
             continue
 
 
-# -- speculative sweep prefetch ---------------------------------------------
-
-
-def sweep_prefetch_assays(sweep: SweepSpec,
-                          limit: int = _MAX_PREFETCH) -> list[AssaySpec]:
-    """The near-miss grid points a sweep's idle workers should warm.
-
-    Only the *last* axis in sorted-key order is extrapolated — one step
-    past its final value, at the grid's own spacing.  That is the one
-    direction that preserves naming: compiled grid points are numbered
-    by ``itertools.product`` over sorted axes, and appending to the
-    last axis keeps every existing point's enumeration index (hence its
-    ``name`` and :class:`~repro.api.jobs.JobKey`) unchanged, so the
-    speculative points are exactly the records a widened re-sweep will
-    look up.  Non-numeric, boolean, single-value and zero-step axes
-    yield nothing, as does any extension the spec layer rejects.
-    """
-    axes = sorted(sweep.grid.items())
-    if not axes:
-        return []
-    dotted, values = axes[-1]
-    values = tuple(values)
-    if len(values) < 2:
-        return []
-    last, prev = values[-1], values[-2]
-    for value in (last, prev):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return []
-    step = last - prev
-    if not step:
-        return []
-    grown = dict(sweep.grid)
-    grown[dotted] = values + (last + step,)
-    try:
-        extended = SweepSpec(name=sweep.name, base=sweep.base, grid=grown,
-                             execution=sweep.execution,
-                             screening=sweep.screening)
-        known = {JobKey.for_payload(assay.to_dict()).digest
-                 for assay in sweep.compile().assays}
-        fresh = [assay for assay in extended.compile().assays
-                 if JobKey.for_payload(assay.to_dict()).digest not in known]
-    except ReproError:
-        return []
-    return fresh[:limit]
-
-
 # -- the submitting side ----------------------------------------------------
 
 
 class _FileQueue:
     """The core's transport over a queue directory (one stream's view)."""
 
-    def __init__(self, executor: "DistributedExecutor", run_id: str,
-                 sweep: SweepSpec | None) -> None:
+    def __init__(self, executor: "DistributedExecutor", run_id: str) -> None:
         self.executor = executor
         self.run_id = run_id
-        self.sweep = sweep                # prefetch, once units are out
-        self.prefetched: list[str] = []
         self.dirs = _queue_dirs(executor.queue)
         policy = executor.retry
         self.stale_s = (policy.timeout_s
@@ -466,10 +361,6 @@ class _FileQueue:
             raise ExecutionError(
                 f"distributed executor closed with {len(self.live)} "
                 f"unit(s) of run {self.run_id} in flight")
-        if self.sweep is not None:
-            self.prefetched = self.executor._publish_prefetch_tasks(
-                self.dirs[0], self.run_id, self.sweep)
-            self.sweep = None
         events: list[tuple] = []
         for name, unit in list(self.live.items()):
             try:
@@ -570,17 +461,9 @@ class DistributedExecutor:
         one per submitter CPU core.  Nothing is spawned here:
         parallelism comes from however many ``repro worker`` processes
         are attached to the queue.
-    shard:
-        Job partitioning strategy — see
-        :func:`~repro.api.executors.shard_indices`.
     retry / on_error / faults:
         The core's supervision knobs, as on every backend; the retry
         policy's ``timeout_s`` is the claim-staleness horizon.
-    prefetch:
-        Arm speculative sweep prefetch (see
-        :func:`sweep_prefetch_assays`); only effective when the runner
-        hands the executor the originating sweep via
-        :meth:`publish_prefetch`.
 
     Results cross the boundary as sealed containers
     (:mod:`repro.io.sealed`): lossless
@@ -598,31 +481,25 @@ class DistributedExecutor:
     name = "distributed"
 
     def __init__(self, queue, workers: int | None = None,
-                 shard: str = "interleave",
                  retry: RetryPolicy | None = None,
                  on_error: str = "raise",
-                 prefetch: bool = False,
                  faults: FaultInjector | None = None) -> None:
         # One validation authority: the declarative block this executor
         # is the programmatic face of.
         ExecutionSpec(backend="distributed", queue=str(queue),
-                      workers=workers, shard=shard, retry=retry,
-                      on_error=on_error, prefetch=bool(prefetch))
+                      workers=workers, retry=retry, on_error=on_error)
         self.queue = Path(queue)
         self.workers = workers
-        self.shard = shard
         self.retry = retry
         self.on_error = on_error
-        self.prefetch = bool(prefetch)
         self.faults = faults if faults is not None \
             else FaultInjector.from_env()
         self._seq = 0
-        self._sweep: SweepSpec | None = None
         self._streams: set[_FileQueue] = set()
 
     def __repr__(self) -> str:
         return (f"DistributedExecutor(queue={str(self.queue)!r}, "
-                f"workers={self.workers!r}, shard={self.shard!r}, "
+                f"workers={self.workers!r}, "
                 f"retry={self.retry!r}, on_error={self.on_error!r})")
 
     def close(self) -> None:
@@ -633,61 +510,32 @@ class DistributedExecutor:
         for transport in list(self._streams):
             transport.closed = True
 
-    def publish_prefetch(self, sweep: SweepSpec) -> None:
-        """Arm speculative prefetch for the next ``run_fleet`` call.
-
-        The runner calls this (duck-typed — other backends simply lack
-        the method) when a sweep compiles with ``prefetch`` enabled, so
-        the executor still sees the *grid* its fleet came from.
-        """
-        if self.prefetch and isinstance(sweep, SweepSpec):
-            self._sweep = sweep
-
     def _publish(self, tasks_dir: Path, run_id: str, unit: int, fault,
                  attempt: int, jobs: list, hang_s: float) -> str:
         name = f"{run_id}-u{unit:03d}-a{attempt}"
-        write_json({"kind": "shard", "run": run_id, "attempt": attempt,
+        write_json({"run": run_id, "attempt": attempt,
                     "schema_version": SCHEMA_VERSION, "hang_s": hang_s,
                     "fault": fault,
                     "jobs": [[index, payload] for index, payload in jobs]},
                    tasks_dir / f"{name}.json")
         return name
 
-    def _publish_prefetch_tasks(self, tasks_dir: Path, run_id: str,
-                                sweep: SweepSpec) -> list[str]:
-        names = []
-        for k, assay in enumerate(sweep_prefetch_assays(sweep)):
-            name = f"{_PREFETCH_PREFIX}-{run_id}-p{k:03d}"
-            write_json({"kind": "prefetch", "run": run_id, "attempt": 0,
-                        "schema_version": SCHEMA_VERSION,
-                        "jobs": [[k, assay.to_dict()]]},
-                       tasks_dir / f"{name}.json")
-            names.append(name)
-        return names
-
     def run_fleet(self, spec: FleetSpec,
                   store=None) -> Iterator[AssayRunRecord]:
         """Stream ``spec`` through the queue.  ``store`` is accepted for
         the executor protocol but unused: workers serve and warm engine
         rows from their own shared store."""
-        tasks_dir, claims_dir, _ = _queue_dirs(ensure_queue(self.queue))
+        ensure_queue(self.queue)
         self._seq += 1
         run_id = (f"{JobKey.for_payload(spec.to_dict()).digest[:12]}"
                   f"-{os.getpid()}-{self._seq}")
         workers = self.workers if self.workers is not None \
             else (os.cpu_count() or 1)
-        transport = _FileQueue(self, run_id, self._sweep)
-        self._sweep = None
+        transport = _FileQueue(self, run_id)
         self._streams.add(transport)
         try:
             yield from run_units(spec, transport, units=workers,
-                                 shard=self.shard, policy=self.retry,
-                                 on_error=self.on_error,
+                                 policy=self.retry, on_error=self.on_error,
                                  injector=self.faults)
         finally:
             self._streams.discard(transport)
-            for name in transport.prefetched:
-                # Unclaimed speculative tasks die with the stream;
-                # claimed ones finish into the store on their own.
-                if not (claims_dir / f"{name}.claim").exists():
-                    (tasks_dir / f"{name}.json").unlink(missing_ok=True)

@@ -87,7 +87,6 @@ from repro.api.resilience import (
 )
 from repro.api.specs import (
     _EXECUTION_BACKENDS,
-    _EXECUTION_SHARDS,
     SCHEMA_VERSION,
     ExecutionSpec,
     FleetSpec,
@@ -117,31 +116,17 @@ class Executor(Protocol):
         ...  # pragma: no cover - protocol signature only
 
 
-def shard_indices(n_jobs: int, n_shards: int,
-                  mode: str = "interleave") -> list[list[int]]:
-    """Partition job indices ``0..n_jobs-1`` into non-empty shards.
+def shard_indices(n_jobs: int, n_shards: int) -> list[list[int]]:
+    """Deal job indices ``0..n_jobs-1`` round-robin into non-empty shards.
 
-    ``interleave`` deals jobs round-robin (shard ``i`` takes ``i, i+w,
-    ...``) so early-finishing jobs spread across workers; ``contiguous``
-    cuts near-equal consecutive blocks (friendlier to per-shard dwell
-    fusion when neighbouring jobs share protocol parameters).  There are
-    never more shards than jobs, so no worker is ever handed nothing.
+    Shard ``i`` takes jobs ``i, i+w, ...``, so early-finishing jobs
+    spread across workers.  There are never more shards than jobs, so
+    no worker is ever handed nothing.
     """
     if n_jobs < 1:
         raise SpecError("shard_indices: need at least one job")
     n_shards = max(1, min(n_shards, n_jobs))
-    if mode == "interleave":
-        return [list(range(i, n_jobs, n_shards)) for i in range(n_shards)]
-    if mode != "contiguous":
-        raise SpecError(f"shard_indices: unknown mode {mode!r} "
-                        f"(known: {', '.join(_EXECUTION_SHARDS)})")
-    block, extra = divmod(n_jobs, n_shards)
-    shards, at = [], 0
-    for i in range(n_shards):
-        size = block + (1 if i < extra else 0)
-        shards.append(list(range(at, at + size)))
-        at += size
-    return shards
+    return [list(range(i, n_jobs, n_shards)) for i in range(n_shards)]
 
 
 def solve(pairs, store=None) -> Iterator[tuple]:
@@ -194,8 +179,7 @@ def _split(indices: list[int]) -> list[list[int]]:
 
 
 def run_units(spec: FleetSpec, transport, *, units: int,
-              shard: str = "interleave", policy: RetryPolicy | None = None,
-              on_error: str = "raise",
+              policy: RetryPolicy | None = None, on_error: str = "raise",
               injector: FaultInjector | None = None
               ) -> Iterator[AssayRunRecord]:
     """Execute ``spec`` over ``transport``, streaming records in job order.
@@ -224,7 +208,7 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     counts = dict.fromkeys(("retries", "worker_crashes", "worker_hangs",
                             "engine_errors", "failed_jobs"), 0)
     attempts = [0] * n_jobs
-    queue = [(0.0, indices) for indices in shard_indices(n_jobs, units, shard)]
+    queue = [(0.0, indices) for indices in shard_indices(n_jobs, units)]
     active: dict[int, set[int]] = {}   # unit -> jobs not yet completed
     ready: dict[int, tuple] = {}       # job -> (kind, value), awaiting merge
     cum = [0, 0, 0, 0, 0]
@@ -506,35 +490,32 @@ class ProcessExecutor:
         Slot count — single-worker process pools, spawned lazily (a
         fleet never spawns more slots than it has units in flight) and
         kept until :meth:`close`, so consecutive runs pay the spawn cost
-        once.  ``None`` means one per CPU core.
-    shard:
-        Job partitioning strategy — see :func:`shard_indices`.
+        once.  ``None`` means one per CPU core.  The fleet's jobs are
+        dealt to units round-robin (:func:`shard_indices`).
     retry / on_error / faults:
         The core's supervision knobs (module docstring); ``timeout_s``
         is enforced per dispatched unit.
 
-    Streaming granularity is the unit: one fused pass per slot keeps the
-    per-shard dwell fusion that makes sharding pay, and the parent
-    merges completions in job order.  A crashed or hung unit kills only
-    its own slot, which respawns on next use; an abandoned stream kills
-    the slots still running its units.  A second stream entered while
-    one is live runs on slots of its own, closed when it ends, so an
-    abandoned stream can only ever kill slots it used.
+    Streaming granularity is the unit: each slot runs its unit as one
+    fused pass, and the parent merges completions in job order.  A
+    crashed or hung unit kills only its own slot, which respawns on next
+    use; an abandoned stream kills the slots still running its units.
+    A second stream entered while one is live runs on slots of its own,
+    closed when it ends, so an abandoned stream can only ever kill slots
+    it used.
     """
 
     name = "process"
 
     def __init__(self, workers: int | None = None,
-                 shard: str = "interleave",
                  retry: RetryPolicy | None = None,
                  on_error: str = "raise",
                  faults: FaultInjector | None = None) -> None:
         # One validation authority: the declarative block this executor
         # is the programmatic face of.
-        ExecutionSpec(backend="process", workers=workers, shard=shard,
-                      retry=retry, on_error=on_error)
+        ExecutionSpec(backend="process", workers=workers, retry=retry,
+                      on_error=on_error)
         self.workers = workers
-        self.shard = shard
         self.retry = retry
         self.on_error = on_error
         self.faults = faults if faults is not None \
@@ -544,8 +525,7 @@ class ProcessExecutor:
 
     def __repr__(self) -> str:
         return (f"ProcessExecutor(workers={self.workers!r}, "
-                f"shard={self.shard!r}, retry={self.retry!r}, "
-                f"on_error={self.on_error!r})")
+                f"retry={self.retry!r}, on_error={self.on_error!r})")
 
     def run_fleet(self, spec: FleetSpec,
                   store=None) -> Iterator[AssayRunRecord]:
@@ -555,8 +535,8 @@ class ProcessExecutor:
             else (os.cpu_count() or 1)
         try:
             yield from run_units(spec, _Slots(slots, self.retry, store),
-                                 units=workers, shard=self.shard,
-                                 policy=self.retry, on_error=self.on_error,
+                                 units=workers, policy=self.retry,
+                                 on_error=self.on_error,
                                  injector=self.faults)
         finally:
             if owned:
@@ -598,8 +578,8 @@ def resolve_executor(backend, execution: ExecutionSpec | None = None,
 
     Precedence: an explicit ``backend`` (an :class:`Executor` instance,
     or the name ``"inline"`` / ``"process"`` / ``"distributed"`` —
-    names take ``workers`` / ``shard`` / ``queue`` / ``prefetch`` from
-    the spec's ``execution`` block) overrides the block;
+    names take ``workers`` / ``queue`` from the spec's ``execution``
+    block) overrides the block;
     ``backend=None`` defers to ``execution`` (default: inline).
 
     ``retry`` / ``on_error`` / ``faults`` are the programmatic
@@ -627,7 +607,6 @@ def resolve_executor(backend, execution: ExecutionSpec | None = None,
     if name not in _EXECUTION_BACKENDS:
         raise SpecError(f"unknown execution backend {name!r} "
                         f"(known: {', '.join(_EXECUTION_BACKENDS)})")
-    return ExecutionSpec(backend=name, workers=block.workers,
-                         shard=block.shard, retry=retry,
-                         on_error=on_error, queue=block.queue,
-                         prefetch=block.prefetch).build(faults=faults)
+    return ExecutionSpec(backend=name, workers=block.workers, retry=retry,
+                         on_error=on_error,
+                         queue=block.queue).build(faults=faults)

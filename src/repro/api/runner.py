@@ -247,8 +247,9 @@ def _dispatch(spec, backend, store, retry=None, on_error=None,
         return _run_fleet(spec, backend, store=store, retry=retry,
                           on_error=on_error, faults=faults)
     if isinstance(spec, SweepSpec):
-        return _run_sweep(spec, backend, store, retry=retry,
-                          on_error=on_error, faults=faults)
+        return _run_fleet(spec.compile(), backend, payload=spec.to_dict(),
+                          store=store, retry=retry, on_error=on_error,
+                          faults=faults)
     if backend is not None or supervised:
         raise SpecError(f"execution backends apply to assay/fleet/sweep "
                         f"specs, not {type(spec).__name__}")
@@ -297,41 +298,32 @@ def iter_results(spec, backend=None, store=None, screening=None,
     spec = _apply_screening(_coerce(spec), screening)
     if isinstance(spec, AssaySpec):
         spec = FleetSpec(name=spec.name, assays=(spec,))
-    sweep = spec if isinstance(spec, SweepSpec) else None
-    if sweep is not None:
-        spec = sweep.compile()
+    if isinstance(spec, SweepSpec):
+        spec = spec.compile()
     if not isinstance(spec, FleetSpec):
         raise SpecError(f"iter_results needs a fleet, sweep or assay "
                         f"spec, got {type(spec).__name__}")
     store = _coerce_store(store)
     if store is None:
-        yield from _execute(spec, backend, retry, on_error, faults, sweep)
+        yield from _execute(spec, backend, retry, on_error, faults)
     else:
         yield from _iter_fleet_store(spec, backend, store, retry=retry,
-                                     on_error=on_error, faults=faults,
-                                     sweep=sweep)
+                                     on_error=on_error, faults=faults)
 
 
 def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
-             faults=None, sweep=None, store=None
-             ) -> Iterator[AssayRunRecord]:
+             faults=None, store=None) -> Iterator[AssayRunRecord]:
     """Stream ``spec`` through the executor ``backend`` resolves to.
 
-    A prefetch-capable backend (duck-typed: the distributed executor)
-    is handed the sweep the fleet compiled from, since the grid is gone
-    by the time it sees the fleet.  A run ``store`` is passed on as
-    ``run_fleet(spec, store=store)``, so the backend serves engine rows
-    from it.  An executor the runner built itself is closed when the
-    stream ends; a caller-supplied instance stays open for the caller's
-    next run.
+    A run ``store`` is passed on as ``run_fleet(spec, store=store)``,
+    so the backend serves engine rows from it.  An executor the runner
+    built itself is closed when the stream ends; a caller-supplied
+    instance stays open for the caller's next run.
     """
     from repro.api.executors import resolve_executor
 
     executor = resolve_executor(backend, spec.execution, retry=retry,
                                 on_error=on_error, faults=faults)
-    publish = getattr(executor, "publish_prefetch", None)
-    if sweep is not None and publish is not None:
-        publish(sweep)
     try:
         yield from (executor.run_fleet(spec) if store is None
                     else executor.run_fleet(spec, store=store))
@@ -342,7 +334,7 @@ def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
 
 
 def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
-                      on_error=None, faults=None, sweep=None
+                      on_error=None, faults=None
                       ) -> Iterator[AssayRunRecord]:
     """Merge warm store records and fresh backend records in job order.
 
@@ -357,7 +349,7 @@ def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
     plan = JobPlan.plan(spec, store)
     miss = plan.miss_fleet()
     fresh = iter(()) if miss is None else _execute(
-        miss, backend, retry, on_error, faults, sweep, store)
+        miss, backend, retry, on_error, faults, store)
     prev_engine = None
     prev_wall = 0.0
     try:
@@ -439,19 +431,18 @@ def _run_assay(spec: AssaySpec, store=None) -> AssayRunRecord:
 def _run_fleet(spec: FleetSpec, backend=None,
                payload: dict | None = None,
                store=None, retry=None, on_error=None,
-               faults=None, sweep=None) -> FleetRunRecord:
+               faults=None) -> FleetRunRecord:
     """Collect a fleet stream; ``payload`` lets sweeps stamp their own
     spec (the record's provenance names what the user asked for, not
     the compiled expansion)."""
     payload = payload if payload is not None else spec.to_dict()
     start = time.perf_counter()
     if store is None:
-        records = tuple(_execute(spec, backend, retry, on_error, faults,
-                                 sweep))
+        records = tuple(_execute(spec, backend, retry, on_error, faults))
     else:
         records = tuple(_iter_fleet_store(spec, backend, store,
                                           retry=retry, on_error=on_error,
-                                          faults=faults, sweep=sweep))
+                                          faults=faults))
     # FleetSpec guarantees at least one assay, so records is non-empty
     # and the last *fresh* record's cumulative stats are the fleet's
     # live totals — degraded FailedAssayRecord slots carry no engine,
@@ -489,13 +480,6 @@ def _live_engine_totals(records) -> EngineStats:
         if not record.cached and record.engine is not None:
             return record.engine
     return EngineStats(n_fused_dwells=0, n_dwell_groups=0, n_solve_steps=0)
-
-
-def _run_sweep(spec: SweepSpec, backend=None, store=None, retry=None,
-               on_error=None, faults=None) -> FleetRunRecord:
-    return _run_fleet(spec.compile(), backend, payload=spec.to_dict(),
-                      store=store, retry=retry, on_error=on_error,
-                      faults=faults, sweep=spec)
 
 
 def _run_calibration(spec: CalibrationSpec) -> CalibrationRunRecord:

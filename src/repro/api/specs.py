@@ -15,7 +15,7 @@ Spec kinds (see :mod:`repro.api` for the schema/versioning policy):
 
 - ``assay`` — one multiplexed panel assay: cell x chain x protocol x seed.
 - ``fleet`` — N concurrent assays for the batched scheduler, plus a
-  declarative ``execution`` block (backend / workers / shard) selecting
+  declarative ``execution`` block (backend / workers / ...) selecting
   how the fleet executes (see :mod:`repro.api.executors`).
 - ``sweep`` — a parameter grid over a base ``assay``, compiled into one
   ``fleet`` payload so parameter studies flow through the same
@@ -53,11 +53,13 @@ from repro.errors import SpecError
 #: opt-in ``screening`` flag on assays and sweeps; version 4 added the
 #: ``retry`` policy and ``on_error`` mode to the execution block;
 #: version 5 added the ``distributed`` backend with its ``queue``
-#: pointer and the opt-in speculative ``prefetch`` flag.  Older files
-#: still load (missing keys take their defaults), so readers accept
-#: all five.
-SCHEMA_VERSION = 5
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5)
+#: pointer and the opt-in speculative ``prefetch`` flag; version 6
+#: removed the execution block's ``shard`` strategy and ``prefetch``
+#: flag.  Older files still load (missing keys take their defaults,
+#: unknown keys such as a v5 ``shard`` or ``prefetch`` are ignored), so
+#: readers accept all six.
+SCHEMA_VERSION = 6
+SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from pathlib import Path
@@ -464,7 +466,6 @@ class AssaySpec:
 
 
 _EXECUTION_BACKENDS = ("inline", "process", "distributed")
-_EXECUTION_SHARDS = ("interleave", "contiguous")
 _EXECUTION_ON_ERROR = ("raise", "partial")
 
 
@@ -476,9 +477,7 @@ class ExecutionSpec:
     ``"inline"`` (one fused scheduler pass in this process, the
     bit-identical reference) or ``"process"`` (the fleet's jobs sharded
     across worker processes).  ``workers`` is the process count (``null``
-    means one per CPU core) and ``shard`` the job-partitioning strategy
-    (``"interleave"``: worker ``i`` takes jobs ``i, i+w, ...``;
-    ``"contiguous"``: near-equal consecutive blocks).
+    means one per CPU core).
 
     ``retry`` (schema v4) is a :class:`~repro.api.resilience.
     RetryPolicy` — attempt budget, per-dispatch timeout, backoff —
@@ -492,9 +491,7 @@ class ExecutionSpec:
     directory named by ``queue`` instead of owning a process pool;
     independent ``repro worker`` processes — on this host or any host
     sharing the filesystem — claim and execute them (see
-    :mod:`repro.api.distributed`).  ``prefetch`` (opt-in) additionally
-    lets idle workers speculatively warm the shared store with
-    neighbouring sweep grid points.  Like ``workers``, the ``queue``
+    :mod:`repro.api.distributed`).  Like ``workers``, the ``queue``
     pointer describes how the run is performed and so participates in
     the fleet-level hash without affecting per-job store identity.
 
@@ -505,24 +502,20 @@ class ExecutionSpec:
 
     backend: str = "inline"
     workers: int | None = None
-    shard: str = "interleave"
     retry: RetryPolicy | None = None
     on_error: str = "raise"
     queue: str | None = None
-    prefetch: bool = False
 
     def __post_init__(self) -> None:
         if self.backend not in _EXECUTION_BACKENDS:
             raise SpecError(
                 f"execution spec: unknown backend {self.backend!r} "
                 f"(known: {', '.join(_EXECUTION_BACKENDS)})")
-        if self.shard not in _EXECUTION_SHARDS:
-            raise SpecError(
-                f"execution spec: unknown shard strategy {self.shard!r} "
-                f"(known: {', '.join(_EXECUTION_SHARDS)})")
-        if self.workers is not None and self.workers < 1:
-            raise SpecError(f"execution spec: workers must be >= 1, "
-                            f"got {self.workers}")
+        if self.workers is not None and (
+                isinstance(self.workers, bool)
+                or not isinstance(self.workers, int) or self.workers < 1):
+            raise SpecError(f"execution spec: workers must be an integer "
+                            f">= 1 or None, got {self.workers!r}")
         if self.retry is not None \
                 and not isinstance(self.retry, RetryPolicy):
             raise SpecError(f"execution spec: retry must be a "
@@ -541,9 +534,6 @@ class ExecutionSpec:
             raise SpecError("execution spec: the distributed backend "
                             "needs a queue directory (execution.queue "
                             "/ --queue)")
-        if not isinstance(self.prefetch, bool):
-            raise SpecError(f"execution spec: prefetch must be a "
-                            f"boolean, got {type(self.prefetch).__name__}")
 
     def build(self, faults=None):
         """The configured :class:`~repro.api.executors.Executor`.
@@ -562,26 +552,21 @@ class ExecutionSpec:
             from repro.api.distributed import DistributedExecutor
 
             return DistributedExecutor(queue=self.queue,
-                                       shard=self.shard,
                                        workers=self.workers,
                                        retry=self.retry,
                                        on_error=self.on_error,
-                                       prefetch=self.prefetch,
                                        faults=faults)
-        return ProcessExecutor(workers=self.workers, shard=self.shard,
-                               retry=self.retry, on_error=self.on_error,
-                               faults=faults)
+        return ProcessExecutor(workers=self.workers, retry=self.retry,
+                               on_error=self.on_error, faults=faults)
 
     def to_dict(self) -> dict:
         return {"backend": self.backend,
                 "workers": (int(self.workers)
                             if self.workers is not None else None),
-                "shard": self.shard,
                 "retry": (self.retry.to_dict()
                           if self.retry is not None else None),
                 "on_error": self.on_error,
-                "queue": self.queue,
-                "prefetch": bool(self.prefetch)}
+                "queue": self.queue}
 
     @classmethod
     def from_dict(cls, payload: Mapping | None,
@@ -597,11 +582,6 @@ class ExecutionSpec:
         if backend not in _EXECUTION_BACKENDS:
             raise SpecError(f"{path}.backend: unknown backend {backend!r} "
                             f"(known: {', '.join(_EXECUTION_BACKENDS)})")
-        shard = payload.get("shard", "interleave")
-        if shard not in _EXECUTION_SHARDS:
-            raise SpecError(f"{path}.shard: unknown shard strategy "
-                            f"{shard!r} "
-                            f"(known: {', '.join(_EXECUTION_SHARDS)})")
         workers = payload.get("workers")
         retry_payload = payload.get("retry")
         on_error = payload.get("on_error", "raise")
@@ -616,14 +596,11 @@ class ExecutionSpec:
         return cls(backend=backend,
                    workers=(None if workers is None
                             else _int_value(workers, f"{path}.workers")),
-                   shard=shard,
                    retry=(None if retry_payload is None
                           else RetryPolicy.from_dict(retry_payload,
                                                      f"{path}.retry")),
                    on_error=on_error,
-                   queue=queue,
-                   prefetch=_bool_value(payload.get("prefetch", False),
-                                        f"{path}.prefetch"))
+                   queue=queue)
 
 
 @dataclass(frozen=True)

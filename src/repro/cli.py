@@ -276,10 +276,6 @@ def _add_execution_arguments(command) -> None:
                          help="shared queue directory for --backend "
                               "distributed; attach workers with "
                               "`repro worker --queue DIR`")
-    command.add_argument("--prefetch", action="store_true",
-                         help="distributed sweeps only: let idle workers "
-                              "speculatively warm the sweep's neighbouring "
-                              "grid points in the shared store")
     command.add_argument("--store", type=str, default=None, metavar="DIR",
                          help="content-addressed run store: reuse a "
                               "stored record on spec-hash hit, persist "
@@ -342,8 +338,6 @@ def _build_execution(args):
                          "or distributed")
     if args.queue is not None and args.backend != "distributed":
         raise SystemExit("error: --queue needs --backend distributed")
-    if args.prefetch and args.backend != "distributed":
-        raise SystemExit("error: --prefetch needs --backend distributed")
     if getattr(args, "sequential", False) and args.backend is not None:
         raise SystemExit("error: --sequential is the per-cell reference "
                          "path; it cannot run on --backend")
@@ -359,8 +353,7 @@ def _build_execution(args):
         if args.queue is None:
             raise SystemExit("error: --backend distributed needs --queue")
         return api.DistributedExecutor(
-            queue=args.queue, workers=args.workers,
-            prefetch=args.prefetch, **kwargs), None, None
+            queue=args.queue, workers=args.workers, **kwargs), None, None
     return api.ProcessExecutor(workers=args.workers, **kwargs), None, None
 
 
@@ -725,8 +718,7 @@ def _cmd_worker(args) -> int:
         print("repro worker: shutting down", flush=True)
         return 0
     print(f"repro worker: done shards={done['shards']} "
-          f"jobs={done['jobs']} prefetched={done['prefetched']}",
-          flush=True)
+          f"jobs={done['jobs']}", flush=True)
     return 0
 
 

@@ -225,11 +225,7 @@ the engine restructures it in five layers:
     (its persistence seam is now a pluggable
     :class:`~repro.api.store.StorageDriver`), so a job any worker has
     ever solved is a cluster-wide cache hit — a fully warm fleet
-    performs zero engine solves no matter which workers serve it —
-    and idle workers speculatively prefetch the next grid point of
-    the last sweep axis (opt-in ``execution: {"prefetch": true}``),
-    warming the store for the widened re-sweep a parameter study
-    runs next.
+    performs zero engine solves no matter which workers serve it.
 
 Equivalence guarantee
 =====================

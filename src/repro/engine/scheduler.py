@@ -553,10 +553,6 @@ class _JobPlan:
     noise: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
     generator: "np.random.Generator | None" = None
-    #: Whether the protocol supports the fused planning/IO contract
-    #: (plan_sweeps + assemble(..., cv_rows=, readings=)).  Duck-typed
-    #: protocols without it keep the legacy per-job path.
-    fused_io: bool = True
 
 
 class AssayScheduler:
@@ -613,13 +609,10 @@ class AssayScheduler:
         plans: list[_JobPlan] = []
         for job in map(self._coerce_job, jobs):
             protocol = job.protocol if job.protocol is not None else default
-            fused_io = hasattr(protocol, "plan_sweeps")
             plans.append(_JobPlan(
                 job=job, protocol=protocol,
                 dwells=protocol.plan_dwells(job.cell, job.chain),
-                sweeps=(protocol.plan_sweeps(job.cell, job.chain)
-                        if fused_io else []),
-                fused_io=fused_io))
+                sweeps=protocol.plan_sweeps(job.cell, job.chain)))
 
         # Silent shadowing in by_name would lose results; fail loudly
         # at scheduling time, before any chemistry runs.
@@ -662,8 +655,7 @@ class AssayScheduler:
             job = plan.job
             plan.generator = (job.rng if job.rng is not None
                               else np.random.default_rng(2011))
-            if plan.fused_io:
-                self._predraw_noise(plan, uniform_sample_times)
+            self._predraw_noise(plan, uniform_sample_times)
 
         simulated: set[tuple] = set()
         n_fused = 0
@@ -708,14 +700,9 @@ class AssayScheduler:
                             member.cv_rows[sweep.we_name] = (sweep, rows[i])
                     self._digitize_group(times, members, rows)
                 job = plan.job
-                if plan.fused_io:
-                    result = plan.protocol.assemble(
-                        job.cell, job.chain, plan.generator, plan.rows,
-                        cv_rows=plan.cv_rows, readings=plan.readings)
-                else:
-                    result = plan.protocol.assemble(job.cell, job.chain,
-                                                    plan.generator,
-                                                    plan.rows)
+                result = plan.protocol.assemble(
+                    job.cell, job.chain, plan.generator, plan.rows,
+                    cv_rows=plan.cv_rows, readings=plan.readings)
                 yield FleetItem(index=index, name=names[index],
                                 result=result, n_jobs=len(plans),
                                 n_fused_dwells=n_fused,
@@ -783,8 +770,6 @@ class AssayScheduler:
         clusters: dict = {}
         order: list = []
         for i, (plan, unit) in enumerate(members):
-            if not plan.fused_io:
-                continue
             chain = plan.job.chain
             key = (chain.tia, chain.adc, len(rows[i]))
             if key not in clusters:

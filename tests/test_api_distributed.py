@@ -17,8 +17,9 @@ Pins the acceptance bar of the distributed backend:
 - the storage-driver seam under ``RunStore`` is genuinely pluggable —
   an in-memory driver passes the same round-trip properties the local
   directory driver does,
-- speculative sweep prefetch warms exactly the neighbouring grid
-  points a widened re-sweep will ask for.
+- a v5 distributed sweep that still carries the ``prefetch`` flag and
+  ``shard`` strategy schema v6 removed runs as the same sweep without
+  them, and its workers publish and store nothing beyond its grid.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from repro.api.distributed import (
     default_store_root,
     ensure_queue,
     run_worker,
-    sweep_prefetch_assays,
 )
-from repro.api.jobs import JobKey
 from repro.api.resilience import FaultInjector, RetryPolicy
 from repro.api.store import LocalDirDriver, RunStore, StorageDriver
 from repro.errors import ExecutionError, SpecError
@@ -323,12 +322,15 @@ class TestExecutorSurface:
 
     def test_spec_block_round_trips_queue_and_prefetch(self):
         block = api.ExecutionSpec(backend="distributed", queue="qdir",
-                                  prefetch=True, workers=2)
+                                  workers=2)
         payload = json.loads(json.dumps(block.to_dict()))
-        back = api.ExecutionSpec.from_dict(payload)
-        assert back == block
+        assert api.ExecutionSpec.from_dict(payload) == block
         assert payload["queue"] == "qdir"
-        assert payload["prefetch"] is True
+        # Schema v6 removed ``prefetch``: a v5 block's flag is ignored
+        # on read and never re-emitted.
+        assert "prefetch" not in payload
+        assert api.ExecutionSpec.from_dict(
+            {**payload, "prefetch": True}) == block
 
     def test_resolve_by_name(self, tmp_path):
         from repro.api.executors import resolve_executor
@@ -489,40 +491,9 @@ class TestStorageDriver:
         assert store.stats().lock_waits >= 1
 
 
-class TestSweepPrefetch:
-    def _sweep(self, values=(2.0, 4.0, 6.0)) -> api.SweepSpec:
-        return api.SweepSpec(
-            name="dwell-sweep",
-            base=api.AssaySpec(name="pt", seed=11,
-                               protocol=api.PanelProtocolSpec(
-                                   ca_dwell=CA_DWELL)),
-            grid={"protocol.ca_dwell": tuple(values)})
-
-    def test_extrapolates_last_axis_one_step(self):
-        sweep = self._sweep()
-        extra = sweep_prefetch_assays(sweep)
-        assert len(extra) == 1
-        assert extra[0].protocol.ca_dwell == 8.0
-        known = {JobKey.for_payload(a.to_dict()).digest
-                 for a in sweep.compile().assays}
-        assert JobKey.for_payload(extra[0].to_dict()).digest not in known
-
-    def test_prefetched_point_is_exactly_the_widened_sweeps_next_job(
-            self):
-        sweep = self._sweep()
-        wide = self._sweep(values=(2.0, 4.0, 6.0, 8.0))
-        extra = sweep_prefetch_assays(sweep)
-        wide_keys = {JobKey.for_payload(a.to_dict()).digest
-                     for a in wide.compile().assays}
-        assert JobKey.for_payload(extra[0].to_dict()).digest in wide_keys
-
-    def test_unextendable_axes_yield_nothing(self):
-        assert sweep_prefetch_assays(self._sweep(values=(5.0,))) == []
-        assert sweep_prefetch_assays(api.SweepSpec(
-            name="s", base=self._sweep().base,
-            grid={"protocol.ca_dwell": (2.0, 2.0)})) == []
-
-    def test_idle_workers_warm_the_next_grid_point(self, tmp_path):
+class TestV5PrefetchSweep:
+    def test_loads_and_runs_as_the_sweep_without_the_deleted_keys(
+            self, tmp_path):
         queue = tmp_path / "q"
         sweep = api.SweepSpec(
             name="dwell-sweep",
@@ -531,15 +502,22 @@ class TestSweepPrefetch:
                                    ca_dwell=CA_DWELL)),
             grid={"protocol.ca_dwell": (2.0, 3.0)},
             execution=api.ExecutionSpec(backend="distributed",
-                                        queue=str(queue), workers=2,
-                                        prefetch=True))
+                                        queue=str(queue), workers=2))
+        v5 = json.loads(json.dumps(sweep.to_dict()))
+        v5["schema"] = v5["base"]["schema"] = 5
+        v5["execution"].update(shard="contiguous", prefetch=True)
+        loaded = api.spec_from_dict(v5)
+        assert loaded == sweep
+        assert loaded.to_dict() == sweep.to_dict()
+        assert loaded.to_dict()["schema"] == api.SCHEMA_VERSION == 6
         thread = start_worker_thread(queue)
-        record = api.run(sweep)
+        record = api.run(loaded)
         thread.join(timeout=60)
+        reference = api.run(api.SweepSpec(name=sweep.name, base=sweep.base,
+                                          grid=sweep.grid))
         assert len(record.records) == 2
-        store = RunStore(default_store_root(queue))
-        extra = sweep_prefetch_assays(api.SweepSpec(
-            name=sweep.name, base=sweep.base, grid=sweep.grid))
-        assert len(extra) == 1
-        key = JobKey.for_payload(extra[0].to_dict())
-        assert store.get_job(key) is not None
+        for ref, got in zip(reference.records, record.records):
+            assert_records_identical(ref, got)
+        # Only the grid's own jobs reached the queue and the store.
+        assert not any((queue / "tasks").iterdir())
+        assert len(RunStore(default_store_root(queue))) == 2

@@ -58,12 +58,14 @@ def assert_records_identical(ref, got):
 class TestProcessBackendParity:
     """The acceptance bar: process == inline, bit for bit."""
 
-    @pytest.mark.parametrize("shard", ["interleave", "contiguous"])
-    def test_process_matches_inline(self, shard):
+    # The "interleave" id names the round-robin dealing every backend
+    # uses; it is kept so the test's id stays stable.
+    @pytest.mark.parametrize("workers", [pytest.param(2, id="interleave")])
+    def test_process_matches_inline(self, workers):
         spec = small_fleet(cells=3)
         inline = list(api.iter_results(spec, backend=api.InlineExecutor()))
         sharded = list(api.iter_results(
-            spec, backend=api.ProcessExecutor(workers=2, shard=shard)))
+            spec, backend=api.ProcessExecutor(workers=workers)))
         assert len(inline) == len(sharded) == 3
         for ref, got in zip(inline, sharded):
             assert_records_identical(ref, got)
@@ -113,10 +115,9 @@ class TestExecutorResolution:
 
     def test_resolve_by_name_uses_block_workers(self):
         executor = api.resolve_executor(
-            "process", api.ExecutionSpec(workers=3, shard="contiguous"))
+            "process", api.ExecutionSpec(workers=3))
         assert isinstance(executor, api.ProcessExecutor)
         assert executor.workers == 3
-        assert executor.shard == "contiguous"
 
     def test_resolve_instance_passes_through(self):
         backend = api.ProcessExecutor(workers=2)
@@ -150,45 +151,50 @@ class TestExecutorResolution:
     def test_execution_spec_validation(self):
         with pytest.raises(SpecError, match="unknown backend"):
             api.ExecutionSpec(backend="threads")
-        with pytest.raises(SpecError, match="shard"):
-            api.ExecutionSpec(shard="random")
         with pytest.raises(SpecError, match="workers"):
             api.ExecutionSpec(workers=0)
         with pytest.raises(SpecError, match="workers"):
             api.ProcessExecutor(workers=0)
-        with pytest.raises(SpecError, match="shard"):
-            api.ProcessExecutor(shard="random")
+        # Programmatic workers are type-checked like file workers: a
+        # float, a string or a bool fails at construction, not mid-run.
+        for bad in (2.5, "2", True):
+            with pytest.raises(SpecError, match="workers"):
+                api.ExecutionSpec(workers=bad)
+            with pytest.raises(SpecError, match="workers"):
+                api.ProcessExecutor(workers=bad)
+            with pytest.raises(SpecError, match="workers"):
+                api.DistributedExecutor(queue="q", workers=bad)
 
     def test_execution_file_errors_name_the_path(self):
         payload = api.FleetSpec.homogeneous(cells=1).to_dict()
         payload["execution"] = {"backend": "threads"}
         with pytest.raises(SpecError, match=r"execution\.backend.*threads"):
             api.spec_from_dict(payload)
-        payload["execution"] = {"shard": "zigzag"}
-        with pytest.raises(SpecError, match=r"execution\.shard.*zigzag"):
+        payload["execution"] = {"workers": 2.5}
+        with pytest.raises(SpecError, match=r"execution\.workers.*2\.5"):
             api.spec_from_dict(payload)
 
 
 class TestShardIndices:
-    @pytest.mark.parametrize("mode", ["interleave", "contiguous"])
-    @pytest.mark.parametrize("n_jobs,n_shards", [(1, 1), (5, 2), (4, 4),
-                                                 (3, 8), (10, 3)])
-    def test_partition_covers_every_job_once(self, mode, n_jobs, n_shards):
-        shards = shard_indices(n_jobs, n_shards, mode)
+    # The "-interleave" ids name the round-robin dealing and keep the
+    # tests' ids stable.
+    @pytest.mark.parametrize("n_jobs,n_shards", [
+        pytest.param(n_jobs, n_shards, id=f"{n_jobs}-{n_shards}-interleave")
+        for n_jobs, n_shards in [(1, 1), (5, 2), (4, 4), (3, 8), (10, 3)]])
+    def test_partition_covers_every_job_once(self, n_jobs, n_shards):
+        shards = shard_indices(n_jobs, n_shards)
         assert all(shard for shard in shards)
         assert len(shards) == min(n_jobs, n_shards)
         flat = sorted(i for shard in shards for i in shard)
         assert flat == list(range(n_jobs))
 
     def test_strategies(self):
-        assert shard_indices(5, 2, "interleave") == [[0, 2, 4], [1, 3]]
-        assert shard_indices(5, 2, "contiguous") == [[0, 1, 2], [3, 4]]
+        assert shard_indices(5, 2) == [[0, 2, 4], [1, 3]]
+        assert shard_indices(7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
 
     def test_invalid_inputs(self):
         with pytest.raises(SpecError, match="at least one job"):
             shard_indices(0, 2)
-        with pytest.raises(SpecError, match="unknown mode"):
-            shard_indices(3, 2, "zigzag")
 
 
 class TestRunStore:
@@ -366,6 +372,28 @@ class TestSweepSpec:
         spec = api.spec_from_dict(json.loads(json.dumps(payload)))
         assert spec.execution == api.ExecutionSpec()
         assert len(spec) == 1
+
+    def test_v5_fleet_payload_drops_shard_and_prefetch(self):
+        # Schema v6 removed both keys; they only ever moved work, so a
+        # v5 file carrying them is the same fleet without them.
+        fleet = small_fleet(cells=3, seed=121, execution=api.ExecutionSpec(
+            backend="process", workers=2))
+        payload = json.loads(json.dumps(fleet.to_dict()))
+        for node in [payload, *payload["assays"]]:
+            node["schema"] = 5
+        payload["execution"].update(shard="contiguous", prefetch=True)
+        spec = api.spec_from_dict(payload)
+        assert spec == fleet
+        emitted = spec.to_dict()
+        assert emitted == fleet.to_dict()
+        assert {node["schema"] for node in [emitted, *emitted["assays"]]} \
+            == {6}
+        assert not {"shard", "prefetch"} & set(emitted["execution"])
+        reference = list(api.iter_results(fleet))
+        records = list(api.iter_results(spec))
+        assert len(records) == len(reference) == 3
+        for ref, got in zip(reference, records):
+            assert_records_identical(ref, got)
 
 
 class TestEarlyTermination:

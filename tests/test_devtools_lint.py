@@ -19,6 +19,7 @@ import pytest
 
 from repro.cli import main
 from repro.devtools import (
+    DEFAULT_SNAPSHOT,
     Baseline,
     DeterminismRule,
     ErrorTaxonomyRule,
@@ -33,7 +34,12 @@ from repro.devtools import (
     render_text,
 )
 from repro.devtools.engine import collect_sources
-from repro.devtools.schema import write_snapshot
+from repro.devtools.schema import (
+    extract_specs,
+    load_snapshot,
+    snapshot_payload,
+    write_snapshot,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -615,6 +621,15 @@ class TestCli:
         """The shipped tree passes its own gate (the CI invariant)."""
         monkeypatch.chdir(REPO_ROOT)
         assert main(["lint", "src"]) == 0
+
+    def test_committed_snapshot_matches_src(self):
+        """REP004 goes quiet on any drift once SCHEMA_VERSION exceeds
+        the snapshot's; this keeps the snapshot re-anchored at every
+        version, so the rule never stays quiet after a bump."""
+        specs, version = extract_specs(
+            collect_sources([REPO_ROOT / "src"], REPO_ROOT))
+        assert load_snapshot(DEFAULT_SNAPSHOT) == \
+            snapshot_payload(specs, version)
 
     def test_default_engine_matches_cli(self):
         result = default_engine(root=REPO_ROOT).run([REPO_ROOT / "src"])

@@ -16,6 +16,8 @@ writes the rows it solves back.  These tests pin:
   are fresh (``cached=False``) and bit-identical to an uncached run;
 - goldens: the golden-layer workloads over a row-warm store keep all
   nine digests;
+- schema bumps: a ``SCHEMA_VERSION`` bump re-keys every job but no
+  engine row, so the re-run misses every job and solves nothing;
 - concurrency: cold writers racing on one root leave every row
   servable.
 """
@@ -32,6 +34,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.api import specs as specs_module
 from repro.api import store as store_module
 from repro.api.distributed import ensure_queue, run_worker
 from repro.api.resilience import FaultInjector, FaultRule
@@ -330,6 +333,28 @@ class TestRowWarmBackends:
             (queue / "stop").touch()
             worker.join(timeout=60)
             assert not worker.is_alive()
+
+
+def test_engine_rows_survive_a_schema_bump(tmp_path, monkeypatch):
+    """A bump re-keys every job (``schema`` is in the assay payload) but
+    not the engine rows, which are keyed by their chemistry bytes."""
+    spec = fleet(seed=43, cells=3)
+    reference = list(api.iter_results(spec))
+    store = api.RunStore(tmp_path)
+    with monkeypatch.context() as patch:
+        patch.setattr(specs_module, "SCHEMA_VERSION", 5)
+        old = list(api.iter_results(spec, store=store))
+    assert {r.spec["schema"] for r in old} == {5}
+    before = store.stats()
+    records = list(api.iter_results(spec, store=store))
+    after = store.stats()
+    assert after.misses - before.misses == len(records) == 3
+    assert after.hits == before.hits
+    assert not any(r.cached for r in records)
+    assert {r.spec["schema"] for r in records} == {6}
+    assert records[-1].engine.n_solve_steps == 0
+    assert after.row_misses == before.row_misses
+    assert_bit_identical(reference, records)
 
 
 @pytest.mark.parametrize("workload", sorted(golden.WORKLOADS))
