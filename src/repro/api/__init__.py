@@ -211,7 +211,7 @@ live in :mod:`repro.api.specs`:
 
 - ``assay``: ``name``, ``seed``, ``cell`` (paper panel or reference
   sensor), ``chain`` (integrated readout class or bench), ``protocol``
-  (dwell/sweep parameters, injection schedules, ``batch_electrodes``).
+  (dwell/sweep parameters, injection schedules).
 - ``fleet``: ``name``, an explicit ``assays`` list (files stay
   reproducible; :meth:`~repro.api.specs.FleetSpec.homogeneous` builds
   the N-identical-cells case), and the ``execution`` block above.
@@ -229,7 +229,7 @@ live in :mod:`repro.api.specs`:
 Versioning policy
 =================
 
-``SCHEMA_VERSION`` (currently 6) is written into every payload and
+``SCHEMA_VERSION`` (currently 7) is written into every payload and
 checked on load; a reader raises :class:`~repro.errors.SpecError` on
 any version it does not understand, naming the offending file/path.
 Version 2 added the fleet ``execution`` block and the ``sweep`` kind;
@@ -238,18 +238,22 @@ payloads; version 4 added the ``retry`` policy and ``on_error`` mode
 to the execution block; version 5 added the ``distributed`` backend
 with its ``queue`` directory and an opt-in speculative ``prefetch``
 flag; version 6 removed the execution block's ``shard`` strategy and
-``prefetch`` flag, which moved work but never changed a result.
+``prefetch`` flag, which moved work but never changed a result;
+version 7 removed the protocol's ``batch_electrodes`` flag, since every
+spec-built assay now runs through the one batched scheduler route and
+the flag's two values produced the same bytes.
 
 Every spec field added or removed bumps the version.  ``repro lint``
 (REP004) fails on a field change without a bump, and each bump
 re-anchors ``repro/devtools/schema_snapshot.json`` with ``repro lint
 --write-schema``; the test suite checks that the committed snapshot
 matches the source.
-Readers accept every version in ``SUPPORTED_SCHEMAS`` (1 through 6):
+Readers accept every version in ``SUPPORTED_SCHEMAS`` (1 through 7):
 missing keys take their defaults, so older files keep loading with
 their original behaviour (inline execution, full fidelity,
 unsupervised), and unknown keys are ignored, so a v5 ``shard`` or
-``prefetch`` key simply drops.  ``to_dict`` always emits the complete
+``prefetch`` key or a v6 ``batch_electrodes`` key (whatever its value)
+simply drops.  ``to_dict`` always emits the complete
 canonical payload at the current version, so :func:`spec_hash`
 (SHA-256 over the sorted canonical JSON) is stable across round trips
 and is the provenance key every :class:`~repro.api.records.RunRecord`
@@ -310,7 +314,9 @@ The class-level entry points remain supported and documented —
 :class:`~repro.engine.scheduler.AssayScheduler.run_many`,
 :class:`~repro.core.platform.BiosensingPlatform.run` — and the spec
 paths are pinned bit-identical to them in ``tests/test_api_run.py``;
-specs add provenance and a stable file surface, not new physics.
+specs add provenance and a stable file surface, not new physics.  The
+sequential per-WE reference, ``PanelProtocol(batch_electrodes=False)``,
+is class-level only: no spec field, CLI flag or backend selects it.
 """
 
 from repro.api.distributed import DistributedExecutor, run_worker

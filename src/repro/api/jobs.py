@@ -96,12 +96,9 @@ class JobPlan:
     @classmethod
     def plan(cls, fleet: FleetSpec,
              store: "RunStore | None" = None) -> "JobPlan":
-        """Key every job and consult ``store`` for warm per-job records.
-
-        Only full-sample records (:class:`~repro.api.records.
-        CachedAssayRecord`) count as hits — a legacy summary-only assay
-        record cannot rejoin a live stream and is treated as a miss.
-        """
+        """Key every job and consult ``store`` for warm per-job records
+        (:meth:`~repro.api.store.RunStore.get_job` hits are always
+        full-sample records)."""
         keys = tuple(JobKey.for_assay(assay) for assay in fleet.assays)
         cached: dict[int, CachedAssayRecord] = {}
         if store is not None:
@@ -109,7 +106,7 @@ class JobPlan:
             with store.batched():
                 for index, key in enumerate(keys):
                     hit = store.get_job(key)
-                    if isinstance(hit, CachedAssayRecord):
+                    if hit is not None:
                         cached[index] = hit
         return cls(fleet=fleet, keys=keys, cached=cached)
 

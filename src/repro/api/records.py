@@ -186,7 +186,9 @@ class RunRecord:
 class AssayRunRecord(RunRecord):
     """One panel assay: a :class:`~repro.measurement.panel.PanelResult`
     plus provenance.  ``engine`` carries the fused-batch statistics of
-    the solve (``None`` on the sequential per-WE reference path)."""
+    the scheduler pass that solved it: set on every live record, and on
+    a :class:`CachedAssayRecord` those of the original solve (``None``
+    only when the stored record carried none)."""
 
     job_name: str
     result: "PanelResult"

@@ -5,13 +5,11 @@ One entry point, six dispatch paths:
 ==============  ==============================================  =======================
 spec kind       executes through                                returns
 ==============  ==============================================  =======================
-``assay``       :class:`~repro.engine.scheduler.AssayScheduler`
-                (single-job fused batch), or
-                :meth:`~repro.measurement.panel.PanelProtocol.
-                run` when ``batch_electrodes`` is off            :class:`AssayRunRecord`
+``assay``       a one-job ``fleet``, as below (the same
+                executor, job store path and records)            :class:`AssayRunRecord`
 ``fleet``       a pluggable :class:`~repro.api.executors.
-                Executor` backend (inline scheduler pass or
-                multi-process sharding)                          :class:`FleetRunRecord`
+                Executor` backend (inline scheduler pass,
+                process slots or distributed workers)            :class:`FleetRunRecord`
 ``sweep``       compiled to a ``fleet`` (grid of overrides
                 over a base assay), then as above                :class:`FleetRunRecord`
 ``calibration`` :func:`~repro.analysis.calibration.
@@ -35,10 +33,11 @@ bit-identical across backends.  ``store=`` (a
 granularities:
 
 - **whole runs** by spec hash — a repeated ``run(spec, store=store)``
-  returns the stored record (``cached=True``) without touching the
-  engine;
-- **individual assay jobs** by :class:`~repro.api.jobs.JobKey` — on a
-  whole-run miss, a fleet/sweep is planned job by job
+  of a fleet, sweep, calibration, platform or explore spec returns the
+  stored record (``cached=True``) without touching the engine;
+- **individual assay jobs** by :class:`~repro.api.jobs.JobKey` — a
+  standalone assay is looked up as its one job, and on a whole-run
+  miss a fleet/sweep is planned job by job
   (:class:`~repro.api.jobs.JobPlan`): warm jobs rehydrate live
   :class:`~repro.api.records.CachedAssayRecord` results from the
   store, only the *miss fleet* reaches the execution backend (cached
@@ -143,13 +142,6 @@ def _apply_screening(spec, screening):
                     f"not {type(spec).__name__}")
 
 
-def _has_failures(record) -> bool:
-    """Whether a record (or any of a fleet's members) degraded."""
-    if isinstance(record, FleetRunRecord):
-        return any(r.failed for r in record.records)
-    return bool(getattr(record, "failed", False))
-
-
 def run(spec, backend=None, store=None, screening=None,
         retry=None, on_error=None, faults=None) -> RunRecord:
     """Execute any runnable spec (dataclass or payload dict).
@@ -179,41 +171,29 @@ def run(spec, backend=None, store=None, screening=None,
     if not isinstance(spec, RunnableSpec):
         raise SpecError(f"not a runnable spec: {type(spec).__name__}")
     store = _coerce_store(store)
-    supervised = (retry is not None or on_error is not None
-                  or faults is not None)
     if store is None:
         return _dispatch(spec, backend, None, retry, on_error, faults)
-    from repro.api.jobs import JobKey
     from repro.api.store import StoreStats
 
     before = store.stats()
     if isinstance(spec, AssaySpec):
-        # A standalone assay *is* a job: its per-job record (samples
-        # included) may have been warmed by an earlier fleet or sweep.
-        # With an explicit backend (or supervision) the one-job fleet's
-        # JobPlan performs the same lookup, so don't double-count it
-        # here.
-        record = (store.get_job(JobKey.for_assay(spec))
-                  if backend is None and not supervised else None)
+        # A standalone assay *is* a job: the one-job fleet's JobPlan
+        # looks it up (an earlier fleet or sweep may have warmed it) and
+        # a fresh record is persisted per job as it streams.
+        record = _dispatch(spec, backend, store, retry, on_error, faults)
     else:
         # The spec is already canonical (a parsed dataclass), so its
         # hash needs one to_dict, not a serialise/re-parse round trip.
         record = store.get(hash_payload(spec.to_dict()))
-    if record is None:
-        record = _dispatch(spec, backend, store, retry, on_error, faults)
-        if _has_failures(record):
+        if record is None:
+            record = _dispatch(spec, backend, store, retry, on_error,
+                               faults)
             # A degraded run is not a reusable result: persisting it
             # would turn a transient fault into a permanently cached
             # failure.  Per-job successes were already persisted as
             # they streamed, so a warm retry re-runs only the failures.
-            pass
-        elif isinstance(record, AssayRunRecord):
-            # With an explicit backend the one-job fleet's store path
-            # already persisted the record as it streamed.
-            if backend is None and not supervised:
-                store.put_job(record)
-        else:
-            store.put(record)
+            if not (isinstance(record, FleetRunRecord) and record.n_failed):
+                store.put(record)
     after = store.stats()
     # Stamp the run's store delta (job hits/misses/evictions) plus the
     # store's resulting footprint; records are frozen, so this rides as
@@ -233,16 +213,11 @@ def run(spec, backend=None, store=None, screening=None,
 
 def _dispatch(spec, backend, store, retry=None, on_error=None,
               faults=None) -> RunRecord:
-    supervised = (retry is not None or on_error is not None
-                  or faults is not None)
     if isinstance(spec, AssaySpec):
-        if backend is not None or supervised:
-            # A one-job fleet through the requested backend; records
-            # are backend-independent, so this is the same assay.
-            fleet = FleetSpec(name=spec.name, assays=(spec,))
-            return _run_fleet(fleet, backend, store=store, retry=retry,
-                              on_error=on_error, faults=faults).records[0]
-        return _run_assay(spec, store)
+        # A one-job fleet: the record is the stream's only item.
+        [record] = _stream(FleetSpec(name=spec.name, assays=(spec,)),
+                           backend, store, retry, on_error, faults)
+        return record
     if isinstance(spec, FleetSpec):
         return _run_fleet(spec, backend, store=store, retry=retry,
                           on_error=on_error, faults=faults)
@@ -250,7 +225,7 @@ def _dispatch(spec, backend, store, retry=None, on_error=None,
         return _run_fleet(spec.compile(), backend, payload=spec.to_dict(),
                           store=store, retry=retry, on_error=on_error,
                           faults=faults)
-    if backend is not None or supervised:
+    if any(arg is not None for arg in (backend, retry, on_error, faults)):
         raise SpecError(f"execution backends apply to assay/fleet/sweep "
                         f"specs, not {type(spec).__name__}")
     if isinstance(spec, CalibrationSpec):
@@ -303,12 +278,18 @@ def iter_results(spec, backend=None, store=None, screening=None,
     if not isinstance(spec, FleetSpec):
         raise SpecError(f"iter_results needs a fleet, sweep or assay "
                         f"spec, got {type(spec).__name__}")
-    store = _coerce_store(store)
+    yield from _stream(spec, backend, _coerce_store(store), retry,
+                       on_error, faults)
+
+
+def _stream(spec: FleetSpec, backend, store, retry=None, on_error=None,
+            faults=None) -> Iterator[AssayRunRecord]:
+    """The fleet's records in job order: straight from the executor, or
+    through the job-level store pipeline when there is a ``store``."""
     if store is None:
-        yield from _execute(spec, backend, retry, on_error, faults)
-    else:
-        yield from _iter_fleet_store(spec, backend, store, retry=retry,
-                                     on_error=on_error, faults=faults)
+        return _execute(spec, backend, retry, on_error, faults)
+    return _iter_fleet_store(spec, backend, store, retry=retry,
+                             on_error=on_error, faults=faults)
 
 
 def _execute(spec: FleetSpec, backend, retry=None, on_error=None,
@@ -404,30 +385,6 @@ def _per_job_snapshot(record: AssayRunRecord, prev_engine, prev_wall: float
         wall_time_s=record.wall_time_s - prev_wall)
 
 
-def _run_assay(spec: AssaySpec, store=None) -> AssayRunRecord:
-    from repro.api.executors import solve
-
-    payload = spec.to_dict()
-    start = time.perf_counter()
-    if spec.protocol.batch_electrodes:
-        # A single-job fleet pass: the same fused solve as
-        # PanelProtocol.run's batched path (pinned bit-identical), plus
-        # engine statistics; a run store serves and keeps its rows.
-        stream = solve([(0, spec)], store)
-        _, result, *deltas = next(stream)
-        stream.close()
-        engine = EngineStats(*deltas[:3])
-    else:
-        job = spec.build_job()
-        result = job.protocol.run(job.cell, job.chain, rng=job.rng)
-        engine = None
-    return AssayRunRecord(
-        spec=payload, spec_hash=hash_payload(payload),
-        schema_version=SCHEMA_VERSION, seed=spec.seed,
-        wall_time_s=time.perf_counter() - start,
-        job_name=spec.name, result=result, engine=engine)
-
-
 def _run_fleet(spec: FleetSpec, backend=None,
                payload: dict | None = None,
                store=None, retry=None, on_error=None,
@@ -437,12 +394,7 @@ def _run_fleet(spec: FleetSpec, backend=None,
     the compiled expansion)."""
     payload = payload if payload is not None else spec.to_dict()
     start = time.perf_counter()
-    if store is None:
-        records = tuple(_execute(spec, backend, retry, on_error, faults))
-    else:
-        records = tuple(_iter_fleet_store(spec, backend, store,
-                                          retry=retry, on_error=on_error,
-                                          faults=faults))
+    records = tuple(_stream(spec, backend, store, retry, on_error, faults))
     # FleetSpec guarantees at least one assay, so records is non-empty
     # and the last *fresh* record's cumulative stats are the fleet's
     # live totals — degraded FailedAssayRecord slots carry no engine,

@@ -55,11 +55,12 @@ from repro.errors import SpecError
 #: version 5 added the ``distributed`` backend with its ``queue``
 #: pointer and the opt-in speculative ``prefetch`` flag; version 6
 #: removed the execution block's ``shard`` strategy and ``prefetch``
-#: flag.  Older files still load (missing keys take their defaults,
-#: unknown keys such as a v5 ``shard`` or ``prefetch`` are ignored), so
-#: readers accept all six.
-SCHEMA_VERSION = 6
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6)
+#: flag; version 7 removed the protocol's ``batch_electrodes`` flag.
+#: Older files still load (missing keys take their defaults, unknown
+#: keys such as a v5 ``shard`` or a v6 ``batch_electrodes`` are
+#: ignored), so readers accept all seven.
+SCHEMA_VERSION = 7
+SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5, 6, 7)
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from pathlib import Path
@@ -318,8 +319,10 @@ class PanelProtocolSpec:
     Field defaults mirror the protocol's constructor; ``injections`` is
     ``None``, a tuple of :class:`InjectionEvent` applied to every
     chronoamperometric WE, or a mapping from WE name to a tuple.
-    ``batch_electrodes=False`` selects the sequential per-WE reference
-    path (bit-identical, kept as the verification escape hatch).
+    Every assay built from a spec runs batched, through
+    :class:`~repro.engine.scheduler.AssayScheduler`; the sequential
+    per-WE reference is ``PanelProtocol(batch_electrodes=False)``, a
+    class-level check outside the spec.
     """
 
     ca_dwell: float = 60.0
@@ -328,7 +331,6 @@ class PanelProtocolSpec:
     sample_rate: float = 10.0
     settle_between: float = 1.0
     peak_min_height: float = 2.0e-9
-    batch_electrodes: bool = True
     injections: (tuple[InjectionEvent, ...]
                  | Mapping[str, tuple[InjectionEvent, ...]] | None) = None
 
@@ -347,8 +349,7 @@ class PanelProtocolSpec:
             scan_rate=self.scan_rate, sample_rate=self.sample_rate,
             settle_between=self.settle_between,
             peak_min_height=self.peak_min_height,
-            ca_injections=schedule, batch_electrodes=self.batch_electrodes,
-            screening=screening)
+            ca_injections=schedule, screening=screening)
 
     def to_dict(self) -> dict:
         if self.injections is None:
@@ -364,7 +365,6 @@ class PanelProtocolSpec:
                 "sample_rate": float(self.sample_rate),
                 "settle_between": float(self.settle_between),
                 "peak_min_height": float(self.peak_min_height),
-                "batch_electrodes": bool(self.batch_electrodes),
                 "injections": injections}
 
     @classmethod
@@ -399,9 +399,6 @@ class PanelProtocolSpec:
             sample_rate=number("sample_rate"),
             settle_between=number("settle_between"),
             peak_min_height=number("peak_min_height"),
-            batch_electrodes=_bool_value(
-                payload.get("batch_electrodes", defaults.batch_electrodes),
-                f"{path}.batch_electrodes"),
             injections=injections)
 
 
@@ -631,7 +628,6 @@ class FleetSpec:
     @classmethod
     def homogeneous(cls, cells: int, seed: int = 2011,
                     ca_dwell: float = 30.0, readout: str = "cyp_micro",
-                    batch_electrodes: bool = True,
                     name: str = "fleet",
                     execution: ExecutionSpec | None = None) -> "FleetSpec":
         if cells < 1:
@@ -639,9 +635,7 @@ class FleetSpec:
         assays = tuple(
             AssaySpec(name=f"cell{k:02d}", seed=seed + k,
                       chain=ChainSpec(readout=readout, seed=seed + k),
-                      protocol=PanelProtocolSpec(
-                          ca_dwell=ca_dwell,
-                          batch_electrodes=batch_electrodes))
+                      protocol=PanelProtocolSpec(ca_dwell=ca_dwell))
             for k in range(cells))
         return cls(name=name, assays=assays,
                    execution=(execution if execution is not None

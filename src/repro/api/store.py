@@ -846,35 +846,26 @@ class RunStore:
         self._note_lookup(key, hit=True)
         return record
 
-    def get_job(self, key) -> AssayRunRecord | StoredRunRecord | None:
+    def get_job(self, key) -> CachedAssayRecord | None:
         """The per-job record for a :class:`~repro.api.jobs.JobKey`
         (or hash/assay spec), or ``None`` on a miss.
 
-        Full-sample records rehydrate as live
-        :class:`~repro.api.records.CachedAssayRecord` objects —
-        bit-identical traces, voltammograms and readouts.  Legacy
-        records persisted without samples fall back to the summary-only
-        :class:`~repro.api.records.StoredRunRecord` (still a hit, but
-        they cannot rejoin a live fleet stream).  Corrupt records are
+        A hit is always a full-sample record, rehydrated as a live
+        :class:`~repro.api.records.CachedAssayRecord` — bit-identical
+        traces, voltammograms and readouts.  A record without samples
+        under the key (a :meth:`put` summary, or a summary-only record
+        from an older store) is a miss and stays on disk until the
+        re-run's :meth:`put_job` overwrites it.  Corrupt records are
         quarantined and count as a miss, so the job re-runs.
         """
         from repro.io.export import panel_result_from_payload
 
         digest = self._key(key)
         payload = self._read_payload(digest)
-        if payload is None:
+        samples = None if payload is None else payload.get("samples")
+        if samples is None:
             self._note_lookup(None, hit=False)
             return None
-        samples = payload.get("samples")
-        if samples is None:
-            try:
-                record = self._stored_record(payload, digest)
-            except StoreError as exc:
-                self._quarantine(digest, str(exc))
-                self._note_lookup(None, hit=False)
-                return None
-            self._note_lookup(digest, hit=True)
-            return record
         try:
             provenance = payload["provenance"]
             result_summary = payload.get("result", {})

@@ -107,9 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     panel = sub.add_parser("panel", help="run the Fig. 4 multi-target panel")
     panel.add_argument("--seed", type=int, default=2011)
-    panel.add_argument("--sequential", action="store_true",
-                       help="per-WE reference path instead of the fused "
-                            "cross-electrode engine batch (bit-identical)")
 
     fleet = sub.add_parser(
         "fleet", help="run many concurrent panel assays through the "
@@ -119,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seed", type=int, default=2011)
     fleet.add_argument("--ca-dwell", type=_positive_float, default=30.0,
                        help="chronoamperometric dwell per WE, seconds (> 0)")
-    fleet.add_argument("--sequential", action="store_true",
-                       help="run the fleet as per-cell sequential panels "
-                            "(reference path, same results)")
     _add_execution_arguments(fleet)
 
     explore_cmd = sub.add_parser(
@@ -338,9 +332,6 @@ def _build_execution(args):
                          "or distributed")
     if args.queue is not None and args.backend != "distributed":
         raise SystemExit("error: --queue needs --backend distributed")
-    if getattr(args, "sequential", False) and args.backend is not None:
-        raise SystemExit("error: --sequential is the per-cell reference "
-                         "path; it cannot run on --backend")
     retry, on_error = _build_resilience(args)
     if args.backend is None:
         return None, retry, on_error
@@ -431,20 +422,18 @@ def _print_panel_record(record) -> None:
     print(f"assay time: {result.assay_time:.0f} s")
 
 
-def _cmd_panel(seed: int, sequential: bool = False) -> int:
+def _cmd_panel(seed: int) -> int:
     from repro import api
 
-    spec = api.AssaySpec(
-        name="fig4-panel", seed=seed, chain=api.ChainSpec(seed=seed),
-        protocol=api.PanelProtocolSpec(batch_electrodes=not sequential))
+    spec = api.AssaySpec(name="fig4-panel", seed=seed,
+                         chain=api.ChainSpec(seed=seed))
     record = api.run(spec)
     _print_provenance(record)
     _print_panel_record(record)
     return 0
 
 
-def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
-               sequential: bool, backend=None,
+def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float, backend=None,
                store: str | None = None,
                screening: bool = False,
                retry=None, on_error=None) -> int:
@@ -458,9 +447,8 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
     # The backend is an execution detail, not part of the workload: keep
     # the spec canonical (default execution block) so the same fleet
     # hashes — and store-hits — identically under every --backend.
-    spec = api.FleetSpec.homogeneous(
-        cells=n_cells, seed=seed, ca_dwell=ca_dwell,
-        batch_electrodes=not sequential)
+    spec = api.FleetSpec.homogeneous(cells=n_cells, seed=seed,
+                                     ca_dwell=ca_dwell)
     if screening:
         import dataclasses
 
@@ -514,10 +502,6 @@ def _cmd_fleet(n_cells: int, seed: int, ca_dwell: float,
             mode = (f"{backend_name} backend, stored "
                     f"({n_hits}/{len(record.records)} jobs from store, "
                     f"{stored} rows from store)")
-    elif sequential:
-        for assay in spec.assays:
-            report(api.run(assay))
-        mode = "sequential per-cell panels"
     else:
         stats = None
         solved = None
@@ -829,11 +813,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "tables":
             return _cmd_tables()
         if args.command == "panel":
-            return _cmd_panel(args.seed, args.sequential)
+            return _cmd_panel(args.seed)
         if args.command == "fleet":
             backend, retry, on_error = _build_execution(args)
             return _cmd_fleet(args.cells, args.seed, args.ca_dwell,
-                              args.sequential, backend=backend,
+                              backend=backend,
                               store=args.store, screening=args.screening,
                               retry=retry, on_error=on_error)
         if args.command == "explore":

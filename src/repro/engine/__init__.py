@@ -59,12 +59,14 @@ the engine restructures it in five layers:
 4. **Cross-electrode dwell fusion** (:mod:`repro.engine.scheduler`).
    A panel's chronoamperometric dwells — one mechanism set per working
    electrode, heterogeneous grids included — stack into a single
-   :class:`~repro.engine.scheduler.DwellBatch`:
-   :class:`~repro.measurement.panel.PanelProtocol` advances *every*
+   :class:`~repro.engine.scheduler.DwellBatch` that advances *every*
    electrode of a cell with one fused solve per time step (injection
    schedules drain the batch back, refresh the affected dwell, and
-   rebuild), then digitises per WE in the original electrode order so
-   the RNG stream — and every result — matches the sequential path bit
+   rebuild).  :meth:`~repro.measurement.panel.PanelProtocol.run` is a
+   one-job pass of layer 5's scheduler, so a single panel and a fleet
+   member take the same route; its noise is drawn in the original
+   electrode order, so the RNG stream — and every result — matches
+   the sequential per-WE reference (``batch_electrodes=False``) bit
    for bit.
 
 5. **Multi-assay fleet scheduling** (same module).
@@ -87,7 +89,8 @@ the engine restructures it in five layers:
    :class:`~repro.api.specs.AssaySpec` / :class:`~repro.api.specs.
    FleetSpec` (plus calibration / platform / explore kinds) describe
    work; one :func:`~repro.api.runner.run` entry point dispatches to the
-   protocol, scheduler, calibration and platform paths and returns
+   scheduler (a standalone assay is a one-job fleet), calibration,
+   platform and explore paths and returns
    :class:`~repro.api.records.RunRecord` objects carrying the result
    plus provenance — spec hash, schema version, seed, wall time, and
    this engine's fusion statistics.  :func:`~repro.api.runner.
@@ -153,8 +156,9 @@ the engine restructures it in five layers:
    current rows segment-at-a-time from precomputed per-mechanism
    coefficients (:meth:`~repro.measurement.chronoamperometry.
    ChronoDwell.current_coefficients`) instead of calling back into
-   Python per sample.  CV sweeps, previously simulated per WE inside
-   each job, now fuse *across cells* exactly like dwells:
+   Python per sample; every dwell supplies that compiled form, so
+   there is no per-sample fallback.  CV sweeps fuse *across cells*
+   exactly like dwells:
    :meth:`~repro.measurement.panel.PanelProtocol.plan_sweeps` compiles
    each CYP WE into a :class:`~repro.measurement.voltammetry.CvSweep`
    (potential program, background currents, faradaic coefficients),

@@ -9,8 +9,10 @@ lifts batching two levels higher:
   cells — in lockstep through one :class:`~repro.engine.simulation.
   SimulationEngine` solve per time step.  Dwells are duck-typed (see
   :class:`~repro.measurement.chronoamperometry.ChronoDwell`): anything
-  exposing ``mechanisms``/``injections``/``initial_current``/
-  ``apply_injection_events``/``current_from_fluxes`` can join.  Because
+  exposing ``dt``/``mechanisms``/``injections``/``initial_current``/
+  ``apply_injection_events`` plus the compiled current form
+  ``static``/``current_coefficients`` can join; each row's current is
+  assembled as ``static + sum(coef * flux)``.  Because
   every per-system operation of the batched solver is element-for-element
   identical however many rows are stacked, a fused group reproduces each
   dwell's standalone trajectory bit for bit.
@@ -21,9 +23,13 @@ lifts batching two levels higher:
   fused :class:`DwellBatch` solves, interleaves the CV sweeps in job
   order, and assembles one per-job
   :class:`~repro.measurement.panel.PanelResult` each — bit-identical to
-  running :class:`~repro.measurement.panel.PanelProtocol` per cell,
-  because chemistry consumes no randomness and each job's RNG stream is
-  drawn in its original per-electrode order.
+  the sequential per-WE reference path
+  (``PanelProtocol(batch_electrodes=False)``), because chemistry
+  consumes no randomness and each job's RNG stream is drawn in its
+  original per-electrode order.  It is the one route every batched
+  panel assay takes: :meth:`~repro.measurement.panel.PanelProtocol.run`
+  is a one-job pass, and :mod:`repro.api` runs a standalone assay as a
+  one-job fleet.
 
 - :meth:`AssayScheduler.run_iter` is the *streaming* form of the same
   pass: it yields one :class:`FleetItem` per job, in job order, as each
@@ -102,8 +108,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = ["DwellBatch", "SweepBatch", "AssayJob", "FleetItem",
            "FleetResult", "AssayScheduler"]
-
-_NO_FLUXES = np.empty(0)
 
 
 def _solve_rows(rows, steps: int, build, state: tuple[str, ...], store,
@@ -232,17 +236,16 @@ class DwellBatch:
         """Solve one injection-free segment of every dwell's mechanisms.
 
         Returns the ``(batch_size, steps)`` flux history (``None`` when
-        no dwell has a mechanism) and the per-dwell row spans; every
+        no dwell has a mechanism) and each dwell's first row; every
         mechanism is left holding its own copy of its end profile.
         """
         mechanisms: list = []
-        spans: list[tuple[int, int]] = []
+        starts: list[int] = []
         for dwell in self.dwells:
-            start = len(mechanisms)
+            starts.append(len(mechanisms))
             mechanisms.extend(dwell.mechanisms.values())
-            spans.append((start, len(mechanisms)))
         if not mechanisms:
-            return None, spans
+            return None, starts
         keys = [mechanism_key(mech) for mech in mechanisms]
         unique, inverse = first_occurrences(keys)
         rows = [mechanisms[j] for j in unique]
@@ -256,35 +259,26 @@ class DwellBatch:
             self.n_solve_steps += steps
         self.n_solved_systems = max(self.n_solved_systems, solved)
         self.n_store_rows = max(self.n_store_rows, stored)
-        return fluxes[inverse], spans
+        return fluxes[inverse], starts
 
     def _flush_segment(self, currents: np.ndarray,
-                       fluxes: np.ndarray | None, spans,
+                       fluxes: np.ndarray | None, starts,
                        lo: int, hi: int) -> None:
         """Assemble currents for steps [lo, hi) from the segment's fluxes.
 
         Within an injection-free segment each dwell's mechanism set is
         fixed, so ``static + sum(coef * flux)`` vectorises over the
-        whole segment.  Each elementwise add runs in the same
-        left-to-right order ``current_from_fluxes`` accumulates, which
-        keeps the assembled rows bit-identical to the per-step scalar
-        sum (no reductions that would reassociate the terms).
+        whole segment.  The terms are added one elementwise add at a
+        time, in mechanism order (no reduction that would reassociate
+        them), so each sample is the scalar left-to-right sum.  A dwell
+        without mechanisms has no coefficients, and its row is just
+        ``static``.
         """
         for i, dwell in enumerate(self.dwells):
-            start, stop = spans[i]
             row = currents[i]
-            coefficients = getattr(dwell, "current_coefficients", None)
-            if coefficients is None or fluxes is None:
-                # Duck-typed dwells without the compiled form keep the
-                # per-sample reference path.
-                for k in range(lo, hi):
-                    row[k] = dwell.current_from_fluxes(
-                        fluxes[start:stop, k - lo] if fluxes is not None
-                        else _NO_FLUXES)
-                continue
             row[lo:hi] = dwell.static
-            for p, coef in enumerate(coefficients()):
-                row[lo:hi] += coef * fluxes[start + p]
+            for p, coef in enumerate(dwell.current_coefficients()):
+                row[lo:hi] += coef * fluxes[starts[i] + p]
 
     def simulate(self) -> np.ndarray:
         """Integrate every dwell; return (n_dwells, n_samples) currents.
@@ -310,8 +304,8 @@ class DwellBatch:
         for lo, hi in zip(bounds, bounds[1:]):
             for dwell, events in program.get(lo, ()):
                 dwell.apply_injection_events(events)
-            fluxes, spans = self._advance(hi - lo)
-            self._flush_segment(currents, fluxes, spans, lo, hi)
+            fluxes, starts = self._advance(hi - lo)
+            self._flush_segment(currents, fluxes, starts, lo, hi)
         return currents
 
 
@@ -558,14 +552,15 @@ class _JobPlan:
 class AssayScheduler:
     """Run many panel assays through one shared batched compute core.
 
-    The scheduler is the fleet-level counterpart of
-    :class:`~repro.measurement.panel.PanelProtocol`'s cross-electrode
-    batching: it plans every job's chronoamperometric dwells, fuses all
-    compatible dwells — across electrodes *and* cells — into single
-    :class:`DwellBatch` solves, then digitises and assembles each job in
-    its original electrode order so every
-    :class:`~repro.measurement.panel.PanelResult` is bit-identical to a
-    sequential per-cell run.
+    The scheduler is the one batched route of a panel assay, whether
+    it is one :meth:`~repro.measurement.panel.PanelProtocol.run` or a
+    fleet of thousands: it plans every job's chronoamperometric dwells
+    and CV sweeps, fuses all compatible ones — across electrodes *and*
+    cells — into single :class:`DwellBatch` and :class:`SweepBatch`
+    solves, then digitises and assembles each job in its original
+    electrode order so every
+    :class:`~repro.measurement.panel.PanelResult` is bit-identical to
+    the sequential per-WE reference path.
 
     ``store`` (optional, a :class:`~repro.api.store.RunStore` or
     anything with its ``get_row``/``put_row`` pair) makes the fused
@@ -798,30 +793,17 @@ class AssayScheduler:
         acquisition noise is drawn per job from its own generator, in
         the job's electrode order.
         """
-        results: list["PanelResult"] = []
-        names: list[str] = []
-        n_fused = 0
-        n_groups = 0
-        n_steps = 0
-        n_fused_sweeps = 0
-        n_sweep_groups = 0
-        n_solved = 0
-        n_stored = 0
-        for item in self.run_iter(jobs):
-            results.append(item.result)
-            names.append(item.name)
-            n_fused = item.n_fused_dwells
-            n_groups = item.n_dwell_groups
-            n_steps = item.n_solve_steps
-            n_fused_sweeps = item.n_fused_sweeps
-            n_sweep_groups = item.n_sweep_groups
-            n_solved = item.n_solved_systems
-            n_stored = item.n_store_rows
-        return FleetResult(results=tuple(results), names=tuple(names),
-                           n_fused_dwells=n_fused,
-                           n_dwell_groups=n_groups,
-                           n_solve_steps=n_steps,
-                           n_fused_sweeps=n_fused_sweeps,
-                           n_sweep_groups=n_sweep_groups,
-                           n_solved_systems=n_solved,
-                           n_store_rows=n_stored)
+        items = list(self.run_iter(jobs))
+        if not items:
+            return FleetResult(results=(), names=(), n_fused_dwells=0,
+                               n_dwell_groups=0)
+        last = items[-1]
+        return FleetResult(results=tuple(item.result for item in items),
+                           names=tuple(item.name for item in items),
+                           n_fused_dwells=last.n_fused_dwells,
+                           n_dwell_groups=last.n_dwell_groups,
+                           n_solve_steps=last.n_solve_steps,
+                           n_fused_sweeps=last.n_fused_sweeps,
+                           n_sweep_groups=last.n_sweep_groups,
+                           n_solved_systems=last.n_solved_systems,
+                           n_store_rows=last.n_store_rows)

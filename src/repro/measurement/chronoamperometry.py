@@ -275,24 +275,16 @@ class ChronoDwell:
             refresh_mechanisms(self.mechanisms, self.we, self.chamber,
                                self.e_applied, self.dt, self.n_nodes)
 
-    def current_from_fluxes(self, fluxes: np.ndarray) -> float:
-        """Total cell current given this dwell's slice of batch fluxes."""
-        total = self.static
-        area = self.we.area
-        for mech, flux in zip(self.mechanisms.values(), fluxes):
-            total += mech.current(area, float(flux))
-        return total
-
     def current_coefficients(self) -> np.ndarray:
         """One current-per-flux factor per mechanism, in mechanism order.
 
-        ``static + coefficients @ fluxes`` equals
-        :meth:`current_from_fluxes` term for term: each factor is
-        ``sign * electrons * F * area``, multiplied out in the same
-        left-to-right order ``_Mechanism.current`` uses, so vectorised
-        callers (:class:`~repro.engine.scheduler.DwellBatch`'s compiled
-        step program) reproduce the scalar sum bit for bit.  Recompute
-        after injections — they can add mechanisms.
+        The dwell's current is ``static + sum(coef * flux)`` over its
+        mechanisms, summed left to right.  Each factor is ``sign *
+        electrons * F * area``, multiplied out in the same left-to-right
+        order ``_Mechanism.current`` uses, so
+        :class:`~repro.engine.scheduler.DwellBatch`'s vectorised
+        segments reproduce the per-mechanism scalar currents bit for
+        bit.  Recompute after injections — they can add mechanisms.
         """
         area = self.we.area
         return np.asarray([mech.sign * mech.electrons * C.FARADAY * area

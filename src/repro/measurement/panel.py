@@ -18,19 +18,17 @@ with mux settling inserted between channels.  The result carries per-WE
 traces/voltammograms, per-target quantities, and the assay timing that
 feeds the paper's *sample throughput* property.
 
-The chemistry is batched at the *panel* level: all chronoamperometric
-dwells of the cell — oxidase and blank WEs alike — advance together
-through one :class:`~repro.engine.scheduler.DwellBatch`, i.e. one fused
-:class:`~repro.engine.simulation.SimulationEngine` solve per time step
-across every electrode's mechanisms.  Digitisation then runs per WE in
-the original electrode order, so the chain's RNG stream — and therefore
-every :class:`PanelResult` — is bit-identical to the sequential per-WE
-path (kept available via ``batch_electrodes=False`` as the reference).
-CYP sweeps keep their per-sweep batched engine and are interleaved in
-electrode order.  The panel is the engine's heaviest workload; its
-throughput is tracked by ``benchmarks/bench_panel_throughput.py`` and
-fleets of panels fuse further through
-:class:`~repro.engine.scheduler.AssayScheduler`.
+The batched form is one :class:`~repro.engine.scheduler.AssayScheduler`
+pass over a one-job list — the same route a fleet, a sweep, ``repro.api``
+and the service take — so a panel and a fleet member cannot diverge: all
+chronoamperometric dwells of the cell advance together through one fused
+:class:`~repro.engine.scheduler.DwellBatch`, the CYP sweeps through one
+:class:`~repro.engine.scheduler.SweepBatch`, and every WE is digitised
+from noise pre-drawn off the run's generator in electrode order.
+``batch_electrodes=False`` keeps the sequential per-WE reference path
+(one engine and one ``digitize`` call per WE), which is bit-identical
+and which the scheduler tests and ``benchmarks/bench_panel_throughput.py``
+compare against.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ import numpy as np
 from repro.chem.enzymes import CytochromeP450, Oxidase
 from repro.chem.solution import InjectionSchedule
 from repro.electronics.chain import AcquisitionChain
-from repro.electronics.waveform import TriangleWaveform, uniform_sample_times
-from repro.engine.scheduler import DwellBatch
+from repro.electronics.waveform import TriangleWaveform
+from repro.engine.scheduler import AssayJob, AssayScheduler
 from repro.errors import ProtocolError
 from repro.measurement.chronoamperometry import ChronoDwell, Chronoamperometry
 from repro.measurement.peaks import Peak, assign_peaks, find_peaks
@@ -154,9 +152,9 @@ class PanelProtocol:
         :class:`~repro.chem.solution.InjectionSchedule` applied to every
         chronoamperometric WE, or a mapping from WE name to schedule.
     batch_electrodes:
-        Advance all chronoamperometric dwells of the cell in one fused
-        engine solve per step (default).  ``False`` runs the sequential
-        per-WE reference path; both produce bit-identical results.
+        Run the panel as one fused scheduler pass (default).  ``False``
+        runs the sequential per-WE reference path; both produce
+        bit-identical results.
     screening:
         Opt-in coarse execution profile for explore/sweep workloads
         that only rank candidates: fewer dwell nodes and a coarser CV
@@ -212,19 +210,13 @@ class PanelProtocol:
     def run(self, cell: ElectrochemicalCell, chain: AcquisitionChain,
             rng: np.random.Generator | None = None) -> PanelResult:
         """Measure every WE in order; return the assembled panel result."""
-        generator = rng if rng is not None else np.random.default_rng(2011)
-        ca_rows: dict[str, tuple[ChronoDwell, np.ndarray, np.ndarray]] | None
-        if self.batch_electrodes:
-            ca_rows = {}
-            dwells = self.plan_dwells(cell, chain)
-            if dwells:
-                times = uniform_sample_times(self.ca_dwell, self.sample_rate)
-                currents = DwellBatch(dwells, times).simulate()
-                ca_rows = {dwell.we_name: (dwell, times, currents[i])
-                           for i, dwell in enumerate(dwells)}
-        else:
-            ca_rows = None
-        return self.assemble(cell, chain, generator, ca_rows)
+        if not self.batch_electrodes:
+            generator = (rng if rng is not None
+                         else np.random.default_rng(2011))
+            return self.assemble(cell, chain, generator, None)
+        job = AssayJob(cell=cell, chain=chain, rng=rng, protocol=self)
+        [item] = AssayScheduler().run_iter([job])
+        return item.result
 
     # -- planning and assembly -----------------------------------------------------
 
@@ -243,9 +235,8 @@ class PanelProtocol:
                      chain: AcquisitionChain) -> list[ChronoDwell]:
         """Engine-ready dwells for every chronoamperometric WE, in order.
 
-        This is the unit the fused paths batch over — within this cell
-        here, and across cells in
-        :class:`~repro.engine.scheduler.AssayScheduler`.
+        This is the unit :class:`~repro.engine.scheduler.AssayScheduler`
+        fuses, across electrodes and cells alike.
         """
         dwells: list[ChronoDwell] = []
         for we in cell.working_electrodes:
@@ -286,17 +277,16 @@ class PanelProtocol:
                   ) -> PanelResult:
         """Digitise and quantify every WE in electrode order.
 
-        ``ca_rows`` maps WE names to their pre-simulated batched dwell
-        chemistry; ``None`` runs the sequential per-WE reference path
-        instead.  ``cv_rows`` likewise maps CYP WE names to their fused
-        ``(sweep, true_current)`` pairs; missing entries run the
-        per-sweep path.  ``readings`` supplies pre-digitised
-        :class:`~repro.electronics.chain.ChannelReading` objects per WE
-        (the fleet scheduler's group-digitisation output, built from
-        noise pre-drawn off ``generator`` in this same electrode
-        order); for WEs without one the chain's RNG is consumed
-        in-place, strictly in electrode order — the contract that keeps
-        every path bit-identical.
+        Two modes.  The scheduler passes its output for this job:
+        ``ca_rows`` maps every chronoamperometric WE to its simulated
+        ``(dwell, times, true_current)``, ``cv_rows`` every CYP WE to its
+        ``(sweep, true_current)``, and ``readings`` every WE to its
+        :class:`~repro.electronics.chain.ChannelReading`, digitised from
+        noise pre-drawn off ``generator`` in electrode order.  With
+        ``ca_rows=None`` (and no other rows) the sequential per-WE
+        reference path runs instead: one engine and one ``digitize``
+        call per WE, consuming ``generator`` in the same order — the
+        contract that keeps both modes bit-identical.
         """
         traces: dict[str, Trace] = {}
         voltammograms: dict[str, Voltammogram] = {}
@@ -309,17 +299,13 @@ class PanelProtocol:
             assay_time += self.settle_between
             probe = we.probe
             if isinstance(probe, CytochromeP450):
-                if cv_rows is not None and we.name in cv_rows:
-                    sweep, row = cv_rows[we.name]
-                    reading = (readings.get(we.name)
-                               if readings is not None else None)
-                    if reading is None:
-                        reading = chain.digitize(sweep.times, row, we=we,
-                                                 rng=generator)
-                    voltammogram = sweep.to_voltammogram(row, reading)
-                else:
+                if ca_rows is None:
                     voltammogram = self._run_cv(cell, we.name, chain,
                                                 generator)
+                else:
+                    sweep, row = cv_rows[we.name]
+                    voltammogram = sweep.to_voltammogram(
+                        row, readings[we.name])
                 voltammograms[we.name] = voltammogram
                 assay_time += voltammogram.times[-1]
                 self._extract_cyp_readouts(we.name, probe, voltammogram,
@@ -330,11 +316,7 @@ class PanelProtocol:
                                                 generator)
             else:
                 dwell, times, row = ca_rows[we.name]
-                reading = (readings.get(we.name)
-                           if readings is not None else None)
-                if reading is None:
-                    reading = chain.digitize(times, row, we=we,
-                                             rng=generator)
+                reading = readings[we.name]
                 trace = Trace(times=times, current=reading.current_estimate,
                               true_current=row, channel=we.name,
                               reading=reading)

@@ -509,7 +509,7 @@ class TestV5PrefetchSweep:
         loaded = api.spec_from_dict(v5)
         assert loaded == sweep
         assert loaded.to_dict() == sweep.to_dict()
-        assert loaded.to_dict()["schema"] == api.SCHEMA_VERSION == 6
+        assert loaded.to_dict()["schema"] == api.SCHEMA_VERSION == 7
         thread = start_worker_thread(queue)
         record = api.run(loaded)
         thread.join(timeout=60)

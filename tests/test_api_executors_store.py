@@ -387,7 +387,7 @@ class TestSweepSpec:
         emitted = spec.to_dict()
         assert emitted == fleet.to_dict()
         assert {node["schema"] for node in [emitted, *emitted["assays"]]} \
-            == {6}
+            == {7}
         assert not {"shard", "prefetch"} & set(emitted["execution"])
         reference = list(api.iter_results(fleet))
         records = list(api.iter_results(spec))

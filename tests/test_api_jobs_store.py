@@ -16,6 +16,9 @@ Pins the acceptance criteria of the job-level redesign:
   ``max_count``/``max_bytes``, counts hits/misses/evictions, survives a
   lost index, skips corrupt records with a warning when listing, and
   raises :class:`~repro.errors.StoreError` naming the file otherwise,
+- a record without samples under a job key is a miss on every route
+  (standalone assay, inline fleet, process, distributed): the re-run
+  matches an uncached run and overwrites it, and the next run hits,
 - ``ProcessExecutor`` never spawns idle workers when there are fewer
   jobs than workers.
 """
@@ -392,13 +395,15 @@ class TestEvictionAndStats:
         assert store.get(digest) is None
         store.put(_FakeRecord(digest))
         assert store.get(digest) is not None
-        assert store.get_job(digest) is not None  # summary-only fallback
+        # A summary without samples is no job hit, and it stays on disk.
+        assert store.get_job(digest) is None
+        assert digest in store
         stats = store.stats()
-        assert (stats.hits, stats.misses) == (2, 1)
-        assert stats.hit_rate == pytest.approx(2 / 3)
+        assert (stats.hits, stats.misses) == (1, 2)
+        assert stats.hit_rate == pytest.approx(1 / 3)
         # Listing is not a lookup: counters unchanged.
         list(store.records())
-        assert store.stats().hits == 2
+        assert store.stats().hits == 1
 
     def test_counters_survive_clear(self, tmp_path):
         store = api.RunStore(tmp_path)
@@ -679,6 +684,61 @@ class TestStoreRobustness:
         assert_results_identical(live.result, warm.result)
         # The summary serialisation is unchanged by the round trip.
         assert warm.to_dict()["result"] == live.to_dict()["result"]
+
+
+class TestSummaryOnlyJobRecord:
+    """A record without samples under a job key (a ``store.put``
+    summary) is a miss on every route: the job re-runs, the fresh
+    record matches an uncached run, and ``put_job`` overwrites the
+    summary so the next run hits."""
+
+    @pytest.mark.parametrize("route", ["assay", "fleet", "process",
+                                       "distributed"])
+    def test_rerun_replaces_it_and_the_next_run_hits(self, route,
+                                                      tmp_path):
+        from repro.api.distributed import default_store_root
+        from test_api_distributed import start_worker_thread
+
+        spec = assay(name=f"summary-{route}", seed=131)
+        reference = api.run(spec)
+        queue = tmp_path / "q"
+        store = api.RunStore(default_store_root(queue)
+                             if route == "distributed"
+                             else tmp_path / "store")
+        store.put(reference)
+        assert store.get_job(api.JobKey.for_assay(spec)) is None
+        fleet = api.FleetSpec(name=spec.name, assays=(spec,))
+        thread = None
+        if route == "process":
+            backend = api.ProcessExecutor(workers=1)
+        elif route == "distributed":
+            backend = api.DistributedExecutor(queue=queue, workers=1)
+            thread = start_worker_thread(queue)
+        else:
+            backend = None
+
+        def one_run():
+            if route == "assay":
+                return api.run(spec, store=store)
+            [record] = api.iter_results(fleet, backend=backend,
+                                        store=store)
+            return record
+
+        try:
+            fresh = one_run()
+            again = one_run()
+        finally:
+            if thread is not None:
+                thread.join(timeout=30)
+            if route == "process":
+                backend.close()
+        assert isinstance(fresh, api.AssayRunRecord)
+        assert not fresh.cached
+        assert fresh.engine is not None
+        assert fresh.spec_hash == reference.spec_hash
+        assert_results_identical(reference.result, fresh.result)
+        assert isinstance(again, api.CachedAssayRecord)
+        assert_results_identical(reference.result, again.result)
 
 
 class TestProcessExecutorIdleWorkers:

@@ -185,13 +185,35 @@ class TestRunBitIdentity:
         assert_panel_results_equal(ref, record.result)
 
     def test_sequential_assay_matches_reference_path(self):
-        record = api.run(quick_spec(seed=5, batch_electrodes=False))
-        assert record.engine is None
+        # Every spec-built assay runs batched, with engine statistics,
+        # and matches the class-level sequential per-WE reference.
+        record = api.run(quick_spec(seed=5))
+        assert record.engine is not None
+        assert record.engine.n_solve_steps > 0
         ref = PanelProtocol(ca_dwell=CA_DWELL, batch_electrodes=False).run(
             paper_panel_cell(),
             integrated_chain("cyp_micro", n_channels=5, seed=5),
             rng=np.random.default_rng(5))
         assert_panel_results_equal(ref, record.result)
+
+    def test_assay_record_alike_plain_inline_and_stored(self, tmp_path):
+        # One route: the default, an explicit inline backend and a run
+        # store all run the assay as the same one-job fleet.
+        spec = quick_spec(seed=9)
+
+        def comparable(record):
+            out = record.to_dict()
+            del out["provenance"]["wall_time_s"]
+            out["provenance"].pop("store", None)
+            return out
+
+        plain = api.run(spec)
+        inline = api.run(spec, backend="inline")
+        stored = api.run(spec, store=api.RunStore(tmp_path))
+        assert not stored.cached
+        assert comparable(plain) == comparable(inline) == comparable(stored)
+        for record in (inline, stored):
+            assert_panel_results_equal(plain.result, record.result)
 
     def test_run_accepts_payload_dict(self):
         record = api.run(quick_spec(seed=7).to_dict())
@@ -409,11 +431,26 @@ class TestSpecShapeGuards:
         with pytest.raises(SpecError, match=r"ca_dwell: expected a number"):
             api.spec_from_dict(bad_assay)
 
-    def test_string_batch_electrodes_rejected(self):
-        payload = quick_spec().to_dict()
-        payload["protocol"]["batch_electrodes"] = "false"
-        with pytest.raises(SpecError, match="batch_electrodes"):
-            api.spec_from_dict(payload)
+    def test_v6_batch_electrodes_key_drops(self):
+        # Schema v7 removed the flag: its values gave the same bytes, so
+        # a v6 file carrying it (even a malformed string) is the same
+        # assay without it.
+        spec = quick_spec(seed=4)
+        reference = api.run(spec).to_dict()
+        del reference["provenance"]["wall_time_s"]
+        for flag in (True, False, "false"):
+            payload = json.loads(json.dumps(spec.to_dict()))
+            payload["schema"] = 6
+            payload["protocol"]["batch_electrodes"] = flag
+            loaded = api.spec_from_dict(payload)
+            assert loaded == spec
+            emitted = loaded.to_dict()
+            assert emitted == spec.to_dict()
+            assert emitted["schema"] == api.SCHEMA_VERSION == 7
+            assert "batch_electrodes" not in emitted["protocol"]
+            got = api.run(loaded).to_dict()
+            del got["provenance"]["wall_time_s"]
+            assert got == reference
 
     def test_empty_fleet_rejected_at_construction(self):
         with pytest.raises(SpecError, match="at least one assay"):

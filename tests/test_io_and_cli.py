@@ -173,11 +173,6 @@ class TestCliValidationAndExitCodes:
         assert "done cell01" in out
         assert "throughput" in out
 
-    def test_fleet_sequential_reference(self, capsys):
-        assert main(["fleet", "--cells", "1", "--ca-dwell", "5",
-                     "--sequential"]) == 0
-        assert "sequential" in capsys.readouterr().out
-
     def test_panel_prints_provenance(self, capsys):
         assert main(["panel", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -227,11 +222,6 @@ class TestCliValidationAndExitCodes:
     def test_workers_without_process_backend_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["fleet", "--cells", "2", "--workers", "2"])
-
-    def test_sequential_with_backend_rejected(self, capsys):
-        with pytest.raises(SystemExit, match="sequential"):
-            main(["fleet", "--cells", "2", "--sequential",
-                  "--backend", "process"])
 
     def test_fleet_store_roundtrip_and_cache_command(self, tmp_path,
                                                      capsys):

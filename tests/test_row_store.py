@@ -342,16 +342,16 @@ def test_engine_rows_survive_a_schema_bump(tmp_path, monkeypatch):
     reference = list(api.iter_results(spec))
     store = api.RunStore(tmp_path)
     with monkeypatch.context() as patch:
-        patch.setattr(specs_module, "SCHEMA_VERSION", 5)
+        patch.setattr(specs_module, "SCHEMA_VERSION", 6)
         old = list(api.iter_results(spec, store=store))
-    assert {r.spec["schema"] for r in old} == {5}
+    assert {r.spec["schema"] for r in old} == {6}
     before = store.stats()
     records = list(api.iter_results(spec, store=store))
     after = store.stats()
     assert after.misses - before.misses == len(records) == 3
     assert after.hits == before.hits
     assert not any(r.cached for r in records)
-    assert {r.spec["schema"] for r in records} == {6}
+    assert {r.spec["schema"] for r in records} == {7}
     assert records[-1].engine.n_solve_steps == 0
     assert after.row_misses == before.row_misses
     assert_bit_identical(reference, records)
