@@ -23,5 +23,5 @@ setup(
     packages=find_packages("src"),
     package_data={"repro.engine": ["_thomas.c"],
                   "repro.devtools": ["*.json"]},
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
 )

@@ -188,13 +188,15 @@ core then re-queues its jobs exactly as for a dead process slot, under
 the same :class:`RetryPolicy` budget and ``on_error`` degradation, and
 with the same bit-identity guarantee.
 
-Workers are **store-aware**: each consults the shared queue store
-before solving, under one batched index read per shard, so any job any
-worker has ever completed is a cluster-wide cache hit — a fully warm
-fleet performs zero engine solves (``EngineStats.n_solve_steps == 0``)
-regardless of which workers serve it, because warm jobs come back as
-:class:`~repro.api.records.CachedAssayRecord` entries that never touch
-the engine.  And because *where a record lives* is now a pluggable
+Workers serve and warm **engine rows** only: each solves its unit in
+one fused pass over the shared queue store, so any chemistry any
+worker has ever solved is a cluster-wide row hit, and a re-run solves
+nothing (``EngineStats.n_solve_steps == 0``) whichever workers serve
+it.  Job records belong to the submitter, as on every backend: a
+store-less run streams fresh records, and a run given ``store=`` looks
+its jobs up and persists them itself, so its warm jobs come back as
+:class:`~repro.api.records.CachedAssayRecord` entries that never reach
+a worker.  And because *where a record lives* is now a pluggable
 :class:`~repro.api.store.StorageDriver` behind :class:`RunStore`
 (:class:`~repro.api.store.LocalDirDriver` is the reference —
 content-addressed JSON under a sharded directory tree), the same

@@ -16,9 +16,9 @@ store (by default) and, when the workers should go, a stop file::
 
     <queue>/tasks/    one JSON file per submitted unit (atomic write)
     <queue>/claims/   <task>.claim, created O_EXCL by the winning worker
-    <queue>/results/  <task>.json, the unit's per-job entries or failure
+    <queue>/results/  <task>.json, the unit's per-job rows or failure
                       as one sealed container (atomic write)
-    <queue>/store/    the shared RunStore workers consult (default)
+    <queue>/store/    the shared RunStore of engine rows (default)
     <queue>/stop      workers drain what is claimable, then exit
 
 Claim files are the whole coordination protocol: ``os.O_EXCL`` makes
@@ -36,13 +36,17 @@ its replacement.
 **What a task carries.**  The unit's ``(index, payload)`` jobs and the
 fault command the core decided for this dispatch — never the injector's
 rules, so workers need no fault configuration of their own.  A worker
-carries out the command, looks every job up in the shared
-:class:`~repro.api.store.RunStore` by :class:`~repro.api.jobs.JobKey`
-(warm jobs come back as ``cached`` entries with the original run's
-provenance), solves the rest in one fused pass — serving known engine
-rows from the same store — writes the fresh results and rows back to
-the store — so any worker's work warms every later run on the cluster
-— and reports per-job entries, or one unit failure.
+carries out the command and solves every job in one fused
+:func:`~repro.api.executors.solve` pass, exactly as a process slot
+does.  The pass serves known engine rows from the shared
+:class:`~repro.api.store.RunStore` and writes the rows it solves back,
+so any worker's work warms every later run on the cluster.  The result
+holds one row per job, ``[index, samples, d_fused, d_groups, d_steps,
+d_solved, d_stored]``, or one unit failure.  Job records belong to the
+submitter: a store-backed run looks its jobs up and persists them
+(:class:`~repro.api.jobs.JobPlan`), and a worker never reads or writes
+one.  The result body is private to one commit, so submitters and
+workers must run the same version.
 """
 
 from __future__ import annotations
@@ -55,9 +59,14 @@ import warnings
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.api.executors import injected_hang_s, run_units, solve
+from repro.api.executors import (
+    injected_hang_s,
+    run_units,
+    solve,
+    warm_imports,
+)
 from repro.api.jobs import JobKey
-from repro.api.records import AssayRunRecord, EngineStats
+from repro.api.records import AssayRunRecord
 from repro.api.resilience import FaultInjector, RetryPolicy, _Failure, inject
 from repro.api.specs import SCHEMA_VERSION, AssaySpec, ExecutionSpec, FleetSpec
 from repro.api.store import RunStore
@@ -171,79 +180,26 @@ def _scrub(name: str, tasks_dir: Path, claims_dir: Path, results_dir: Path,
 # -- the worker -------------------------------------------------------------
 
 
-def _solve_records(pairs: list[tuple[int, dict]], claim: Path,
-                   store: RunStore) -> list[tuple[int, AssayRunRecord]]:
-    """One fused pass over ``[(index, payload), ...]``, beating per job,
-    with engine rows served from and written to the shared ``store``.
-
-    Each record describes only its own job — delta engine statistics
-    and the job's own wall time — which is the shape the store persists
-    (:func:`repro.api.runner._per_job_snapshot`).
-    """
-    payloads = dict(pairs)
-    out = []
-    tick = time.perf_counter()
-    for index, result, *deltas in solve(
-            [(i, AssaySpec.from_dict(payload)) for i, payload in pairs],
-            store):
-        _beat(claim)
-        now = time.perf_counter()
-        payload = payloads[index]
-        record = AssayRunRecord(
-            spec=payload, spec_hash=JobKey.for_payload(payload).digest,
-            schema_version=SCHEMA_VERSION, seed=int(payload["seed"]),
-            wall_time_s=now - tick,
-            job_name=payload.get("name") or f"job{index}",
-            result=result, engine=EngineStats(*deltas[:3]))
-        object.__setattr__(record, "n_solved_systems", deltas[3])
-        object.__setattr__(record, "n_store_rows", deltas[4])
-        out.append((index, record))
-        tick = now
-    return out
-
-
-def _entry(index: int, record: AssayRunRecord, cached: bool) -> dict:
-    engine = record.engine
-    return {"index": index, "cached": cached,
-            "samples": panel_result_to_payload(record.result, arrays=True),
-            "wall_s": record.wall_time_s,
-            "engine": (None if engine is None else
-                       [engine.n_fused_dwells, engine.n_dwell_groups,
-                        engine.n_solve_steps]),
-            "solved": record.n_solved_systems,
-            "stored": record.n_store_rows}
-
-
-def _unit_entries(pairs: list[tuple[int, dict]], store: RunStore,
-                  claim: Path) -> list[dict]:
-    """Store lookups, one fused solve of the misses, store write-back."""
-    entries, pending = [], []
-    with store.batched():
-        for index, payload in pairs:
-            hit = store.get_job(JobKey.for_payload(payload))
-            if hit is None:
-                pending.append((index, payload))
-            else:
-                entries.append(_entry(index, hit, cached=True))
-    _beat(claim)
-    fresh = _solve_records(pending, claim, store) if pending else []
-    if fresh:
-        with store.batched():
-            for _, record in fresh:
-                store.put_job(record)
-    return entries + [_entry(index, record, cached=False)
-                      for index, record in fresh]
-
-
 def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
               results_dir: Path, store: RunStore) -> int:
-    """Execute one claimed task file; returns the job count handled."""
-    pairs = [(int(index), dict(job)) for index, job in
-             payload.get("jobs", [])]
+    """Execute one claimed task file; returns the job count handled.
+
+    One :func:`~repro.api.executors.solve` pass over the shared
+    ``store``, beating the claim per job; no job record is read or
+    written here.
+    """
+    jobs = payload.get("jobs", [])
     try:
         inject(payload.get("fault"), float(payload.get("hang_s", 3600.0)),
                claim.exists)
-        outcome = {"entries": _unit_entries(pairs, store, claim)}
+        rows = []
+        for index, result, *deltas in solve(
+                [(int(i), AssaySpec.from_dict(job)) for i, job in jobs],
+                store):
+            _beat(claim)
+            rows.append([index, panel_result_to_payload(result, arrays=True),
+                         *deltas])
+        outcome = {"rows": rows}
     except _ClaimLost:
         raise
     # repro: lint-ignore[REP002] supervision boundary: any failure of
@@ -259,7 +215,7 @@ def _run_task(payload: dict, name: str, task_path: Path, claim: Path,
                  results_dir / f"{name}.json")
     task_path.unlink(missing_ok=True)
     claim.unlink(missing_ok=True)
-    return len(pairs)
+    return len(jobs)
 
 
 def run_worker(queue, store=None, max_shards: int | None = None) -> dict:
@@ -276,6 +232,7 @@ def run_worker(queue, store=None, max_shards: int | None = None) -> dict:
 
     Returns ``{"shards": n, "jobs": n}``.
     """
+    warm_imports()
     root = ensure_queue(queue)
     tasks_dir, claims_dir, results_dir = _queue_dirs(root)
     run_store = store if isinstance(store, RunStore) else RunStore(
@@ -319,9 +276,10 @@ def _sweep_orphan_results(results_dir: Path,
     """Drop result files no submitter will ever consume.
 
     A unit claimed before its stream closed still completes (and warms
-    the store), but its result file is orphaned — submitters only watch
-    task names from their own live run.  Idle workers sweep anything
-    older than the horizon, keeping a long-lived queue bounded.
+    the store's engine rows), but its result file is orphaned —
+    submitters only watch task names from their own live run.  Idle
+    workers sweep anything older than the horizon, keeping a long-lived
+    queue bounded.
     """
     for path in results_dir.glob("*.json"):
         try:
@@ -407,19 +365,9 @@ class _FileQueue:
         failure = result.get("failure")
         if failure is not None:
             return [(unit, "error", None, _Failure(**failure))]
-        events = []
-        for entry in result.get("entries", []):
-            samples = panel_result_from_payload(entry["samples"])
-            engine = entry["engine"]
-            if entry["cached"]:
-                events.append((unit, "cached", entry["index"], (
-                    samples, float(entry["wall_s"]),
-                    None if engine is None else EngineStats(*engine))))
-            else:
-                events.append((unit, "job", entry["index"],
-                               (samples, *engine, entry["solved"],
-                                entry["stored"])))
-        return events
+        return [(unit, "job", index,
+                 (panel_result_from_payload(samples), *deltas))
+                for index, samples, *deltas in result["rows"]]
 
     def kill(self, unit: int) -> None:
         for name, owner in list(self.live.items()):
@@ -469,13 +417,13 @@ class DistributedExecutor:
     (:mod:`repro.io.sealed`): lossless
     :func:`~repro.io.export.panel_result_to_payload` payloads whose
     sample arrays travel as raw float64 blocks, checked against their
-    SHA-256 digest before the submitter parses them.  Store warm-hits
-    stream as :class:`~repro.api.records.CachedAssayRecord`
-    with their original provenance.  Closing the stream early removes
-    this run's unclaimed tasks; claimed units finish (and warm the
-    store) on their own.  :meth:`close` interrupts the streams in
-    flight, so a stream waiting on a worker that has gone ends in a
-    bounded time.
+    SHA-256 digest before the submitter parses them.  Every job streams
+    as a fresh record, as on the other backends; job hits come from a
+    store-backed run's own plan (``store=``).  Closing the stream early
+    removes this run's unclaimed tasks; claimed units finish (and warm
+    the store's engine rows) on their own.  :meth:`close` interrupts
+    the streams in flight, so a stream waiting on a worker that has
+    gone ends in a bounded time.
     """
 
     name = "distributed"
@@ -524,7 +472,8 @@ class DistributedExecutor:
                   store=None) -> Iterator[AssayRunRecord]:
         """Stream ``spec`` through the queue.  ``store`` is accepted for
         the executor protocol but unused: workers serve and warm engine
-        rows from their own shared store."""
+        rows from their own shared store, and the runner owns the job
+        records."""
         ensure_queue(self.queue)
         self._seq += 1
         run_id = (f"{JobKey.for_payload(spec.to_dict()).digest[:12]}"

@@ -22,14 +22,17 @@ decides *how*.  Every shipped executor is the same state machine,
 A transport answers three calls.  ``submit(unit, jobs, fault,
 attempt)`` sends a unit's ``(index, payload)`` pairs with the fault
 command the core already decided for it; ``poll(timeout)`` returns
-events — per-job completions, cached entries and unit failures; and
-``kill(unit)`` stops one unit.  The core owns everything else: units
+events — per-job completions and unit failures; and ``kill(unit)``
+stops one unit.  The core owns everything else: units
 cut by :func:`shard_indices`, fault decisions (made in the parent, once
 per dispatch), per-job attempts and the shard → halves → singles
 re-dispatch ladder under the policy's backoff, the
 :class:`~repro.api.records.ResilienceStats` counters, cumulative engine
-statistics, the job-order merge, cached entries and
-:class:`~repro.api.records.FailedAssayRecord` slots.
+statistics, the job-order merge and
+:class:`~repro.api.records.FailedAssayRecord` slots.  Job records are
+not a transport's business: every transport solves what it is sent,
+and a store-backed run's job hits come from the runner's own plan
+(:class:`~repro.api.jobs.JobPlan`).
 
 So every backend has the same failure semantics by construction.
 ``retries`` counts re-queued jobs; ``worker_crashes``, ``worker_hangs``
@@ -73,7 +76,6 @@ from typing import Protocol, runtime_checkable
 from repro.api.jobs import JobKey
 from repro.api.records import (
     AssayRunRecord,
-    CachedAssayRecord,
     EngineStats,
     FailedAssayRecord,
     ResilienceStats,
@@ -157,6 +159,15 @@ def solve(pairs, store=None) -> Iterator[tuple]:
             prev = now
 
 
+def warm_imports() -> None:
+    """Import what a solve imports on first use before a unit's clock
+    starts.  Peak finding imports ``scipy.signal`` lazily (about a
+    second), so a distributed worker calls this before its first claim
+    and the process backend before it forks a slot: a tight
+    ``timeout_s`` never charges the import to a job."""
+    import scipy.signal  # noqa: F401
+
+
 def injected_hang_s(policy: RetryPolicy | None) -> float:
     """How long an injected hang stalls: well past the detection
     horizon, so the transport's timeout — not the stall — ends it."""
@@ -188,11 +199,9 @@ def run_units(spec: FleetSpec, transport, *, units: int,
     re-dispatch ladder may cut more, but at most ``units`` are ever in
     flight.  Transport events are ``(unit, kind, index, value)``:
     ``"job"`` with ``(result, d_fused, d_groups, d_steps, d_solved,
-    d_stored)``,
-    ``"cached"`` with ``(result, wall_s, engine)`` for a store hit, or a
-    unit failure — ``"crash"``, ``"hang"`` or ``"error"`` with index
-    ``None`` and a ``_Failure`` — which charges one attempt to every job
-    of the unit not yet completed.  A job out of attempts under
+    d_stored)``, or a unit failure — ``"crash"``, ``"hang"`` or
+    ``"error"`` with index ``None`` and a ``_Failure`` — which charges
+    one attempt to every job of the unit not yet completed.  A job out of attempts under
     ``on_error="raise"`` raises :class:`~repro.errors.SpecError` if an
     invalid assay felled it and :class:`~repro.errors.ExecutionError`
     otherwise, chained to the original exception where it was caught in
@@ -291,10 +300,6 @@ def run_units(spec: FleetSpec, transport, *, units: int,
                         result=value[0], engine=EngineStats(*cum[:3]))
                     object.__setattr__(record, "n_solved_systems", cum[3])
                     object.__setattr__(record, "n_store_rows", cum[4])
-                elif kind == "cached":
-                    record = CachedAssayRecord(
-                        **common, wall_time_s=value[1], result=value[0],
-                        engine=value[2])
                 else:
                     record = FailedAssayRecord(
                         **common, wall_time_s=time.perf_counter() - start,
@@ -429,6 +434,7 @@ class _Slots:
         if slot == len(self.slots):
             self.slots.append(None)
         if self.slots[slot] is None:
+            warm_imports()  # a forked slot inherits them
             self.slots[slot] = ProcessPoolExecutor(max_workers=1)
         future = self.slots[slot].submit(_run_unit, jobs, fault, self.hang_s,
                                          self.store)

@@ -323,7 +323,11 @@ def _iter_fleet_store(spec: FleetSpec, backend, store, retry=None,
     execute the miss fleet on the selected backend (cached jobs never
     reach the scheduler or the process shards), persist each fresh
     per-job record as it completes, and yield records in the original
-    fleet job order — bit-identical to the uncached stream.
+    fleet job order — bit-identical to the uncached stream.  The plan
+    is the run's only job lookup and this loop its only job write: a
+    backend streams fresh records only, so each persisted record's
+    deltas are taken against the previous fresh record of the same
+    stream and are never negative.
     """
     from repro.api.jobs import JobPlan
 
@@ -398,9 +402,8 @@ def _run_fleet(spec: FleetSpec, backend=None,
     # FleetSpec guarantees at least one assay, so records is non-empty
     # and the last *fresh* record's cumulative stats are the fleet's
     # live totals — degraded FailedAssayRecord slots carry no engine,
-    # and cached records (store warm-hits, whether found by the
-    # submitter or short-circuited inside a distributed worker) carry
-    # their original run's, so both are skipped over.
+    # and cached records (the plan's store hits) carry their original
+    # run's, so both are skipped over.
     engine = _live_engine_totals(records)
     fleet_record = FleetRunRecord(
         spec=payload, spec_hash=hash_payload(payload),
@@ -422,11 +425,12 @@ def _run_fleet(spec: FleetSpec, backend=None,
 def _live_engine_totals(records) -> EngineStats:
     """The engine work *this* run actually performed.
 
-    Cached records carry their original runs' statistics; the fleet
-    totals must describe the live pass, so they come from the last
-    fresh record (cumulative over the miss fleet) — and are all zero
-    for a fully warm run, which is exactly the observable the
-    zero-engine-solves acceptance bar pins.
+    Cached records carry their original runs' statistics; only the
+    runner's :class:`~repro.api.jobs.JobPlan` makes them, since no
+    backend streams one.  The fleet totals must describe the live
+    pass, so they come from the last fresh record (cumulative over the
+    miss fleet) — and are all zero for a fully warm run, which is
+    exactly the observable the zero-engine-solves acceptance bar pins.
     """
     for record in reversed(records):
         if not record.cached and record.engine is not None:

@@ -62,8 +62,10 @@ opaque byte blobs plus a text index blob and an advisory index lock.
 :class:`LocalDirDriver` is the reference implementation (the sharded
 local directory below); an object-store driver can drop in by
 implementing the same eleven methods, and every semantic above —
-including cluster-wide warm hits for :mod:`repro.api.distributed`
-workers sharing one root — carries over unchanged.
+including cluster-wide row hits for :mod:`repro.api.distributed`
+workers sharing one root — carries over unchanged.  Workers read and
+write row records only; job records are written by the submitting
+run.
 
 Layout on disk (one file per record, sharded by the first hash byte so
 a million records don't share one directory)::

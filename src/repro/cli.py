@@ -193,16 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
     worker = sub.add_parser(
         "worker", help="attach a claim-and-execute worker process to a "
                        "distributed queue: claims published units "
-                       "atomically, consults the shared run store before "
-                       "solving, and writes results back for the "
-                       "submitter to re-merge; exits once <queue>/stop "
-                       "exists and nothing is claimable")
+                       "atomically, solves them with engine rows served "
+                       "from and warmed in the shared run store, and "
+                       "writes results back for the submitter to "
+                       "re-merge; exits once <queue>/stop exists and "
+                       "nothing is claimable")
     worker.add_argument("--queue", type=str, required=True, metavar="DIR",
                         help="the queue directory fleets are submitted to "
                              "(created if missing)")
     worker.add_argument("--store", type=str, default=None, metavar="DIR",
-                        help="shared run store to consult and warm "
-                             "(default: <queue>/store)")
+                        help="shared run store whose engine rows to "
+                             "serve and warm (default: <queue>/store)")
     worker.add_argument("--max-shards", type=_int_at_least(1),
                         default=None, metavar="N",
                         help="exit after executing N primary units "

@@ -227,9 +227,10 @@ the engine restructures it in five layers:
     re-queued under the layer-10 retry budget.  Workers share one
     :class:`~repro.api.store.RunStore`
     (its persistence seam is now a pluggable
-    :class:`~repro.api.store.StorageDriver`), so a job any worker has
-    ever solved is a cluster-wide cache hit — a fully warm fleet
-    performs zero engine solves no matter which workers serve it.
+    :class:`~repro.api.store.StorageDriver`) of engine rows, so a row
+    any worker has ever solved is a cluster-wide hit — a re-run
+    performs zero engine solves no matter which workers serve it.  Job
+    records stay with the submitter, as on every backend.
 
 Equivalence guarantee
 =====================

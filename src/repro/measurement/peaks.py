@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from repro.chem import constants as C
 from repro.errors import AnalysisError
@@ -59,6 +57,7 @@ def semi_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     ``dt^-1/2``.  Linear in its input, so peak heights remain
     concentration-proportional.
     """
+    from scipy.signal import fftconvolve
     ensure_positive(dt, "dt")
     series = np.asarray(values, dtype=float)
     if series.ndim != 1 or series.size < 2:
@@ -144,6 +143,7 @@ def find_peaks(voltammogram: Voltammogram, cathodic: bool = True,
         minima, which unsmoothed noise drags down, inflating every
         height by a few sigma.
     """
+    from scipy.signal import find_peaks as _scipy_find_peaks
     ensure_positive(min_height, "min_height")
     ensure_positive(min_separation, "min_separation")
     if method not in ("raw", "semiderivative"):

@@ -1,4 +1,4 @@
-"""Distributed execution: shard queue, claims, store-aware workers.
+"""Distributed execution: shard queue, claims, row-serving workers.
 
 Pins the acceptance bar of the distributed backend:
 
@@ -12,8 +12,11 @@ Pins the acceptance bar of the distributed backend:
   stalled claim heartbeat; the unit is reclaimed, re-queued under the
   retry budget, and finished by a surviving worker,
 - workers drain and exit once the queue's stop file exists,
-- store-aware workers short-circuit warm jobs cluster-wide: a second
-  run of the same fleet performs **zero** engine solves,
+- workers serve and warm engine rows cluster-wide, so a second run of
+  the same fleet performs **zero** engine solves; job records are the
+  submitter's alone: a store-backed run makes one lookup and one write
+  per job, its persisted per-job deltas are never negative, and a
+  store-less run streams fresh records as inline and process do,
 - the storage-driver seam under ``RunStore`` is genuinely pluggable —
   an in-memory driver passes the same round-trip properties the local
   directory driver does,
@@ -24,6 +27,7 @@ Pins the acceptance bar of the distributed backend:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -218,7 +222,7 @@ class TestBitIdentity:
 
 
 class TestStoreAwareWorkers:
-    def test_warm_cluster_rerun_solves_nothing(self, tmp_path):
+    def test_warm_cluster_rerun_solves_nothing(self, tmp_path, monkeypatch):
         queue = tmp_path / "q"
         spec = small_fleet()
         executor = DistributedExecutor(queue=queue, workers=2)
@@ -226,29 +230,125 @@ class TestStoreAwareWorkers:
         cold = list(executor.run_fleet(spec))
         thread.join(timeout=30)
         assert not any(r.cached for r in cold)
-        # A different worker, the same shared store: every job is warm.
+        # A different worker, the same shared store: every engine row is
+        # warm, and a store-less run still streams fresh records.
         thread = start_worker_thread(queue)
         warm = list(executor.run_fleet(spec))
         thread.join(timeout=30)
-        assert all(r.cached for r in warm)
+        assert not any(r.cached for r in warm)
         for ref, got in zip(cold, warm):
             assert_records_identical(ref, got)
-        # The acceptance observable: a fully warm fleet performed zero
-        # live engine solves.
+        # The acceptance observable: the re-run performed zero live
+        # engine solves, every row served from the workers' store.
+        assert warm[-1].engine.n_solve_steps == 0
+        assert warm[-1].n_store_rows > 0
+        # Job hits come from a store-backed run's own plan: the first
+        # such run writes the job records, the second is all cached.
+        store = RunStore(default_store_root(queue))
         thread = start_worker_thread(queue)
-        record = api.run(spec, backend=executor)
+        first = list(api.iter_results(spec, backend=executor, store=store))
+        assert not any(r.cached for r in first)
+        published, publish = [], executor._publish
+
+        def spy(*args):
+            published.append(args)
+            return publish(*args)
+
+        monkeypatch.setattr(executor, "_publish", spy)
+        again = list(api.iter_results(spec, backend=executor, store=store))
         thread.join(timeout=30)
-        assert record.engine.n_solve_steps == 0
+        assert all(isinstance(r, api.CachedAssayRecord) for r in again)
+        assert published == []
+        for ref, got in zip(cold, again):
+            assert_records_identical(ref, got)
 
     def test_worker_writeback_counts_into_store_stats(self, tmp_path):
         queue = tmp_path / "q"
         thread = start_worker_thread(queue)
         executor = DistributedExecutor(queue=queue, workers=1)
         list(executor.run_fleet(small_fleet(cells=2)))
-        thread.join(timeout=30)
         store = RunStore(default_store_root(queue))
+        # The worker keeps engine rows and no job record.
+        assert len(store) == 0
+        assert store.stats().records == 0
+        assert store.stats().row_records > 0
+        # A store-backed submitter writes the 2 job records.
+        list(api.iter_results(small_fleet(cells=2), backend=executor,
+                              store=store))
+        thread.join(timeout=30)
         assert len(store) == 2
         assert store.stats().records == 2
+
+
+class TestOneOwnerOfJobRecords:
+    """The submitter looks up and writes every job record; a worker
+    only solves, serving and warming engine rows."""
+
+    def test_one_lookup_and_one_write_per_job(self, tmp_path, monkeypatch):
+        calls = {"get_job": 0, "put_job": 0}
+        for name in calls:
+            def counted(self, *args, _real=getattr(RunStore, name),
+                        _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(self, *args, **kwargs)
+            monkeypatch.setattr(RunStore, name, counted)
+        queue = tmp_path / "q"
+        store = RunStore(default_store_root(queue))
+        before = store.stats()
+        thread = start_worker_thread(queue)
+        records = list(api.iter_results(
+            small_fleet(cells=2),
+            backend=DistributedExecutor(queue=queue, workers=2),
+            store=store))
+        thread.join(timeout=30)
+        assert not any(r.cached for r in records)
+        assert calls == {"get_job": 2, "put_job": 2}
+        assert store.stats().misses - before.misses == 2
+
+    def test_persisted_per_job_deltas_are_never_negative(self, tmp_path):
+        queue = tmp_path / "q"
+        spec = small_fleet(cells=2)
+        # The workers' store already holds job 0; the submitter's store
+        # is separate and empty.
+        list(api.iter_results(
+            api.FleetSpec(name="first", assays=spec.assays[:1]),
+            store=RunStore(default_store_root(queue))))
+        store = RunStore(tmp_path / "submitter")
+        thread = start_worker_thread(queue)
+        record = api.run(spec, store=store,
+                         backend=DistributedExecutor(queue=queue,
+                                                     workers=1))
+        thread.join(timeout=30)
+        hits = [store.get_job(api.JobKey.for_assay(assay))
+                for assay in spec.assays]
+        persisted = [hit.engine for hit in hits if hit is not None]
+        for engine in persisted:
+            assert all(getattr(engine, f.name) >= 0
+                       for f in dataclasses.fields(engine))
+        for f in dataclasses.fields(record.engine):
+            assert (sum(getattr(engine, f.name) for engine in persisted)
+                    == getattr(record.engine, f.name))
+        assert len(persisted) == len(spec.assays)
+
+    def test_storeless_runs_stream_fresh_records_on_every_backend(
+            self, tmp_path):
+        queue = tmp_path / "q"
+        spec = small_fleet(cells=2, seed=61)
+        # Job records for every job sit in the workers' store: only a
+        # run given that store may serve them.
+        list(api.iter_results(spec, store=RunStore(default_store_root(queue))))
+        inline = list(api.iter_results(spec, backend="inline"))
+        with api.ProcessExecutor(workers=2) as executor:
+            process = list(api.iter_results(spec, backend=executor))
+        thread = start_worker_thread(queue)
+        distributed = list(api.iter_results(
+            spec, backend=DistributedExecutor(queue=queue, workers=2)))
+        thread.join(timeout=30)
+        for records in (inline, process, distributed):
+            assert len(records) == 2
+            assert all(r.cached is False for r in records)
+            for ref, got in zip(inline, records):
+                assert_records_identical(ref, got)
 
 
 class TestDeadWorkerReclaim:
@@ -510,14 +610,18 @@ class TestV5PrefetchSweep:
         assert loaded == sweep
         assert loaded.to_dict() == sweep.to_dict()
         assert loaded.to_dict()["schema"] == api.SCHEMA_VERSION == 7
+        store = RunStore(default_store_root(queue))
         thread = start_worker_thread(queue)
-        record = api.run(loaded)
+        record = api.run(loaded, store=store)
         thread.join(timeout=60)
         reference = api.run(api.SweepSpec(name=sweep.name, base=sweep.base,
                                           grid=sweep.grid))
         assert len(record.records) == 2
         for ref, got in zip(reference.records, record.records):
             assert_records_identical(ref, got)
-        # Only the grid's own jobs reached the queue and the store.
+        # Only the grid's own jobs reached the queue and the store,
+        # beside the sweep's whole-run record.
         assert not any((queue / "tasks").iterdir())
-        assert len(RunStore(default_store_root(queue))) == 2
+        assert set(store.hashes()) == (
+            {api.JobKey.for_assay(a).digest for a in loaded.compile().assays}
+            | {record.spec_hash})

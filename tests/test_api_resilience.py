@@ -565,3 +565,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert status == 0
         assert "quarantined: 0" in out
+
+
+def test_fresh_slot_is_not_charged_for_lazy_imports():
+    """A process that never found a peak has not imported
+    ``scipy.signal``.  Its first slot must not pay that import (about a
+    second) inside a tight ``timeout_s``: the parent imports it before
+    it forks the slot."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = """
+import sys
+from repro import api
+assert "scipy.signal" not in sys.modules
+spec = api.FleetSpec.homogeneous(cells=1, seed=41, ca_dwell=2.0)
+policy = api.RetryPolicy(max_attempts=1, timeout_s=1.0)
+with api.ProcessExecutor(workers=1, retry=policy) as executor:
+    [record] = executor.run_fleet(spec)
+print(record.failed)
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -279,3 +279,22 @@ class TestCliValidationAndExitCodes:
         out = capsys.readouterr().out
         assert "[sweep] spec" in out
         assert "2-assay fleet" in out
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    """``scipy.signal`` is imported where peaks are found, so starting
+    the CLI (``repro serve``, ``repro worker``) does not pay for it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = ("import sys, repro.cli, repro.api.distributed; "
+             "print('scipy.signal' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
