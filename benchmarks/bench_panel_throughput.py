@@ -56,6 +56,12 @@ the same sweep).  Wall and CPU seconds of each pass go into
 beneath the jobs (the store's chemistry layer); they are reported on a
 line of their own and stay out of the per-record bytes.
 
+A **store-size axis** times one pass of a fresh store handle — one
+``get_row`` hit and one ``put_row`` inside ``batched()`` — over a store
+of 100 row records and one of 20,000 (2,000 in quick mode).  The pass
+touches two records and one counter file, so the large store's pass
+must stay within 2x of the small one's.
+
 A fourth **CV-fusion axis** (PR 6) times a fleet of paper-panel cells —
 mixed chronoamperometric and cyclic-voltammetry electrodes — through
 the per-cell batched path (CV sweeps simulated one WE at a time inside
@@ -131,6 +137,11 @@ MAX_STORE_BYTES_RATIO = 1.0 / 3.0
 # two short points leave fixed costs dominant, so it gates loosely.
 MIN_WARM_SPEEDUP = 2.0 if QUICK else 5.0
 MAX_WRITE_OVERHEAD = 2.0 if QUICK else 1.2
+# Store-size axis: the median of N_SIZE_PASSES fresh-handle passes per
+# store size; a pass takes about a millisecond, so it needs many.
+STORE_SIZES = (100, 2_000 if QUICK else 20_000)
+N_SIZE_PASSES = 31
+MAX_SIZE_GROWTH = 2.0
 
 # CV-fusion axis: mixed CA + CV paper-panel cells, per-cell batched vs
 # the cross-cell fused scheduler.
@@ -462,6 +473,43 @@ def run_store_experiment() -> dict:
             "row_bytes": written.row_bytes}
 
 
+def run_store_size_experiment() -> dict:
+    """One fresh-handle ``get_row`` + ``put_row`` pass in ``batched()``,
+    timed over stores of each of ``STORE_SIZES`` row records."""
+    import tempfile
+    from pathlib import Path
+
+    from repro import api
+
+    fluxes, state = np.zeros(4), {"c_ox": np.zeros(4)}
+
+    def key(i: int) -> tuple[bytes, ...]:
+        return (b"store-size-axis", i.to_bytes(8, "little"))
+
+    times = {n: [] for n in STORE_SIZES}
+    with tempfile.TemporaryDirectory() as root:
+        for n in STORE_SIZES:
+            filler = api.RunStore(Path(root) / f"store{n}")
+            with filler.batched():
+                for i in range(n):
+                    filler.put_row(key(i), fluxes, state)
+        # Alternate the sizes pass by pass, so a change in the host's
+        # speed during the axis falls on both alike.
+        for k in range(N_SIZE_PASSES):
+            for n in STORE_SIZES:
+                start = time.perf_counter()
+                store = api.RunStore(Path(root) / f"store{n}")
+                with store.batched():
+                    assert store.get_row(key(k)) is not None
+                    store.put_row(key(n + k), fluxes, state)
+                times[n].append(time.perf_counter() - start)
+    medians = {n: float(np.median(times[n])) for n in STORE_SIZES}
+    small, large = STORE_SIZES
+    return {"sizes": list(STORE_SIZES), "passes": N_SIZE_PASSES,
+            "pass_s": {str(n): medians[n] for n in STORE_SIZES},
+            "growth": medians[large] / medians[small]}
+
+
 def run_distributed_experiment() -> dict:
     """The same fleet through the queue-backed distributed backend,
     served by 1/2/4 detached ``repro worker`` processes, then two warm
@@ -650,6 +698,7 @@ def test_panel_throughput(benchmark, report, json_report):
     distributed = run_distributed_experiment()
     backends = run_backend_experiment()
     store_axis = run_store_experiment()
+    size_axis = run_store_size_experiment()
     cv_axis = run_cv_fusion_experiment()
     json_report("panel", {
         "bench": "panel_throughput",
@@ -734,6 +783,14 @@ def test_panel_throughput(benchmark, report, json_report):
                                MAX_WRITE_OVERHEAD,
                            "warm_solve_steps": 0,
                            "max_deviation": 0.0},
+        },
+        "store_size": {
+            "workload": ("one fresh-handle get_row + put_row pass in "
+                         "batched(), by store size in row records"),
+            "passes": size_axis["passes"],
+            "pass_s": size_axis["pass_s"],
+            "growth": size_axis["growth"],
+            "acceptance": {"max_growth": MAX_SIZE_GROWTH},
         },
         "service": {
             "workload": (f"{service['n_submissions']} concurrent 1-cell "
@@ -839,6 +896,15 @@ def test_panel_throughput(benchmark, report, json_report):
     report(f"engine row records       : {store_axis['row_records']} rows, "
            f"{store_axis['row_bytes']} bytes (written by the cold pass, "
            f"beside {store_axis['n_points']} job records)")
+    small, large = size_axis["sizes"]
+    report(render_table(
+        ["store size", "pass ms"],
+        [[f"{n} row records", f"{size_axis['pass_s'][str(n)] * 1e3:.2f}"]
+         for n in size_axis["sizes"]],
+        title=(f"P1i | store-size axis, one fresh-handle get_row + "
+               f"put_row pass, median of {size_axis['passes']}")))
+    report(f"{large}-record pass vs {small}: {size_axis['growth']:.2f}x  "
+           f"(acceptance: <= {MAX_SIZE_GROWTH:g}x)")
     report(render_table(
         ["implementation", "assays/sec"],
         [["per-cell batched (CV per WE)", f"{cv_axis['per_cell_rate']:.2f}"],
@@ -910,6 +976,8 @@ def test_panel_throughput(benchmark, report, json_report):
     assert store_axis["warm_speedup_vs_uncached"] >= MIN_WARM_SPEEDUP
     assert store_axis["write_overhead_vs_uncached"] <= MAX_WRITE_OVERHEAD
     assert store_axis["bytes_ratio_vs_json_format"] <= MAX_STORE_BYTES_RATIO
+    # A store pass costs what it touches, not the store's size.
+    assert size_axis["growth"] <= MAX_SIZE_GROWTH
     # Cross-cell CV fusion must agree bit for bit and stay ahead, with
     # both CYP windows (one sample rate) fused into one group.
     assert cv_axis["relative_deviation"] <= 1.0e-12

@@ -25,7 +25,7 @@ from repro.analysis.metrics import (
     max_nonlinearity,
 )
 from repro.errors import AnalysisError, CalibrationError
-from repro.units import ensure_non_negative, ensure_positive
+from repro.units import ensure_non_negative
 
 __all__ = ["CalibrationPoint", "CalibrationCurve", "run_calibration"]
 
@@ -85,12 +85,6 @@ class CalibrationCurve:
         """Savg (eq. 6) over [c_low, c_high] (full ladder by default)."""
         c, v = self._window(c_low, c_high)
         return average_sensitivity(c, v)
-
-    def sensitivity_per_area(self, area: float) -> float:
-        """Sensitivity normalised by electrode area (Table III units
-        when fed paper-unit inputs; SI in, SI out)."""
-        ensure_positive(area, "area")
-        return self.sensitivity() / area
 
     def limit_of_detection(self) -> float:
         """LOD as a concentration, ``3*sigma_b / S`` with S from the

@@ -138,13 +138,15 @@ jobs stay fresh records (``cached=False``).
 
 Records live at ``<root>/<hash[:2]>/<hash>.json`` (the record's
 ``to_dict()``: provenance + canonical spec + result summary, plus a
-``samples`` section for per-job records), written atomically.  The
-store keeps an ``index.json`` with per-record sizes, an LRU clock and
-lifetime hit/miss/eviction counters: ``RunStore(root, max_count=,
-max_bytes=)`` (or an explicit :meth:`~repro.api.store.RunStore.gc`)
-evicts least-recently-used records, and
-:meth:`~repro.api.store.RunStore.stats` returns a
-:class:`~repro.api.store.StoreStats` snapshot.  Runs that consulted a
+``samples`` section for per-job records), written atomically; engine
+rows sit under ``<root>/rows/``.  The record files are the store's only
+truth: sizes come from the listing, LRU recency from each file's mtime
+(stamped on every write and hit), and lifetime hit/miss/eviction
+counters from one small file per writing process under
+``<root>/counters/``.  ``RunStore(root, max_count=, max_bytes=)`` (or an
+explicit :meth:`~repro.api.store.RunStore.gc`) evicts
+least-recently-used records, and :meth:`~repro.api.store.RunStore.stats`
+returns a :class:`~repro.api.store.StoreStats` snapshot.  Runs that consulted a
 store stamp their hit/miss/eviction delta into record provenance under
 ``"store"``.  The CLI drives the same store via ``--store`` and the
 ``cache`` subcommand (``cache <dir>`` listing, ``cache <dir> stats``,
@@ -300,9 +302,9 @@ a :class:`ProcessExecutor` keeps its worker slots across runs, so the
 process-spawn cost of a small fleet is amortised across the server's
 lifetime.  Every run still executes
 through :func:`run` / :func:`iter_results` against the shared warm
-:class:`~repro.api.store.RunStore` (now safe under concurrent writers:
-in-process mutex + cross-process ``index.lock``), so served records are
-bit-identical to inline ones — cached, supervised and screening paths
+:class:`~repro.api.store.RunStore` (safe under concurrent writers:
+atomic record writes, one counter file per process), so served records
+are bit-identical to inline ones — cached, supervised and screening paths
 included.  ``repro serve`` is the CLI entry;
 :class:`~repro.service.client.ServiceClient` is the stdlib client;
 :class:`~repro.service.config.ServeSpec` is the deployment's own

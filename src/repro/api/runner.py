@@ -204,7 +204,6 @@ def run(spec, backend=None, store=None, screening=None,
         evictions=after.evictions - before.evictions,
         records=after.records, bytes=after.bytes,
         quarantined=after.quarantined - before.quarantined,
-        lock_waits=after.lock_waits - before.lock_waits,
         row_records=after.row_records, row_bytes=after.row_bytes,
         row_hits=after.row_hits - before.row_hits,
         row_misses=after.row_misses - before.row_misses))

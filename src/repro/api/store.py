@@ -55,13 +55,12 @@ Storage drivers
 ===============
 
 The *cache semantics* (record format, integrity seal, quarantine
-policy, LRU accounting, lock policy, statistics) live in
-:class:`RunStore`; the *persistence substrate* lives behind a
-:class:`StorageDriver` — a small read/write/delete/list surface over
-opaque byte blobs plus a text index blob and an advisory index lock.
+policy, LRU accounting, statistics) live in :class:`RunStore`; the
+*persistence substrate* lives behind a :class:`StorageDriver` — a
+small read/write/delete/list/touch surface over opaque byte blobs.
 :class:`LocalDirDriver` is the reference implementation (the sharded
 local directory below); an object-store driver can drop in by
-implementing the same eleven methods, and every semantic above —
+implementing the same seven methods, and every semantic above —
 including cluster-wide row hits for :mod:`repro.api.distributed`
 workers sharing one root — carries over unchanged.  Workers read and
 write row records only; job records are written by the submitting
@@ -71,11 +70,19 @@ Layout on disk (one file per record, sharded by the first hash byte so
 a million records don't share one directory)::
 
     <root>/
-      index.json           # LRU/size index + lifetime hit counters
       ab/
         ab3f...e2.json     # sealed record.to_dict() [+ "samples" for jobs]
-      c0/
-        c04d...91.json
+      rows/
+        c0/
+          c04d...91.json   # sealed engine row record
+      counters/
+        host-4242.json     # lifetime counters flushed by one process
+      quarantine/          # corrupt records, moved aside
+
+The record files are the store's only truth: which records exist and
+their sizes come from the driver's listing, their kind from the
+layout (row records live under ``rows/``, which the ``??/`` job glob
+never matches), and their LRU recency from the file's mtime.
 
 Each record file is one :mod:`repro.io.sealed` container: a magic line,
 a SHA-256 digest, a sorted-key JSON header (provenance, canonical spec,
@@ -85,15 +92,8 @@ all-JSON format, so one shard glob finds records of either format.
 Records are persisted atomically (a per-writer temp file +
 ``os.replace``) — concurrent writers, threads or processes, racing on
 the same spec hash simply last-write-wins a bit-identical payload, and
-a reader can never observe a truncated record.  The ``index.json``
-read-modify-write is additionally serialised across processes by an
-``os.O_EXCL`` lockfile (``<root>/index.lock``, bounded wait, stale
-locks broken) with a merge-on-save that unions record entries and
-max-merges the monotone counters, and across threads by a per-store
-reentrant mutex — many service requests can multiplex onto one warm
-store without dropping each other's LRU-clock updates.  Contended lock acquisitions tick the
-lifetime ``lock_waits`` counter, so index-lock churn under a worker
-fleet is visible in provenance rather than guessed at.
+a reader can never observe a truncated record.  Writers share nothing
+else: each process writes only its own counter file (below).
 
 Integrity and quarantine
 ========================
@@ -103,8 +103,8 @@ of every byte after the digest line, and every read checks the stored
 bytes against it *before* parsing anything.  A record that fails its
 checksum, fails to parse, or is structurally malformed is
 **quarantined**: moved aside to ``<root>/quarantine/`` (named so the
-``??/`` shard glob never lists it), dropped from the index, counted in
-the lifetime ``quarantined`` statistic, and reported once as a
+``??/`` shard glob never lists it), counted in the lifetime
+``quarantined`` statistic, and reported once as a
 :class:`RuntimeWarning` naming the file and the reason.  The lookup
 that found it counts as a miss, so the affected job simply re-runs and
 re-persists a clean record — corruption degrades to recomputation, not
@@ -119,16 +119,27 @@ only.  New writes always use the sealed container.
 Eviction and statistics
 =======================
 
-``index.json`` tracks per-record byte sizes and a logical LRU clock,
-plus lifetime ``hits`` / ``misses`` / ``evictions`` counters.  It is a
-best-effort cache, not a source of truth: a missing or corrupt index is
-rebuilt from the record files, and :meth:`gc` / :meth:`stats` reconcile
-it against the directory first.  ``RunStore(root, max_count=, max_bytes=)``
-enforces the limits after every write; :meth:`gc` applies them (or
-one-off limits) on demand, evicting least-recently-used records first.
-:meth:`stats` returns a :class:`StoreStats` snapshot — the same numbers
-the CLI ``cache stats`` subcommand prints and :func:`repro.api.run`
-stamps into record provenance.
+Every write stamps the record's mtime, and every hit stamps it again
+(:meth:`StorageDriver.touch`), both with the full-resolution
+``time.time_ns()``; eviction takes the oldest stamp first, ties broken
+by name.  ``RunStore(root, max_count=, max_bytes=)`` enforces the
+limits after every write (once per :meth:`RunStore.batched` pass);
+:meth:`RunStore.gc` applies them (or one-off limits) on demand.
+
+The lifetime ``hits`` / ``misses`` / ``row_hits`` / ``row_misses`` /
+``evictions`` / ``quarantined`` counters are kept in memory per handle
+and flushed once per pass into ``counters/<host>-<pid>``, a file only
+that process writes (read, add, replace, under a process-wide lock, so
+two handles in one process cannot lose an increment either).
+:meth:`RunStore.stats` sums the counter files and returns a
+:class:`StoreStats` snapshot — the same numbers the CLI ``cache
+stats`` subcommand prints and :func:`repro.api.run` stamps into record
+provenance.
+
+A root written before this layout still holds an ``index.json``.
+Opening it migrates once: its counters become the ``counters/legacy``
+term, its row records move under ``rows/``, and the index is deleted
+last, so an interrupted migration simply runs again.
 """
 
 from __future__ import annotations
@@ -136,6 +147,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import socket
 import threading
 import time
 import warnings
@@ -163,19 +175,54 @@ from repro.io.sealed import seal, unseal
 __all__ = ["RunStore", "StoreStats", "StorageDriver", "LocalDirDriver"]
 
 _HASH_LENGTH = 64  # hex sha-256
-_INDEX_VERSION = 1
-_LOCK_WAIT_S = 5.0   # bounded wait for index.lock before proceeding
-_LOCK_STALE_S = 30.0  # a lockfile older than this belongs to a dead writer
 
-#: Lifetime counters persisted in (and max-merged across) ``index.json``.
-_INDEX_COUNTERS = ("clock", "hits", "misses", "evictions",
-                   "quarantined", "lock_waits", "row_hits", "row_misses")
+#: Lifetime counters, kept per handle and flushed to the counter files.
+_COUNTERS = ("hits", "misses", "row_hits", "row_misses", "evictions",
+             "quarantined")
+#: Key prefixes: row records, and one counter file per writing process.
+_ROWS = "rows/"
+_COUNTER_FILES = "counters/"
+#: The index blob of a store written before the record files were its
+#: only truth (``<root>/index.json``), migrated when a store opens.
+_LEGACY_INDEX = "index"
 
-#: The index kind of row records; every other kind is a job record.
+#: The ``kind`` of a row record's payload (and of its old index entry).
 _ROW = "row"
 #: Leads every row key blob, so row and job addresses hash disjoint
 #: preimages.
 _ROW_TAG = b"repro-row 1\n"
+
+#: Serialises the read-add-replace of this process's counter file, so
+#: two handles on one root cannot lose each other's increments.
+_FLUSH_LOCK = threading.Lock()
+
+
+def _reset_flush_lock() -> None:
+    # A child forked while another thread flushed must not inherit the
+    # held lock.
+    global _FLUSH_LOCK
+    _FLUSH_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_flush_lock)
+
+
+def _is_hash(text: str) -> bool:
+    return len(text) == _HASH_LENGTH and all(
+        c in "0123456789abcdef" for c in text)
+
+
+def _counts_in(data: bytes | None) -> dict[str, int]:
+    """The lifetime counters in a JSON object blob (a counter file, or
+    an old ``index.json``); an absent or malformed blob holds none."""
+    try:
+        payload = json.loads(data)
+    except (TypeError, ValueError):
+        return {}
+    if not isinstance(payload, dict):
+        return {}
+    return {name: payload[name] for name in _COUNTERS
+            if isinstance(payload.get(name), int)}
 
 
 def _row_blob(key: tuple[bytes, ...]) -> bytes:
@@ -194,16 +241,13 @@ def row_address(blob: bytes) -> str:
 class StoreStats:
     """One snapshot of a store's counters and footprint.
 
-    ``hits``/``misses``/``evictions``/``quarantined``/``lock_waits``
-    are lifetime counters persisted in the index (or, when stamped into
-    a record's provenance by :func:`repro.api.run`, the *deltas* of
-    that one run); ``records`` and ``bytes`` are the store's current
-    footprint.  ``lock_waits`` counts contended index-lock
-    acquisitions — how often this store met another writer on the
-    shared index, the observable for index churn under a worker fleet.
-    ``records``/``bytes``/``hits``/``misses`` describe job (and
-    whole-run) records; ``row_records``/``row_bytes``/``row_hits``/
-    ``row_misses`` the engine row records beneath them.
+    ``hits``/``misses``/``evictions``/``quarantined`` are lifetime
+    counters summed over the store's counter files (or, when stamped
+    into a record's provenance by :func:`repro.api.run`, the *deltas*
+    of that one run); ``records`` and ``bytes`` are the store's current
+    footprint.  ``records``/``bytes``/``hits``/``misses`` describe job
+    (and whole-run) records; ``row_records``/``row_bytes``/
+    ``row_hits``/``row_misses`` the engine row records beneath them.
     """
 
     hits: int = 0
@@ -212,7 +256,6 @@ class StoreStats:
     records: int = 0
     bytes: int = 0
     quarantined: int = 0
-    lock_waits: int = 0
     row_records: int = 0
     row_bytes: int = 0
     row_hits: int = 0
@@ -224,11 +267,16 @@ class StoreStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
+    @property
+    def lock_waits(self) -> int:
+        """Always 0: the store takes no cross-process lock.  Kept for
+        readers of the older statistic."""
+        return 0
+
     def to_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "evictions": self.evictions, "records": self.records,
                 "bytes": self.bytes, "quarantined": self.quarantined,
-                "lock_waits": self.lock_waits,
                 "row_records": self.row_records,
                 "row_bytes": self.row_bytes, "row_hits": self.row_hits,
                 "row_misses": self.row_misses}
@@ -237,95 +285,78 @@ class StoreStats:
 class StorageDriver:
     """The persistence substrate behind a :class:`RunStore`.
 
-    A driver stores opaque *byte blobs* under spec-hash keys, one text
-    index blob, and an advisory index lock.  Everything semantic — the
+    A driver stores opaque *byte blobs* under string keys: a 64-hex
+    spec hash for a job record, ``rows/<hash>`` for a row record,
+    ``counters/<name>`` for a counter file.  Everything semantic — the
     record format, integrity sealing and verification, quarantine
-    policy, LRU accounting, the lock *policy* (bounded wait, stale
-    break), statistics — stays in :class:`RunStore`, so a driver is
-    deliberately dumb: eleven small methods, and an object-store
-    implementation (keys → objects, the lock → a conditional put) drops
-    in without touching any cache semantics.  :class:`LocalDirDriver`
-    is the reference.
+    policy, LRU accounting, statistics — stays in :class:`RunStore`,
+    so a driver is deliberately dumb: seven small methods, and an
+    object-store implementation (keys → objects, recency → a metadata
+    stamp) drops in without touching any cache semantics.
+    :class:`LocalDirDriver` is the reference.
 
     Record blobs are read with :meth:`read_bytes`: a driver written for
     the older text blobs, whose ``read`` returns ``str``, fails loudly
     instead of feeding text to the binary decoder.
     """
 
-    # -- record blobs ------------------------------------------------------------
-
     def read_bytes(self, key: str) -> bytes | None:
-        """The record blob under ``key`` — ``None`` when absent;
+        """The blob under ``key`` — ``None`` when absent;
         :class:`~repro.errors.StoreError` for I/O failures reading an
-        existing record."""
+        existing blob."""
         raise NotImplementedError
 
     def write(self, key: str, data: bytes) -> int:
         """Store ``data`` under ``key`` atomically (a concurrent
         :meth:`read_bytes` sees the old blob or the new one, never a
-        truncation, and concurrent writers never corrupt each other).
-        Returns the stored size in bytes; :class:`~repro.errors.
-        StoreError` for I/O failures."""
+        truncation, and concurrent writers never corrupt each other)
+        and stamp it used now, as :meth:`touch` does.  Returns the
+        stored size in bytes; :class:`~repro.errors.StoreError` for I/O
+        failures."""
+        raise NotImplementedError
+
+    def touch(self, key: str) -> None:
+        """Stamp the blob under ``key`` used now, at the full
+        resolution of ``time.time_ns()`` (absent keys are a no-op)."""
         raise NotImplementedError
 
     def delete(self, key: str) -> None:
-        """Remove the record under ``key`` (absent keys are a no-op)."""
+        """Remove the blob under ``key`` (absent keys are a no-op)."""
         raise NotImplementedError
 
     def size(self, key: str) -> int | None:
         """Stored size in bytes, or ``None`` when the key is absent."""
         raise NotImplementedError
 
-    def list(self) -> list[tuple[str, int]]:
-        """Every stored ``(key, bytes)``, sorted by key (quarantined
-        records excluded)."""
+    def list(self, prefix: str = "") -> list[tuple[str, int, int]]:
+        """Every stored ``(key, bytes, used_ns)`` whose key is
+        ``prefix`` followed by a name without ``/``, sorted by key
+        (quarantined blobs excluded).  ``used_ns`` is the last
+        :meth:`write` or :meth:`touch` stamp."""
         raise NotImplementedError
 
     def quarantine(self, key: str) -> None:
-        """Move the record under ``key`` aside for post-mortem: it must
-        never appear in :meth:`list`/:meth:`read` again, but should be
-        preserved rather than destroyed where the substrate allows."""
-        raise NotImplementedError
-
-    # -- the index blob ----------------------------------------------------------
-
-    def read_index(self) -> str | None:
-        """The index blob, or ``None`` when absent/unreadable (the
-        store rebuilds from :meth:`list`)."""
-        raise NotImplementedError
-
-    def write_index(self, text: str) -> None:
-        """Store the index blob atomically."""
-        raise NotImplementedError
-
-    # -- the advisory index lock -------------------------------------------------
-
-    def try_lock_index(self) -> bool:
-        """One atomic, non-blocking attempt to take the index lock."""
-        raise NotImplementedError
-
-    def unlock_index(self) -> None:
-        """Release (or break) the index lock; absent locks are a no-op."""
-        raise NotImplementedError
-
-    def index_lock_age_s(self) -> float | None:
-        """Age of the current lock holder in seconds — ``None`` when
-        the lock just disappeared (the store retries immediately)."""
+        """Move the blob under ``key`` aside for post-mortem: it must
+        never appear in :meth:`list`/:meth:`read_bytes` again, but
+        should be preserved rather than destroyed where the substrate
+        allows."""
         raise NotImplementedError
 
 
 class LocalDirDriver(StorageDriver):
     """The reference driver: a sharded local directory.
 
-    One file per record blob at ``<root>/<key[:2]>/<key>.json``, the
-    text index at ``<root>/index.json``, quarantined records preserved
-    under ``<root>/quarantine/`` (invisible to the ``??/`` shard glob),
-    and the index lock as an ``os.O_EXCL``-created
-    ``<root>/index.lock`` — the one creation primitive that is atomic
-    on every local (and NFS) filesystem.  Writes stage to a temp file
+    The blob under ``[<prefix>/]<name>`` is the file
+    ``<root>/[<prefix>/]<name[:2]>/<name>.json`` when ``name`` is a
+    64-hex hash and ``<root>/[<prefix>/]<name>.json`` otherwise;
+    quarantined blobs are preserved under ``<root>/quarantine/``
+    (invisible to the ``??/`` shard glob).  Writes stage to a temp file
     of the writer's own in the target directory and ``os.replace`` into
     place (:func:`~repro.io.export.write_atomic`), so readers never
     observe a truncated blob, even with writers racing in one process.
+    The used stamp is the file's mtime, set explicitly with
+    ``os.utime``, so the order does not depend on the filesystem's own
+    timestamp granularity.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -335,19 +366,25 @@ class LocalDirDriver(StorageDriver):
         return f"LocalDirDriver({str(self.root)!r})"
 
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        prefix, _, name = key.rpartition("/")
+        base = self.root / prefix
+        if len(name) == _HASH_LENGTH:
+            return base / name[:2] / f"{name}.json"
+        return base / f"{name}.json"
 
     @staticmethod
-    def _replace(path: Path, data: bytes) -> None:
+    def _stamp(path: Path) -> None:
+        now = time.time_ns()
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            write_atomic(data, path)
-        except OSError as exc:
-            raise StoreError(f"cannot write {path}: {exc}") from exc
+            os.utime(path, ns=(now, now))
+        except FileNotFoundError:  # pragma: no cover - racing delete
+            pass
 
     @staticmethod
-    def _prune(shard: Path) -> None:
-        if shard.is_dir() and not any(shard.iterdir()):
+    def _prune(path: Path) -> None:
+        shard = path.parent
+        if (len(path.stem) == _HASH_LENGTH and shard.is_dir()
+                and not any(shard.iterdir())):
             shard.rmdir()
 
     def read_bytes(self, key: str) -> bytes | None:
@@ -366,8 +403,21 @@ class LocalDirDriver(StorageDriver):
     read = read_bytes
 
     def write(self, key: str, data: bytes) -> int:
-        self._replace(self._path(key), data)
+        path = self._path(key)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write_atomic(data, path)
+            self._stamp(path)
+        except OSError as exc:
+            raise StoreError(f"cannot write {path}: {exc}") from exc
         return len(data)
+
+    def touch(self, key: str) -> None:
+        path = self._path(key)
+        try:
+            self._stamp(path)
+        except OSError as exc:
+            raise StoreError(f"cannot touch {path}: {exc}") from exc
 
     def delete(self, key: str) -> None:
         path = self._path(key)
@@ -375,7 +425,7 @@ class LocalDirDriver(StorageDriver):
             path.unlink()
         except FileNotFoundError:  # pragma: no cover - racing delete
             pass
-        self._prune(path.parent)
+        self._prune(path)
 
     def size(self, key: str) -> int | None:
         try:
@@ -383,18 +433,19 @@ class LocalDirDriver(StorageDriver):
         except OSError:
             return None
 
-    def list(self) -> list[tuple[str, int]]:
-        if not self.root.is_dir():
-            return []
+    def list(self, prefix: str = "") -> list[tuple[str, int, int]]:
+        base = self.root / prefix
         out = []
-        for path in sorted(self.root.glob("??/*.json")):
-            if len(path.stem) != _HASH_LENGTH:
-                continue
+        for path in [*base.glob("??/*.json"), *base.glob("*.json")]:
+            if (path.parent != base) != (len(path.stem) == _HASH_LENGTH):
+                continue  # a hash outside its shard, or a stray file
             try:
-                out.append((path.stem, path.stat().st_size))
+                stat = path.stat()
             except OSError:  # pragma: no cover - racing delete
                 continue
-        return out
+            out.append((prefix + path.stem, stat.st_size,
+                        stat.st_mtime_ns))
+        return sorted(out)
 
     def quarantine(self, key: str) -> None:
         path = self._path(key)
@@ -404,38 +455,7 @@ class LocalDirDriver(StorageDriver):
             os.replace(path, qdir / path.name)
         except OSError:  # pragma: no cover - racing delete
             pass
-        self._prune(path.parent)
-
-    def read_index(self) -> str | None:
-        try:
-            return (self.root / "index.json").read_text()
-        except (FileNotFoundError, OSError):
-            return None
-
-    def write_index(self, text: str) -> None:
-        self._replace(self.root / "index.json", text.encode())
-
-    def try_lock_index(self) -> bool:
-        self.root.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.root / "index.lock",
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-    def unlock_index(self) -> None:
-        try:
-            (self.root / "index.lock").unlink()
-        except OSError:  # pragma: no cover - racing cleanup
-            pass
-
-    def index_lock_age_s(self) -> float | None:
-        try:
-            return time.time() - (self.root / "index.lock").stat().st_mtime
-        except OSError:
-            return None
+        self._prune(path)
 
 
 class RunStore:
@@ -454,8 +474,8 @@ class RunStore:
 
     ``driver`` (optional) swaps the persistence substrate — any
     :class:`StorageDriver`; the default is a :class:`LocalDirDriver`
-    rooted at ``root``.  All cache semantics (locking, quarantine,
-    LRU, statistics) are driver-independent.
+    rooted at ``root``.  All cache semantics (quarantine, LRU,
+    statistics) are driver-independent.
 
     ``faults`` (a :class:`~repro.api.resilience.FaultInjector`, default
     from the ``REPRO_FAULTS`` environment variable) arms deterministic
@@ -483,17 +503,16 @@ class RunStore:
         self.max_bytes = max_bytes
         self.faults = faults if faults is not None else (
             FaultInjector.from_env())
-        self._index: dict | None = None
-        self._defer = 0          # batched() nesting depth
-        self._dirty = False      # index changed while deferred
-        self._gc_pending = False  # limits to enforce at batch exit
-        # In-process index guard: every public read/write path holds it,
+        # Lifetime counter increments not yet flushed to this process's
+        # counter file; every path that touches them holds the mutex,
         # so threads sharing one RunStore (the service's dispatchers on
-        # one warm store) cannot interleave a read-modify-write of the
-        # in-memory index.  Reentrant because puts call gc which calls
-        # _save_index_locked.  Cross-*process* safety is the lockfile's job —
-        # see _index_lock.
-        self._mutex = threading.RLock()
+        # one warm store) cannot lose one.  The mutex also makes one
+        # handle's eviction passes take turns.
+        self._counts = dict.fromkeys(_COUNTERS, 0)
+        self._defer = 0          # batched() nesting depth
+        self._gc_pending = False  # limits to enforce at batch exit
+        self._mutex = threading.Lock()
+        self._migrate()
 
     def __repr__(self) -> str:
         return f"RunStore({str(self.root)!r})"
@@ -512,8 +531,7 @@ class RunStore:
             return spec_or_hash.digest
         if isinstance(spec_or_hash, str):
             key = spec_or_hash.lower()
-            if len(key) != _HASH_LENGTH or any(
-                    c not in "0123456789abcdef" for c in key):
+            if not _is_hash(key):
                 raise StoreError(f"not a spec hash: {spec_or_hash!r} "
                                  f"(need {_HASH_LENGTH} hex characters)")
             return key
@@ -525,175 +543,80 @@ class RunStore:
         key = self._key(spec_or_hash)
         return self.root / key[:2] / f"{key}.json"
 
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
-
     def __contains__(self, spec_or_hash) -> bool:
         return self.driver.size(self._key(spec_or_hash)) is not None
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.hashes())
+        return len(self.driver.list())
 
     def hashes(self) -> Iterator[str]:
         """Every stored spec hash (row records excluded), sorted for
         stable listings."""
+        return iter([key for key, _, _ in self.driver.list()])
+
+    # -- lifetime counters -------------------------------------------------------
+
+    def _migrate(self) -> None:
+        """Fold the ``index.json`` of an older store into the layout.
+
+        Its counters become the ``counters/legacy`` term and its row
+        records move under ``rows/``; the index goes last, so running
+        this again after an interruption gives the same result.
+        """
+        data = self.driver.read_bytes(_LEGACY_INDEX)
+        if data is None:
+            return
+        try:
+            rows = [key for key, entry in json.loads(data)["records"].items()
+                    if _is_hash(key) and isinstance(entry, dict)
+                    and entry.get("kind") == _ROW]
+        except (ValueError, TypeError, KeyError, AttributeError):
+            rows = []
+        counts = _counts_in(data)
+        if counts:
+            self.driver.write(_COUNTER_FILES + "legacy",
+                              json.dumps(counts, sort_keys=True).encode())
+        for key in rows:
+            blob = self.driver.read_bytes(key)
+            if blob is not None:
+                self.driver.write(_ROWS + key, blob)
+                self.driver.delete(key)
+        self.driver.delete(_LEGACY_INDEX)
+
+    def _count(self, name: str, n: int = 1) -> None:
+        """Count ``n`` of lifetime counter ``name``; flushed at the end
+        of the pass (at once outside :meth:`batched`)."""
         with self._mutex:
-            records = self._sync_index_locked()["records"]
-            return iter(sorted(key for key, entry in records.items()
-                               if entry.get("kind") != _ROW))
+            self._counts[name] += n
+        if not self._defer:
+            self._flush()
 
-    # -- the LRU/size index ------------------------------------------------------
-
-    @staticmethod
-    def _empty_index() -> dict:
-        return {"version": _INDEX_VERSION, "records": {},
-                **dict.fromkeys(_INDEX_COUNTERS, 0)}
-
-    def _load_index_locked(self) -> dict:
-        if self._index is not None:
-            return self._index
-        payload = None
-        text = self.driver.read_index()
-        if text is not None:
-            try:
-                payload = json.loads(text)
-            except json.JSONDecodeError:
-                payload = None
-        if (not isinstance(payload, dict)
-                or payload.get("version") != _INDEX_VERSION
-                or not isinstance(payload.get("records"), dict)):
-            payload = self._rebuild_index()
-        for counter in _INDEX_COUNTERS:
-            if not isinstance(payload.get(counter), int):
-                payload[counter] = 0
-        self._index = payload
-        return payload
-
-    def _rebuild_index(self) -> dict:
-        """Re-derive the index from the record files (LRU order is lost;
-        hash order stands in, which only biases the first evictions)."""
-        index = self._empty_index()
-        for key, size in self.driver.list():
-            index["clock"] += 1
-            index["records"][key] = {"bytes": size, "used": index["clock"],
-                                     "kind": self._peek_kind(key)}
-        return index
-
-    def _peek_kind(self, key: str) -> str:
-        try:
-            payload = self._decode(self.driver.read_bytes(key) or b"")
-            if payload.get("kind") == _ROW:
-                return _ROW
-            return str(payload["provenance"]["kind"])
-        except (StoreError, KeyError, TypeError):
-            return "?"
-
-    @contextmanager
-    def _index_lock(self, wait_s: float = _LOCK_WAIT_S):
-        """Hold the driver's index lock around an index
-        read-modify-write; yields ``True`` when acquisition was
-        contended (the signal behind the ``lock_waits`` statistic).
-
-        The lock itself is one atomic driver primitive (``os.O_EXCL``
-        creation for the local driver), so two processes multiplexed
-        onto one warm store serialise their index saves instead of
-        last-writer-winning each other's LRU-clock updates; the
-        *policy* here is driver-independent.  The wait is bounded:
-        after ``wait_s`` the caller proceeds *without* the lock (a
-        RuntimeWarning notes it) because a cache index must degrade to
-        best-effort, never deadlock the pipeline.  A lock older than
-        ``_LOCK_STALE_S`` belongs to a writer that died mid-save and is
-        broken on sight.
-        """
-        deadline = time.monotonic() + wait_s
-        acquired = False
-        waited = False
-        while True:
-            if self.driver.try_lock_index():
-                acquired = True
-                break
-            waited = True
-            age = self.driver.index_lock_age_s()
-            if age is None:
-                continue  # holder just released; retry immediately
-            if age > _LOCK_STALE_S:
-                self.driver.unlock_index()  # break a dead writer's lock
-                continue
-            if time.monotonic() >= deadline:
-                warnings.warn(
-                    f"run store: could not acquire index.lock within "
-                    f"{wait_s:.1f}s; saving index without the lock "
-                    f"(concurrent LRU updates may be lost)",
-                    RuntimeWarning, stacklevel=3)
-                break
-            time.sleep(0.005)
-        try:
-            yield waited
-        finally:
-            if acquired:
-                self.driver.unlock_index()
-
-    def _merge_disk_index(self, index: dict) -> dict:
-        """Fold another writer's saved index into ours before saving.
-
-        Called under :meth:`_index_lock`.  Lifetime counters and the LRU
-        clock take the elementwise max (monotone, so concurrent
-        increments cannot move them backwards; simultaneous increments
-        may still undercount — they are statistics, not invariants).
-        Record entries are unioned: another writer's keys are adopted
-        only when the record still exists, so our own evictions
-        and quarantines are not resurrected.
-        """
-        text = self.driver.read_index()
-        if text is None:
-            return index
-        try:
-            disk = json.loads(text)
-        except json.JSONDecodeError:
-            return index
-        if (not isinstance(disk, dict)
-                or disk.get("version") != _INDEX_VERSION
-                or not isinstance(disk.get("records"), dict)):
-            return index
-        for counter in _INDEX_COUNTERS:
-            other = disk.get(counter)
-            if isinstance(other, int) and other > index[counter]:
-                index[counter] = other
-        ours = index["records"]
-        for key, entry in disk["records"].items():
-            if key in ours or not isinstance(entry, dict):
-                continue
-            if self.driver.size(key) is not None:
-                ours[key] = entry
-        return index
-
-    def _save_index_locked(self) -> None:
-        if self._index is None:  # pragma: no cover - defensive
+    def _flush(self) -> None:
+        """Add this handle's unflushed counts to this process's counter
+        file: one read-add-replace of one small file."""
+        with self._mutex:
+            counts = {name: n for name, n in self._counts.items() if n}
+            self._counts = dict.fromkeys(_COUNTERS, 0)
+        if not counts:
             return
-        if self._defer:
-            self._dirty = True
-            return
-        self._dirty = False
-        with self._index_lock() as waited:
-            if waited:
-                self._index["lock_waits"] += 1
-            merged = self._merge_disk_index(self._index)
-            self.driver.write_index(
-                json.dumps(merged, indent=2, sort_keys=True) + "\n")
+        key = f"{_COUNTER_FILES}{socket.gethostname()}-{os.getpid()}"
+        with _FLUSH_LOCK:
+            totals = _counts_in(self.driver.read_bytes(key))
+            for name, n in counts.items():
+                totals[name] = totals.get(name, 0) + n
+            self.driver.write(key,
+                              json.dumps(totals, sort_keys=True).encode())
 
     @contextmanager
     def batched(self):
-        """Coalesce index writes across many lookups/puts.
+        """Make many lookups/puts one pass.
 
-        Inside the context every get/put updates only the in-memory
-        index; one index save (and, when ``max_count`` /
-        ``max_bytes`` are set, one eviction pass) happens at exit
-        instead of one per operation — the difference between O(N) and
-        O(N^2) file I/O when a JobPlan keys an N-point sweep.  Nests
-        safely; the runner wraps whole fleet merges in one batch, and
-        distributed workers wrap each claimed shard's lookups and
-        write-backs the same way.
+        Inside the context every get/put counts in memory only; one
+        counter flush (and, when ``max_count`` / ``max_bytes`` are set,
+        one eviction pass) happens at exit instead of one per
+        operation.  Nests safely; the runner wraps whole fleet merges in
+        one batch, and distributed workers wrap each claimed shard's
+        lookups and write-backs the same way.
         """
         self._defer += 1
         try:
@@ -701,51 +624,19 @@ class RunStore:
         finally:
             self._defer -= 1
             if self._defer == 0:
-                with self._mutex:
-                    if self._gc_pending:
-                        self._gc_pending = False
-                        self.gc()  # syncs and saves the index itself
-                    elif self._dirty:
-                        self._save_index_locked()
-
-    def _sync_index_locked(self) -> dict:
-        """Reconcile the index against the substrate (records written or
-        deleted by other processes), without counting hits/misses."""
-        index = self._load_index_locked()
-        records = index["records"]
-        stored = dict(self.driver.list())
-        for key in set(records) - set(stored):
-            del records[key]
-        for key, size in stored.items():
-            if key not in records:
-                index["clock"] += 1
-                records[key] = {"bytes": size, "used": index["clock"],
-                                "kind": self._peek_kind(key)}
-        return index
+                if self._gc_pending:
+                    self._gc_pending = False
+                    self.gc()  # flushes the counters itself
+                else:
+                    self._flush()
 
     def _note_lookup(self, key: str | None, hit: bool,
                      row: bool = False) -> None:
-        """Count a job (or ``row``) hit/miss; hits also refresh the
-        record's LRU clock."""
-        prefix = "row_" if row else ""
-        with self._mutex:
-            index = self._load_index_locked()
-            if hit and key is not None:
-                index[f"{prefix}hits"] += 1
-                index["clock"] += 1
-                entry = index["records"].get(key)
-                if entry is None:
-                    # A record the index has not seen (written by
-                    # another process, or a pre-index store): adopt it
-                    # on access.
-                    size = self.driver.size(key)
-                    entry = {"bytes": size if size is not None else 0,
-                             "kind": _ROW if row else self._peek_kind(key)}
-                    index["records"][key] = entry
-                entry["used"] = index["clock"]
-            else:
-                index[f"{prefix}misses"] += 1
-            self._save_index_locked()
+        """Count a job (or ``row``) hit/miss; hits also stamp the
+        record used now."""
+        if hit and key is not None:
+            self.driver.touch(key)
+        self._count(("row_" if row else "") + ("hits" if hit else "misses"))
 
     # -- quarantine --------------------------------------------------------------
 
@@ -753,17 +644,12 @@ class RunStore:
         """Move a corrupt record aside instead of serving or raising.
 
         The record is preserved by the driver for post-mortem
-        (``<root>/quarantine/`` locally, invisible to listings and
-        index rebuilds), its index entry is dropped, the lifetime
-        ``quarantined`` counter ticks, and a :class:`RuntimeWarning`
-        names the record and the reason.
+        (``<root>/quarantine/`` locally, invisible to listings), the
+        lifetime ``quarantined`` counter ticks, and a
+        :class:`RuntimeWarning` names the record and the reason.
         """
         self.driver.quarantine(key)
-        with self._mutex:
-            index = self._load_index_locked()
-            index["quarantined"] += 1
-            index["records"].pop(key, None)
-            self._save_index_locked()
+        self._count("quarantined")
         warnings.warn(f"run store: quarantined corrupt record "
                       f"{key}.json: {reason}", RuntimeWarning,
                       stacklevel=4)
@@ -928,7 +814,7 @@ class RunStore:
         Counts one row hit or miss.
         """
         blob = _row_blob(key)
-        address = row_address(blob)
+        address = _ROWS + row_address(blob)
         payload = self._read_payload(address)
         hit = None
         if payload is not None and payload.get("kind") == _ROW:
@@ -947,33 +833,26 @@ class RunStore:
         """Persist one solved engine row under its key (:meth:`get_row`)."""
         blob = _row_blob(key)
         padded = blob + bytes(-len(blob) % 8)
-        self._write(row_address(blob), {
+        self._write(_ROWS + row_address(blob), {
             "kind": _ROW, "key": np.frombuffer(padded, dtype="<f8"),
-            "key_bytes": len(blob), "fluxes": fluxes, "state": state}, _ROW)
+            "key_bytes": len(blob), "fluxes": fluxes, "state": state})
 
     # -- writes ------------------------------------------------------------------
 
-    def _write(self, key: str, payload: dict, kind: str) -> Path:
+    def _write(self, key: str, payload: dict) -> None:
         # The container's digest covers every stored byte after it, so
         # any later on-disk mutation fails verify-on-read.
         data = seal(payload)
-        nbytes = self.driver.write(key, data)
+        self.driver.write(key, data)
         if self.faults is not None and self.faults.corrupts(key):
             # Deterministic fault injection: truncate the just-written
             # record mid-payload, as a crash or full disk would.
-            nbytes = self.driver.write(key, data[: max(len(data) // 2, 1)])
-        with self._mutex:
-            index = self._load_index_locked()
-            index["clock"] += 1
-            index["records"][key] = {"bytes": nbytes,
-                                     "used": index["clock"], "kind": kind}
-            self._save_index_locked()
-            if self.max_count is not None or self.max_bytes is not None:
-                if self._defer:
-                    self._gc_pending = True
-                else:
-                    self.gc()
-        return self.path_for(key)
+            self.driver.write(key, data[: max(len(data) // 2, 1)])
+        if self.max_count is not None or self.max_bytes is not None:
+            if self._defer:
+                self._gc_pending = True
+            else:
+                self.gc()
 
     def put(self, record: RunRecord) -> Path:
         """Persist a live record's summary under its spec hash.
@@ -983,9 +862,9 @@ class RunStore:
         records carrying a live result should go through
         :meth:`put_job`, which also persists the sample arrays.
         """
-        if record.cached:
-            return self.path_for(record.spec_hash)
-        return self._write(record.spec_hash, record.to_dict(), record.kind)
+        if not record.cached:
+            self._write(record.spec_hash, record.to_dict())
+        return self.path_for(record.spec_hash)
 
     def put_job(self, record: AssayRunRecord) -> Path:
         """Persist a per-job assay record, samples included.
@@ -998,12 +877,12 @@ class RunStore:
         """
         from repro.io.export import panel_result_to_payload
 
-        if record.cached:
-            return self.path_for(record.spec_hash)
-        payload = record.to_dict()
-        payload["samples"] = panel_result_to_payload(record.result,
-                                                     arrays=True)
-        return self._write(record.spec_hash, payload, record.kind)
+        if not record.cached:
+            payload = record.to_dict()
+            payload["samples"] = panel_result_to_payload(record.result,
+                                                         arrays=True)
+            self._write(record.spec_hash, payload)
+        return self.path_for(record.spec_hash)
 
     # -- eviction, statistics, clearing ------------------------------------------
 
@@ -1015,56 +894,47 @@ class RunStore:
         pass either explicitly for a one-off collection.  Returns
         ``(n_evicted, bytes_freed)``, row records included.  A limit of
         ``None`` does not constrain that axis; ``gc()`` with no limits
-        anywhere is a no-op.  ``max_count`` counts job records only and
-        ``max_bytes`` the bytes of both kinds (module docstring).
+        anywhere evicts nothing.  ``max_count`` counts job records only
+        and ``max_bytes`` the bytes of both kinds (module docstring).
         """
         max_count = self.max_count if max_count is None else max_count
         max_bytes = self.max_bytes if max_bytes is None else max_bytes
-        with self._mutex:
-            index = self._sync_index_locked()
-            records = index["records"]
-            count = sum(1 for entry in records.values()
-                        if entry.get("kind") != _ROW)
-            total = sum(entry["bytes"] for entry in records.values())
-            evicted = 0
-            freed = 0
-            if max_count is not None or max_bytes is not None:
-                for key, entry in sorted(records.items(),
-                                         key=lambda kv: kv[1]["used"]):
+        evicted = freed = 0
+        if max_count is not None or max_bytes is not None:
+            with self._mutex:
+                jobs = self.driver.list()
+                records = jobs + self.driver.list(_ROWS)
+                count = len(jobs)
+                total = sum(size for _, size, _ in records)
+                for key, size, _ in sorted(records,
+                                           key=lambda e: (e[2], e[0])):
                     over_count = max_count is not None and count > max_count
                     over_bytes = max_bytes is not None and total > max_bytes
                     if not over_count and not over_bytes:
                         break
-                    row = entry.get("kind") == _ROW
+                    row = key.startswith(_ROWS)
                     if row and not over_bytes:
                         continue
                     self.driver.delete(key)
-                    del records[key]
-                    if not row:
-                        count -= 1
-                    total -= entry["bytes"]
-                    freed += entry["bytes"]
+                    count -= not row
+                    total -= size
+                    freed += size
                     evicted += 1
-            index["evictions"] += evicted
-            self._save_index_locked()
+        self._count("evictions", evicted)
         return evicted, freed
 
     def stats(self) -> StoreStats:
         """Lifetime counters plus the store's current footprint."""
-        with self._mutex:
-            index = self._sync_index_locked()
-            self._save_index_locked()
-            jobs, rows = [], []
-            for entry in index["records"].values():
-                (rows if entry.get("kind") == _ROW else jobs).append(
-                    entry["bytes"])
-            return StoreStats(
-                hits=index["hits"], misses=index["misses"],
-                evictions=index["evictions"], records=len(jobs),
-                bytes=sum(jobs), quarantined=index["quarantined"],
-                lock_waits=index["lock_waits"], row_records=len(rows),
-                row_bytes=sum(rows), row_hits=index["row_hits"],
-                row_misses=index["row_misses"])
+        self._flush()
+        totals = dict.fromkeys(_COUNTERS, 0)
+        for key, _, _ in self.driver.list(_COUNTER_FILES):
+            for name, n in _counts_in(self.driver.read_bytes(key)).items():
+                totals[name] += n
+        jobs = [size for _, size, _ in self.driver.list()]
+        rows = [size for _, size, _ in self.driver.list(_ROWS)]
+        return StoreStats(records=len(jobs), bytes=sum(jobs),
+                          row_records=len(rows), row_bytes=sum(rows),
+                          **totals)
 
     def clear(self) -> int:
         """Delete every stored record, row records included; returns
@@ -1074,12 +944,7 @@ class RunStore:
         describe the store's history, not its contents).
         """
         with self._mutex:
-            removed = 0
-            for key, entry in self._sync_index_locked()["records"].items():
+            jobs = self.driver.list()
+            for key, _, _ in jobs + self.driver.list(_ROWS):
                 self.driver.delete(key)
-                removed += entry.get("kind") != _ROW
-            if removed or self.driver.read_index() is not None:
-                index = self._load_index_locked()
-                index["records"] = {}
-                self._save_index_locked()
-            return removed
+        return len(jobs)

@@ -202,16 +202,6 @@ class ButlerVolmerKinetics:
         if not 0.0 < self.alpha < 1.0:
             raise ChemistryError(f"alpha must be in (0, 1), got {self.alpha!r}")
 
-    def current_density(self, e_applied, c_ox, c_red,
-                        temperature_k: float = C.STANDARD_TEMPERATURE):
-        """Current density at applied potential(s) ``e_applied``, A/m^2."""
-        eta = np.asarray(e_applied, dtype=float) - self.couple.e_formal
-        return butler_volmer_current_density(
-            eta, self.k0, c_ox, c_red,
-            n=self.couple.n_electrons, alpha=self.alpha,
-            temperature_k=temperature_k,
-        )
-
     def rate_constants(self, e_applied: float,
                        temperature_k: float = C.STANDARD_TEMPERATURE,
                        ) -> tuple[float, float]:

@@ -749,7 +749,6 @@ def _cmd_cache_stats(store, as_json: bool) -> int:
     print(f"misses    : {stats.misses}")
     print(f"evictions : {stats.evictions}")
     print(f"quarantined: {stats.quarantined}")
-    print(f"lock waits: {stats.lock_waits}")
     print(f"hit rate  : {100.0 * stats.hit_rate:.1f}%")
     print(f"row records: {stats.row_records}")
     print(f"row bytes : {stats.row_bytes} "

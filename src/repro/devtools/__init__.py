@@ -4,7 +4,7 @@ The platform's load-bearing guarantees (bit-identical replay, a closed
 error taxonomy, lock-guarded shared state, versioned round-trippable
 specs — PRs 4–8) were previously enforced only by runtime tests that
 exercise particular code paths.  One unseeded ``np.random`` call or
-one unlocked ``_index`` write in a *new* module breaks the contract
+one unlocked ``_counts`` write in a *new* module breaks the contract
 silently until a bit-identity pin flakes.  This package checks the
 contracts statically, over every source file, on every CI run — the
 same move as contract-based fault localisation in layered diagnostic
@@ -35,7 +35,7 @@ REP002  error taxonomy
     subclass.
 
 REP003  lock discipline
-    Attributes registered as lock-guarded (``RunStore._index``, the
+    Attributes registered as lock-guarded (``RunStore._counts``, the
     service registries, rate-limiter state) may only be touched inside
     ``with self.<lock>:``, in ``__init__``, or in a ``*_locked``
     helper — the naming convention for private methods documented as

@@ -237,7 +237,7 @@ class ErrorTaxonomyRule(Rule):
 #: lock belong here — e.g. ``TokenBucket`` carries no lock and is
 #: guarded externally by ``RateLimiter._lock``, so it is not listed.
 DEFAULT_GUARDS = {
-    "RunStore": (("_mutex",), ("_index",)),
+    "RunStore": (("_mutex",), ("_counts",)),
     "JobState": (("_lock",), ("_records",)),
     "JobRegistry": (("_lock",), ("_jobs", "_counter")),
     "ServiceRuntime": (("_resilience_lock",), ("_resilience_totals",)),
@@ -256,11 +256,11 @@ class LockDisciplineRule(Rule):
     concurrent aliases exist yet), or in a ``*_locked`` helper (the
     convention for private methods documented as called under the
     lock).  Everything else — most importantly a *public* method
-    reading ``_index`` or ``_jobs`` directly — is a finding.
+    reading ``_counts`` or ``_jobs`` directly — is a finding.
     """
 
     rule_id = "REP003"
-    summary = ("guarded shared state (RunStore._index, registry maps) "
+    summary = ("guarded shared state (RunStore._counts, registry maps) "
                "only under 'with self._lock'")
 
     def __init__(self, guards=None) -> None:

@@ -190,13 +190,6 @@ class Multiplexer:
         return (self.charge_injection / self.settling_time
                 * np.exp(-t / self.settling_time))
 
-    def scan_period(self, n_active: int, dwell: float) -> float:
-        """Time for one full scan of ``n_active`` channels, seconds."""
-        if n_active < 1:
-            raise ElectronicsError("n_active must be >= 1")
-        ensure_positive(dwell, "dwell")
-        return n_active * dwell
-
     def samples_per_channel(self, dwell: float, sample_rate: float,
                             settle_fraction: float = 0.99) -> int:
         """Usable conversions per dwell after waiting out the settling."""

@@ -103,10 +103,6 @@ class Potentiostat:
         ensure_finite(cell_current, "cell_current")
         return abs(e_setpoint) + abs(cell_current) * self.solution_resistance
 
-    def within_compliance(self, e_setpoint: float, cell_current: float) -> bool:
-        """True when the CE drive stays inside the supply."""
-        return self.counter_drive(e_setpoint, cell_current) <= self.compliance
-
     def max_cell_current(self, e_setpoint: float) -> float:
         """Largest |cell current| drivable at ``e_setpoint``, amperes."""
         ensure_finite(e_setpoint, "e_setpoint")

@@ -140,7 +140,7 @@ the engine restructures it in five layers:
    counts its fused dwell solves in
    :attr:`~repro.engine.scheduler.DwellBatch.n_solve_steps` /
    :class:`~repro.engine.scheduler.FleetItem`).  The store adds
-   LRU eviction (``max_count``/``max_bytes``, an ``index.json`` clock)
+   LRU eviction (``max_count``/``max_bytes``, by record file mtime)
    and :class:`~repro.api.store.StoreStats` hit/miss/eviction counters
    surfaced in record provenance and the CLI ``cache stats``
    subcommand.

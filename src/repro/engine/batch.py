@@ -192,11 +192,6 @@ class BatchCrankNicolson:
                 [st.surface_response() for st in self.steppers])
         return self._responses
 
-    @property
-    def surface_volumes(self) -> np.ndarray:
-        """Surface finite-volume cell widths, one per system."""
-        return self._v0
-
     def total_mass(self, state: np.ndarray) -> np.ndarray:
         """Per-system mass per unit area, mol/m^2 (padding excluded)."""
         if self._volumes is None:

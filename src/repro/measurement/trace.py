@@ -84,10 +84,6 @@ class Trace:
         """Mean of the last ``fraction`` of samples (steady-state value)."""
         return float(np.mean(self._tail(fraction)))
 
-    def tail_std(self, fraction: float = 0.2) -> float:
-        """Standard deviation over the steady tail (noise estimate)."""
-        return float(np.std(self._tail(fraction)))
-
     def smoothed(self, window: int = 11) -> "Trace":
         """Moving-average copy (odd ``window``), for metric extraction.
 

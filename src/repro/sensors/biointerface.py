@@ -83,13 +83,6 @@ class BioInterface:
         return self.n_working + 2
 
     @property
-    def electrode_area_total(self) -> float:
-        """Sum of all electrode areas, m^2."""
-        total = self.reference.area + self.counter.area
-        total += sum(we.area for we in self.working_electrodes)
-        return total
-
-    @property
     def die_area(self) -> float:
         """Estimated die area, m^2.
 

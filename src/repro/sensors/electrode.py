@@ -229,12 +229,6 @@ class WorkingElectrode:
         return (channel.kinetics.k0 * self.material.k0_scale
                 * self.functionalization.k0_gain)
 
-    def sensor_noise_rms(self, bandwidth: float = 1.0) -> float:
-        """RMS electrochemical noise at the sensor node, amperes."""
-        ensure_positive(bandwidth, "bandwidth")
-        return (self.sensor_noise_density * self.electrode.equivalent_radius
-                / 1.0e-3 * math.sqrt(bandwidth))
-
     # -- steady-state faradaic response ----------------------------------------
 
     def steady_state_current(self, e_applied: float, chamber: Chamber) -> float:

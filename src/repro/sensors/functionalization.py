@@ -189,12 +189,6 @@ class Functionalization:
         """Copy with a different membrane."""
         return replace(self, membrane=membrane)
 
-    def with_nanostructure(self,
-                           nanostructure: Nanostructure | None,
-                           ) -> "Functionalization":
-        """Copy with a different nanostructure."""
-        return replace(self, nanostructure=nanostructure)
-
 
 def blank() -> Functionalization:
     """An enzyme-free electrode (CDS blank reference, Sec. II-C)."""

@@ -39,8 +39,8 @@ Architecture — one request's path through the layers::
                                  stream: units in flight actually stop)
 
 Shared state: every dispatcher runs against one warm
-:class:`~repro.api.store.RunStore` (guarded by the store's in-process
-mutex and cross-process ``index.lock``), so one client's run warms the
+:class:`~repro.api.store.RunStore` (atomic record writes, counters
+under the store's in-process mutex), so one client's run warms the
 next client's cache; the :class:`~repro.service.ratelimit.UsageLedger`
 (runs, jobs, engine solve steps, wall time, rejections per API key)
 persists next to it.  Server deployment is itself a spec

@@ -454,17 +454,20 @@ class _MemoryDriver(StorageDriver):
 
     def __init__(self) -> None:
         self.blobs: dict[str, bytes] = {}
+        self.used: dict[str, int] = {}
         self.quarantined: dict[str, bytes] = {}
-        self.index: str | None = None
-        self.locked = False
-        self.locked_at: float | None = None
 
     def read_bytes(self, key):
         return self.blobs.get(key)
 
     def write(self, key, data):
         self.blobs[key] = bytes(data)
+        self.touch(key)
         return len(data)
+
+    def touch(self, key):
+        if key in self.blobs:
+            self.used[key] = time.time_ns()
 
     def delete(self, key):
         self.blobs.pop(key, None)
@@ -473,35 +476,16 @@ class _MemoryDriver(StorageDriver):
         data = self.blobs.get(key)
         return None if data is None else len(data)
 
-    def list(self):
-        return sorted((key, len(data)) for key, data in self.blobs.items())
+    def list(self, prefix=""):
+        return sorted((key, len(data), self.used[key])
+                      for key, data in self.blobs.items()
+                      if key.startswith(prefix)
+                      and "/" not in key[len(prefix):])
 
     def quarantine(self, key):
         data = self.blobs.pop(key, None)
         if data is not None:
             self.quarantined[key] = data
-
-    def read_index(self):
-        return self.index
-
-    def write_index(self, text):
-        self.index = text
-
-    def try_lock_index(self):
-        if self.locked:
-            return False
-        self.locked = True
-        self.locked_at = time.monotonic()
-        return True
-
-    def unlock_index(self):
-        self.locked = False
-        self.locked_at = None
-
-    def index_lock_age_s(self):
-        if self.locked_at is None:
-            return None
-        return time.monotonic() - self.locked_at
 
 
 class TestStorageDriver:
@@ -519,29 +503,31 @@ class TestStorageDriver:
             assert driver.size(key) == nbytes
         listed = driver.list()
         assert listed == sorted(listed)
-        assert [key for key, _ in listed] == sorted(self.KEYS)
+        assert [key for key, _, _ in listed] == sorted(self.KEYS)
+        # Writes and touches stamp the blob used now; other prefixes
+        # list apart.
+        driver.touch(self.KEYS[0])
+        newest = max(driver.list(), key=lambda entry: entry[2])
+        assert newest[0] == self.KEYS[0]
+        driver.write("rows/" + self.KEYS[2], b"row")
+        driver.write("counters/host-1", b"{}")
+        assert [key for key, _, _ in driver.list("rows/")] == [
+            "rows/" + self.KEYS[2]]
+        assert [key for key, _, _ in driver.list("counters/")] == [
+            "counters/host-1"]
+        assert [key for key, _, _ in driver.list()] == sorted(self.KEYS)
         driver.delete(self.KEYS[0])
         assert driver.read_bytes(self.KEYS[0]) is None
         assert driver.size(self.KEYS[0]) is None
         driver.quarantine(self.KEYS[1])
-        assert self.KEYS[1] not in [key for key, _ in driver.list()]
+        assert self.KEYS[1] not in [key for key, _, _ in driver.list()]
         assert driver.read_bytes(self.KEYS[1]) is None
-
-    def test_local_dir_index_lock(self, tmp_path):
-        driver = LocalDirDriver(tmp_path)
-        assert driver.index_lock_age_s() is None
-        assert driver.try_lock_index() is True
-        assert driver.try_lock_index() is False
-        assert driver.index_lock_age_s() is not None
-        driver.unlock_index()
-        assert driver.try_lock_index() is True
-        driver.unlock_index()
 
     def test_memory_driver_round_trip_properties(self):
         driver = _MemoryDriver()
         for key in self.KEYS:
             driver.write(key, key.encode() + b"\0\xff")
-        assert [key for key, _ in driver.list()] == sorted(self.KEYS)
+        assert [key for key, _, _ in driver.list()] == sorted(self.KEYS)
         driver.quarantine(self.KEYS[0])
         assert driver.read_bytes(self.KEYS[0]) is None
         driver.delete(self.KEYS[1])
@@ -568,27 +554,13 @@ class TestStorageDriver:
         for method, args in [("read_bytes", ("k",)), ("write", ("k", b"v")),
                              ("delete", ("k",)), ("size", ("k",)),
                              ("list", ()), ("quarantine", ("k",)),
-                             ("read_index", ()), ("write_index", ("v",)),
-                             ("try_lock_index", ()), ("unlock_index", ()),
-                             ("index_lock_age_s", ())]:
+                             ("touch", ("k",))]:
             with pytest.raises(NotImplementedError):
                 getattr(driver, method)(*args)
-
-    def test_contended_save_counts_lock_waits(self, tmp_path):
-        store = RunStore(tmp_path / "s")
-        other = LocalDirDriver(tmp_path / "s")
-        assert other.try_lock_index()
-        release = threading.Timer(0.3, other.unlock_index)
-        release.start()
-        spec = api.AssaySpec(name="contend", seed=3,
-                             protocol=api.PanelProtocolSpec(
-                                 ca_dwell=CA_DWELL))
-        try:
-            api.run(spec, store=store)
-        finally:
-            release.cancel()
-            other.unlock_index()
-        assert store.stats().lock_waits >= 1
+        assert {name for name in vars(StorageDriver)
+                if not name.startswith("_")} == {
+            "read_bytes", "write", "delete", "size", "list", "quarantine",
+            "touch"}
 
 
 class TestV5PrefetchSweep:

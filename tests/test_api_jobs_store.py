@@ -377,17 +377,19 @@ class TestEvictionAndStats:
             api.RunStore(tmp_path, max_bytes=-5)
 
     def test_index_rebuilt_when_lost(self, tmp_path):
+        # The record files are the only truth: a root holding nothing
+        # else reports every record, and evicts the oldest first.
         store = api.RunStore(tmp_path)
         for i in range(3):
             store.put(_FakeRecord(_digest(f"d{i}")))
-        store.index_path.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            _digest(f"d{i}")[:2] for i in range(3))
         fresh = api.RunStore(tmp_path)
         stats = fresh.stats()
         assert stats.records == 3 and stats.bytes > 0
-        # Rebuilt counters start over; eviction still works.
         assert stats.hits == stats.misses == stats.evictions == 0
         evicted, _ = fresh.gc(max_count=1)
-        assert evicted == 2 and len(fresh) == 1
+        assert evicted == 2 and list(fresh.hashes()) == [_digest("d2")]
 
     def test_hit_miss_counters(self, tmp_path):
         store = api.RunStore(tmp_path)
@@ -421,8 +423,7 @@ class TestStoreConcurrency:
         import threading
 
         # Two RunStore instances on the same root — the worst case:
-        # no shared in-memory index, so every save is a cross-process
-        # style read-modify-write serialised only by index.lock.
+        # nothing shared in memory, as between processes.
         stores = [api.RunStore(tmp_path), api.RunStore(tmp_path)]
         errors = []
 
@@ -442,17 +443,18 @@ class TestStoreConcurrency:
             t.start()
         for t in threads:
             t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
-        assert not (tmp_path / "index.lock").exists()
-        # Every record file landed, and — the regression — the saved
-        # index agrees without a rebuild: neither writer's entries were
-        # lost to the other's read-modify-write.
+        # Every record file landed, and the listing a fresh handle
+        # reads shows each writer's records: nothing of one writer's
+        # was lost to the other's eviction passes.
         expected = {_digest(f"w{w}r{i}") for w in range(2)
                     for i in range(25)}
         fresh = api.RunStore(tmp_path)
         assert set(fresh.hashes()) == expected
-        index = json.loads(fresh.index_path.read_text())
-        assert set(index["records"]) == expected
+        assert [key for key, _, _ in fresh.driver.list()] == sorted(expected)
+        assert fresh.stats().records == len(expected)
+        assert not list(tmp_path.glob("index.*"))
 
     def test_one_store_shared_by_threads_counts_every_hit(self, tmp_path):
         import threading
@@ -530,28 +532,94 @@ class TestStoreConcurrency:
         assert not list(tmp_path.glob("**/*.tmp"))
         assert store.get(key) is not None
 
-    def test_stale_lockfile_is_broken_not_waited_out(self, tmp_path):
-        import os as _os
+    def test_two_handles_interleaving_hits_count_every_hit(self, tmp_path):
+        # Handles share nothing in memory, as between processes; each
+        # flush adds to the counter file instead of max-merging it.
+        first, second = api.RunStore(tmp_path), api.RunStore(tmp_path)
+        digest = _digest("interleaved")
+        first.put(_FakeRecord(digest))
+        assert first.stats().hits == second.stats().hits == 0
+        for _ in range(4):
+            assert first.get(digest) is not None
+            assert second.get(digest) is not None
+        assert api.RunStore(tmp_path).stats().hits == 8
 
-        store = api.RunStore(tmp_path)
-        lock = tmp_path / "index.lock"
-        tmp_path.mkdir(exist_ok=True)
-        lock.write_text("")
-        old = 100.0  # mtime far past the staleness horizon
-        _os.utime(lock, (old, old))
-        store.put(_FakeRecord(_digest("after-stale")))  # must not block
-        assert not lock.exists()
-        assert len(store) == 1
+    def test_two_processes_interleaving_hits_count_every_hit(self,
+                                                             tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-    def test_held_lockfile_times_out_with_warning(self, tmp_path):
+        digest = _digest("interleaved")
+        api.RunStore(tmp_path / "s").put(_FakeRecord(digest))
+        # Each process looks up once, waits until both have, then looks
+        # up three more times.
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from repro import api\n"
+            "root, digest, me, other = sys.argv[1:]\n"
+            "store = api.RunStore(root)\n"
+            "assert store.get(digest) is not None\n"
+            "Path(me).touch()\n"
+            "deadline = time.monotonic() + 60\n"
+            "while not Path(other).exists():\n"
+            "    assert time.monotonic() < deadline\n"
+            "    time.sleep(0.001)\n"
+            "for _ in range(3):\n"
+            "    assert store.get(digest) is not None\n")
+        src = str(Path(api.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        flags = [tmp_path / "a", tmp_path / "b"]
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "s"), digest,
+             str(flags[k]), str(flags[1 - k])], env=env)
+            for k in range(2)]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        stats = api.RunStore(tmp_path / "s").stats()
+        assert (stats.hits, stats.misses) == (8, 0)
+        assert len(list((tmp_path / "s" / "counters").iterdir())) == 2
+
+    def test_old_index_is_migrated_once(self, tmp_path):
+        # A root as the index-keeping store left it: a row record in
+        # the job shards, marked only by its index entry.
+        import shutil
+
+        digest = _digest("job")
         store = api.RunStore(tmp_path)
-        lock = tmp_path / "index.lock"
-        lock.write_text("")  # fresh mtime: a live holder
-        with pytest.warns(RuntimeWarning, match="index.lock"):
-            with store._index_lock(wait_s=0.05):
-                pass
-        # The foreign lockfile is not ours to remove.
-        assert lock.exists()
+        store.put(_FakeRecord(digest))
+        store.put_row((b"k",), np.zeros(3), {"c": np.ones(2)})
+        [row] = (tmp_path / "rows").glob("??/*.json")
+        address = row.stem
+        old = tmp_path / row.parent.name / row.name
+        old.parent.mkdir(exist_ok=True)
+        row.rename(old)
+        shutil.rmtree(tmp_path / "rows")
+        index = {"version": 1, "clock": 2, "hits": 5, "misses": 3,
+                 "evictions": 1, "quarantined": 0, "lock_waits": 4,
+                 "row_hits": 7, "row_misses": 2,
+                 "records": {digest: {"bytes": 1, "used": 1,
+                                      "kind": "assay"},
+                             address: {"bytes": 1, "used": 2,
+                                       "kind": "row"}}}
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        # An interrupted first migration, then the real one.
+        (tmp_path / "counters").mkdir()
+        (tmp_path / "counters" / "legacy.json").write_text('{"hits": 5}')
+        opened = api.RunStore(tmp_path)
+        assert list(opened.hashes()) == [digest]
+        assert not old.exists()
+        assert not (tmp_path / "index.json").exists()
+        fluxes, state = opened.get_row((b"k",))
+        assert fluxes.tolist() == [0.0] * 3 and state["c"].tolist() == [1, 1]
+        stats = opened.stats()
+        assert (stats.hits, stats.misses, stats.evictions) == (5, 3, 1)
+        assert (stats.row_hits, stats.row_misses) == (8, 2)
+        assert (stats.records, stats.row_records) == (1, 1)
+        # Opening again migrates nothing twice.
+        assert api.RunStore(tmp_path).stats() == stats
 
 
 class TestStoreRobustness:

@@ -213,17 +213,17 @@ LOCKED_CLASS = """
     class RunStore:
         def __init__(self):
             self._mutex = threading.RLock()
-            self._index = {}
+            self._counts = {}
 
         def unlocked_peek(self):
-            return len(self._index)
+            return len(self._counts)
 
         def locked_peek(self):
             with self._mutex:
-                return len(self._index)
+                return len(self._counts)
 
         def _peek_locked(self):
-            return len(self._index)
+            return len(self._counts)
 """
 
 
@@ -237,7 +237,7 @@ class TestLockDiscipline:
     def test_with_lock_init_and_locked_helper_are_quiet(self, tmp_path):
         quiet = LOCKED_CLASS.replace(
             "def unlocked_peek(self):\n            "
-            "return len(self._index)", "")
+            "return len(self._counts)", "")
         result = lint(tmp_path, {"api/store.py": quiet},
                       [LockDisciplineRule()])
         assert result.clean
@@ -250,7 +250,7 @@ class TestLockDiscipline:
 
     def test_injectable_guards_table(self, tmp_path):
         rule = LockDisciplineRule(
-            guards={"Sidecar": (("_mutex",), ("_index",))})
+            guards={"Sidecar": (("_mutex",), ("_counts",))})
         result = lint(tmp_path, {
             "api/store.py": LOCKED_CLASS.replace("RunStore", "Sidecar")},
             [rule])

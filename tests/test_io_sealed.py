@@ -317,6 +317,9 @@ class TestOlderJsonStore:
             (DATA / "legacy_store.expected.json").read_text())
         assert sorted(store.hashes()) == sorted(expected)
         before = store.stats()
+        # Its index's counters survive the migration; the index does not.
+        assert (before.hits, before.misses) == (0, 2)
+        assert not (store.root / "index.json").exists()
         for key, want in expected.items():
             assert store.driver.read_bytes(key).startswith(b"{")
             record, messages = _quietly(lambda: store.get_job(key))
