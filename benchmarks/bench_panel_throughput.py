@@ -60,7 +60,10 @@ A **store-size axis** times one pass of a fresh store handle — one
 ``get_row`` hit and one ``put_row`` inside ``batched()`` — over a store
 of 100 row records and one of 20,000 (2,000 in quick mode).  The pass
 touches two records and one counter file, so the large store's pass
-must stay within 2x of the small one's.
+must stay within 2x of the small one's.  The axis also reports one
+fresh-handle ``stats()`` per size, ungated: its footprint is a listing
+of every record, so it grows with the store, and a store-backed
+``api.run`` calls it twice.
 
 A fourth **CV-fusion axis** (PR 6) times a fleet of paper-panel cells —
 mixed chronoamperometric and cyclic-voltammetry electrodes — through
@@ -142,6 +145,7 @@ MAX_WRITE_OVERHEAD = 2.0 if QUICK else 1.2
 STORE_SIZES = (100, 2_000 if QUICK else 20_000)
 N_SIZE_PASSES = 31
 MAX_SIZE_GROWTH = 2.0
+N_STATS_CALLS = 5
 
 # CV-fusion axis: mixed CA + CV paper-panel cells, per-cell batched vs
 # the cross-cell fused scheduler.
@@ -487,6 +491,7 @@ def run_store_size_experiment() -> dict:
         return (b"store-size-axis", i.to_bytes(8, "little"))
 
     times = {n: [] for n in STORE_SIZES}
+    stats_times = {n: [] for n in STORE_SIZES}
     with tempfile.TemporaryDirectory() as root:
         for n in STORE_SIZES:
             filler = api.RunStore(Path(root) / f"store{n}")
@@ -503,11 +508,18 @@ def run_store_size_experiment() -> dict:
                     assert store.get_row(key(k)) is not None
                     store.put_row(key(n + k), fluxes, state)
                 times[n].append(time.perf_counter() - start)
+                if k < N_STATS_CALLS:
+                    start = time.perf_counter()
+                    api.RunStore(Path(root) / f"store{n}").stats()
+                    stats_times[n].append(time.perf_counter() - start)
     medians = {n: float(np.median(times[n])) for n in STORE_SIZES}
     small, large = STORE_SIZES
     return {"sizes": list(STORE_SIZES), "passes": N_SIZE_PASSES,
             "pass_s": {str(n): medians[n] for n in STORE_SIZES},
-            "growth": medians[large] / medians[small]}
+            "growth": medians[large] / medians[small],
+            "stats_calls": N_STATS_CALLS,
+            "stats_s": {str(n): float(np.median(stats_times[n]))
+                        for n in STORE_SIZES}}
 
 
 def run_distributed_experiment() -> dict:
@@ -791,6 +803,8 @@ def test_panel_throughput(benchmark, report, json_report):
             "pass_s": size_axis["pass_s"],
             "growth": size_axis["growth"],
             "acceptance": {"max_growth": MAX_SIZE_GROWTH},
+            "stats_calls": size_axis["stats_calls"],
+            "stats_s": size_axis["stats_s"],
         },
         "service": {
             "workload": (f"{service['n_submissions']} concurrent 1-cell "
@@ -898,11 +912,13 @@ def test_panel_throughput(benchmark, report, json_report):
            f"beside {store_axis['n_points']} job records)")
     small, large = size_axis["sizes"]
     report(render_table(
-        ["store size", "pass ms"],
-        [[f"{n} row records", f"{size_axis['pass_s'][str(n)] * 1e3:.2f}"]
+        ["store size", "pass ms", "stats() ms"],
+        [[f"{n} row records", f"{size_axis['pass_s'][str(n)] * 1e3:.2f}",
+          f"{size_axis['stats_s'][str(n)] * 1e3:.2f}"]
          for n in size_axis["sizes"]],
         title=(f"P1i | store-size axis, one fresh-handle get_row + "
-               f"put_row pass, median of {size_axis['passes']}")))
+               f"put_row pass, median of {size_axis['passes']} "
+               f"(stats(): of {size_axis['stats_calls']}, ungated)")))
     report(f"{large}-record pass vs {small}: {size_axis['growth']:.2f}x  "
            f"(acceptance: <= {MAX_SIZE_GROWTH:g}x)")
     report(render_table(

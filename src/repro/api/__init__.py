@@ -142,7 +142,7 @@ Records live at ``<root>/<hash[:2]>/<hash>.json`` (the record's
 rows sit under ``<root>/rows/``.  The record files are the store's only
 truth: sizes come from the listing, LRU recency from each file's mtime
 (stamped on every write and hit), and lifetime hit/miss/eviction
-counters from one small file per writing process under
+counters from one small file per live writing process under
 ``<root>/counters/``.  ``RunStore(root, max_count=, max_bytes=)`` (or an
 explicit :meth:`~repro.api.store.RunStore.gc`) evicts
 least-recently-used records, and :meth:`~repro.api.store.RunStore.stats`

@@ -76,13 +76,15 @@ a million records don't share one directory)::
         c0/
           c04d...91.json   # sealed engine row record
       counters/
-        host-4242.json     # lifetime counters flushed by one process
+        host-4242-9f2c41d07ab3.json  # lifetime counters of one process
       quarantine/          # corrupt records, moved aside
 
 The record files are the store's only truth: which records exist and
 their sizes come from the driver's listing, their kind from the
 layout (row records live under ``rows/``, which the ``??/`` job glob
-never matches), and their LRU recency from the file's mtime.
+never matches), and their LRU recency from the file's mtime.  Only
+64-hex names count as records, so other files kept beside them (the
+service's ``usage.json``) are never listed, evicted or cleared.
 
 Each record file is one :mod:`repro.io.sealed` container: a magic line,
 a SHA-256 digest, a sorted-key JSON header (provenance, canonical spec,
@@ -120,18 +122,23 @@ Eviction and statistics
 =======================
 
 Every write stamps the record's mtime, and every hit stamps it again
-(:meth:`StorageDriver.touch`), both with the full-resolution
-``time.time_ns()``; eviction takes the oldest stamp first, ties broken
-by name.  ``RunStore(root, max_count=, max_bytes=)`` enforces the
+(:meth:`StorageDriver.touch`), both from ``time.time_ns()`` at the
+filesystem's mtime resolution; eviction takes the oldest stamp first,
+ties (one tick of a coarse filesystem) broken by key.
+``RunStore(root, max_count=, max_bytes=)`` enforces the
 limits after every write (once per :meth:`RunStore.batched` pass);
 :meth:`RunStore.gc` applies them (or one-off limits) on demand.
 
 The lifetime ``hits`` / ``misses`` / ``row_hits`` / ``row_misses`` /
 ``evictions`` / ``quarantined`` counters are kept in memory per handle
-and flushed once per pass into ``counters/<host>-<pid>``, a file only
-that process writes (read, add, replace, under a process-wide lock, so
-two handles in one process cannot lose an increment either).
-:meth:`RunStore.stats` sums the counter files and returns a
+and flushed once per pass into ``counters/<host>-<pid>-<token>``, a
+file only that process writes (read, add, replace, under a process-wide
+lock; the token is random per process).  :meth:`RunStore.stats` sums
+the counter files, and folds those of this host's exited processes
+into its own: a file carries over only if this process's delete
+removed it, so the files stay as many as the live writers.  A crash
+between that delete and the flush loses the folded counts, and hosts
+sharing a root need distinct host names.  It returns a
 :class:`StoreStats` snapshot — the same numbers the CLI ``cache
 stats`` subcommand prints and :func:`repro.api.run` stamps into record
 provenance.
@@ -150,6 +157,7 @@ import os
 import socket
 import threading
 import time
+import uuid
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -195,21 +203,42 @@ _ROW_TAG = b"repro-row 1\n"
 #: Serialises the read-add-replace of this process's counter file, so
 #: two handles on one root cannot lose each other's increments.
 _FLUSH_LOCK = threading.Lock()
+#: Names this process's counter file apart from any other process's,
+#: even one with the same host name and pid.
+_TOKEN = uuid.uuid4().hex[:12]
 
 
-def _reset_flush_lock() -> None:
+def _after_fork() -> None:
     # A child forked while another thread flushed must not inherit the
-    # held lock.
-    global _FLUSH_LOCK
+    # held lock, nor its parent's counter file.
+    global _FLUSH_LOCK, _TOKEN
     _FLUSH_LOCK = threading.Lock()
+    _TOKEN = uuid.uuid4().hex[:12]
 
 
-os.register_at_fork(after_in_child=_reset_flush_lock)
+os.register_at_fork(after_in_child=_after_fork)
 
 
 def _is_hash(text: str) -> bool:
     return len(text) == _HASH_LENGTH and all(
         c in "0123456789abcdef" for c in text)
+
+
+def _writer_gone(key: str) -> bool:
+    """Whether counter file ``key``'s writer ran on this host and its
+    pid is now free or this process's (else, or unknown: ``False``)."""
+    parts = key[len(_COUNTER_FILES):].rsplit("-", 2)
+    if (os.name != "posix" or len(parts) != 3
+            or parts[0] != socket.gethostname() or not parts[1].isdigit()):
+        return False
+    pid = int(parts[1])
+    if pid == os.getpid():
+        return parts[2] != _TOKEN
+    try:
+        os.kill(pid, 0)
+    except OSError as exc:  # else PermissionError: another user's
+        return isinstance(exc, ProcessLookupError)
+    return False
 
 
 def _counts_in(data: bytes | None) -> dict[str, int]:
@@ -269,8 +298,7 @@ class StoreStats:
 
     @property
     def lock_waits(self) -> int:
-        """Always 0: the store takes no cross-process lock.  Kept for
-        readers of the older statistic."""
+        """Always 0 (no cross-process lock); kept for older readers."""
         return 0
 
     def to_dict(self) -> dict:
@@ -316,12 +344,15 @@ class StorageDriver:
         raise NotImplementedError
 
     def touch(self, key: str) -> None:
-        """Stamp the blob under ``key`` used now, at the full
-        resolution of ``time.time_ns()`` (absent keys are a no-op)."""
+        """Stamp the blob under ``key`` used now, from
+        ``time.time_ns()`` at the substrate's own timestamp resolution
+        (absent keys are a no-op)."""
         raise NotImplementedError
 
-    def delete(self, key: str) -> None:
-        """Remove the blob under ``key`` (absent keys are a no-op)."""
+    def delete(self, key: str) -> bool:
+        """Remove the blob under ``key``; ``True`` when this call
+        removed it, ``False`` when it was absent (or another caller's
+        delete won the race)."""
         raise NotImplementedError
 
     def size(self, key: str) -> int | None:
@@ -354,9 +385,8 @@ class LocalDirDriver(StorageDriver):
     of the writer's own in the target directory and ``os.replace`` into
     place (:func:`~repro.io.export.write_atomic`), so readers never
     observe a truncated blob, even with writers racing in one process.
-    The used stamp is the file's mtime, set explicitly with
-    ``os.utime``, so the order does not depend on the filesystem's own
-    timestamp granularity.
+    The used stamp is the file's mtime, set with ``os.utime`` from
+    ``time.time_ns()``; the filesystem keeps it at its own resolution.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -371,14 +401,6 @@ class LocalDirDriver(StorageDriver):
         if len(name) == _HASH_LENGTH:
             return base / name[:2] / f"{name}.json"
         return base / f"{name}.json"
-
-    @staticmethod
-    def _stamp(path: Path) -> None:
-        now = time.time_ns()
-        try:
-            os.utime(path, ns=(now, now))
-        except FileNotFoundError:  # pragma: no cover - racing delete
-            pass
 
     @staticmethod
     def _prune(path: Path) -> None:
@@ -407,25 +429,28 @@ class LocalDirDriver(StorageDriver):
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             write_atomic(data, path)
-            self._stamp(path)
         except OSError as exc:
             raise StoreError(f"cannot write {path}: {exc}") from exc
+        self.touch(key)
         return len(data)
 
     def touch(self, key: str) -> None:
-        path = self._path(key)
+        path, now = self._path(key), time.time_ns()
         try:
-            self._stamp(path)
+            os.utime(path, ns=(now, now))
+        except FileNotFoundError:  # absent, or a racing delete
+            pass
         except OSError as exc:
             raise StoreError(f"cannot touch {path}: {exc}") from exc
 
-    def delete(self, key: str) -> None:
+    def delete(self, key: str) -> bool:
         path = self._path(key)
         try:
             path.unlink()
-        except FileNotFoundError:  # pragma: no cover - racing delete
-            pass
+        except FileNotFoundError:
+            return False
         self._prune(path)
+        return True
 
     def size(self, key: str) -> int | None:
         try:
@@ -434,17 +459,27 @@ class LocalDirDriver(StorageDriver):
             return None
 
     def list(self, prefix: str = "") -> list[tuple[str, int, int]]:
-        base = self.root / prefix
-        out = []
-        for path in [*base.glob("??/*.json"), *base.glob("*.json")]:
-            if (path.parent != base) != (len(path.stem) == _HASH_LENGTH):
-                continue  # a hash outside its shard, or a stray file
+        def scan(directory) -> list[os.DirEntry]:
             try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - racing delete
-                continue
-            out.append((prefix + path.stem, stat.st_size,
-                        stat.st_mtime_ns))
+                with os.scandir(directory) as entries:
+                    return list(entries)
+            except OSError:  # absent, or a racing delete
+                return []
+
+        top, out = scan(self.root / prefix), []
+        for entries, sharded in [(top, False), *(
+                (scan(entry.path), True) for entry in top
+                if len(entry.name) == 2 and entry.is_dir())]:
+            for entry in entries:
+                stem = entry.name[:-len(".json")]
+                if (not entry.name.endswith(".json") or not entry.is_file()
+                        or (len(stem) == _HASH_LENGTH) != sharded):
+                    continue  # a hash outside its shard, or a stray file
+                try:
+                    stat = entry.stat()
+                except OSError:  # pragma: no cover - racing delete
+                    continue
+                out.append((prefix + stem, stat.st_size, stat.st_mtime_ns))
         return sorted(out)
 
     def quarantine(self, key: str) -> None:
@@ -503,11 +538,10 @@ class RunStore:
         self.max_bytes = max_bytes
         self.faults = faults if faults is not None else (
             FaultInjector.from_env())
-        # Lifetime counter increments not yet flushed to this process's
-        # counter file; every path that touches them holds the mutex,
-        # so threads sharing one RunStore (the service's dispatchers on
-        # one warm store) cannot lose one.  The mutex also makes one
-        # handle's eviction passes take turns.
+        # Counter increments not yet flushed; every path that touches
+        # them holds the mutex, so threads sharing one RunStore (the
+        # service's dispatchers) cannot lose one.  The mutex also makes
+        # one handle's eviction passes take turns.
         self._counts = dict.fromkeys(_COUNTERS, 0)
         self._defer = 0          # batched() nesting depth
         self._gc_pending = False  # limits to enforce at batch exit
@@ -546,13 +580,19 @@ class RunStore:
     def __contains__(self, spec_or_hash) -> bool:
         return self.driver.size(self._key(spec_or_hash)) is not None
 
+    def _listing(self, prefix: str = "") -> list[tuple[str, int, int]]:
+        """The driver's listing of job (``rows/``: row) records: 64-hex
+        names only, so no other file beside them is taken for one."""
+        return [entry for entry in self.driver.list(prefix)
+                if _is_hash(entry[0][len(prefix):])]
+
     def __len__(self) -> int:
-        return len(self.driver.list())
+        return len(self._listing())
 
     def hashes(self) -> Iterator[str]:
         """Every stored spec hash (row records excluded), sorted for
         stable listings."""
-        return iter([key for key, _, _ in self.driver.list()])
+        return iter([key for key, _, _ in self._listing()])
 
     # -- lifetime counters -------------------------------------------------------
 
@@ -599,7 +639,8 @@ class RunStore:
             self._counts = dict.fromkeys(_COUNTERS, 0)
         if not counts:
             return
-        key = f"{_COUNTER_FILES}{socket.gethostname()}-{os.getpid()}"
+        key = (f"{_COUNTER_FILES}{socket.gethostname()}-{os.getpid()}-"
+               f"{_TOKEN}")
         with _FLUSH_LOCK:
             totals = _counts_in(self.driver.read_bytes(key))
             for name, n in counts.items():
@@ -902,8 +943,8 @@ class RunStore:
         evicted = freed = 0
         if max_count is not None or max_bytes is not None:
             with self._mutex:
-                jobs = self.driver.list()
-                records = jobs + self.driver.list(_ROWS)
+                jobs = self._listing()
+                records = jobs + self._listing(_ROWS)
                 count = len(jobs)
                 total = sum(size for _, size, _ in records)
                 for key, size, _ in sorted(records,
@@ -924,14 +965,22 @@ class RunStore:
         return evicted, freed
 
     def stats(self) -> StoreStats:
-        """Lifetime counters plus the store's current footprint."""
+        """Lifetime counters plus the store's current footprint (folding
+        exited processes' counter files on the way: module docstring)."""
         self._flush()
         totals = dict.fromkeys(_COUNTERS, 0)
         for key, _, _ in self.driver.list(_COUNTER_FILES):
-            for name, n in _counts_in(self.driver.read_bytes(key)).items():
+            counts = _counts_in(self.driver.read_bytes(key))
+            for name, n in counts.items():
                 totals[name] += n
-        jobs = [size for _, size, _ in self.driver.list()]
-        rows = [size for _, size, _ in self.driver.list(_ROWS)]
+            # Only the delete that removed the file carries it over.
+            if _writer_gone(key) and self.driver.delete(key):
+                with self._mutex:
+                    for name, n in counts.items():
+                        self._counts[name] += n
+        self._flush()
+        jobs = [size for _, size, _ in self._listing()]
+        rows = [size for _, size, _ in self._listing(_ROWS)]
         return StoreStats(records=len(jobs), bytes=sum(jobs),
                           row_records=len(rows), row_bytes=sum(rows),
                           **totals)
@@ -944,7 +993,7 @@ class RunStore:
         describe the store's history, not its contents).
         """
         with self._mutex:
-            jobs = self.driver.list()
-            for key, _, _ in jobs + self.driver.list(_ROWS):
+            jobs = self._listing()
+            for key, _, _ in jobs + self._listing(_ROWS):
                 self.driver.delete(key)
         return len(jobs)

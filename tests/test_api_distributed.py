@@ -470,7 +470,7 @@ class _MemoryDriver(StorageDriver):
             self.used[key] = time.time_ns()
 
     def delete(self, key):
-        self.blobs.pop(key, None)
+        return self.blobs.pop(key, None) is not None
 
     def size(self, key):
         data = self.blobs.get(key)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -379,9 +380,14 @@ class TestEvictionAndStats:
     def test_index_rebuilt_when_lost(self, tmp_path):
         # The record files are the only truth: a root holding nothing
         # else reports every record, and evicts the oldest first.
+        import os
+
         store = api.RunStore(tmp_path)
         for i in range(3):
             store.put(_FakeRecord(_digest(f"d{i}")))
+            # Whole seconds apart, so the order holds on any filesystem.
+            os.utime(store.path_for(_digest(f"d{i}")),
+                     ns=((i + 1) * 10**9,) * 2)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             _digest(f"d{i}")[:2] for i in range(3))
         fresh = api.RunStore(tmp_path)
@@ -390,6 +396,24 @@ class TestEvictionAndStats:
         assert stats.hits == stats.misses == stats.evictions == 0
         evicted, _ = fresh.gc(max_count=1)
         assert evicted == 2 and list(fresh.hashes()) == [_digest("d2")]
+
+    def test_other_files_beside_records_are_kept(self, tmp_path):
+        # The service keeps its usage ledger at the store root.
+        store = api.RunStore(tmp_path)
+        digest = _digest("beside")
+        store.put(_FakeRecord(digest))
+        usage = tmp_path / "usage.json"
+        usage.write_text('{"tenants": {}}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [r.spec_hash for r in store.records()] == [digest]
+        assert list(store.hashes()) == [digest] and len(store) == 1
+        stats = store.stats()
+        assert stats.records == 1 and stats.bytes == store.driver.size(
+            digest)
+        assert store.gc(max_count=0)[0] == 1 and store.clear() == 0
+        assert usage.read_text() == '{"tenants": {}}'
+        assert not (tmp_path / "quarantine").exists()
 
     def test_hit_miss_counters(self, tmp_path):
         store = api.RunStore(tmp_path)
@@ -580,7 +604,82 @@ class TestStoreConcurrency:
             assert proc.wait(timeout=120) == 0
         stats = api.RunStore(tmp_path / "s").stats()
         assert (stats.hits, stats.misses) == (8, 0)
-        assert len(list((tmp_path / "s" / "counters").iterdir())) == 2
+        # The exited processes' two files were folded into this one's.
+        assert len(list((tmp_path / "s" / "counters").iterdir())) == 1
+        assert api.RunStore(tmp_path / "s").stats() == stats
+
+    def test_respawned_processes_leave_one_counter_file(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        digest = _digest("respawned")
+        store = api.RunStore(tmp_path)
+        store.put(_FakeRecord(digest))
+        script = ("import sys\n"
+                  "from repro import api\n"
+                  "assert api.RunStore(sys.argv[1]).get(sys.argv[2])\n")
+        src = str(Path(api.__file__).resolve().parents[2])
+        env = {**os.environ, "PYTHONPATH": src}
+        for n in range(1, 4):
+            subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                            digest], env=env, check=True, timeout=120)
+            assert store.stats().hits == n
+            assert len(list((tmp_path / "counters").iterdir())) == 1
+
+    def test_exited_writers_counter_files_fold_once(self, tmp_path):
+        import os
+        import socket
+        import subprocess
+        import sys
+
+        # A pid that is free now: a child's, after it has exited.
+        child = subprocess.run([sys.executable, "-c", "import os; "
+                                "print(os.getpid())"], capture_output=True,
+                               text=True, check=True)
+        host = socket.gethostname()
+        counters = tmp_path / "counters"
+        counters.mkdir()
+        files = {f"{host}-{child.stdout.strip()}-dead": {"hits": 3},
+                 f"{host}-{os.getpid()}-reused": {"misses": 2},
+                 f"{host}-1-init": {"hits": 10},  # pid 1 is alive
+                 "elsewhere-17-remote": {"row_hits": 1},
+                 "legacy": {"evictions": 4}}
+        for name, counts in files.items():
+            (counters / f"{name}.json").write_text(json.dumps(counts))
+        first = api.RunStore(tmp_path).stats()
+        assert (first.hits, first.misses, first.row_hits,
+                first.evictions) == (13, 2, 1, 4)
+        left = {p.stem for p in counters.iterdir()}
+        assert len(left) == 4 and left > {
+            f"{host}-1-init", "elsewhere-17-remote", "legacy"}
+        assert api.RunStore(tmp_path).stats() == first
+
+    def test_counter_file_folded_by_another_process_counts_once(
+            self, tmp_path):
+        import socket
+        import subprocess
+        import sys
+
+        from repro.api import LocalDirDriver
+
+        class Rival(LocalDirDriver):
+            def delete(self, key):
+                super().delete(key)  # another process's fold wins
+                return super().delete(key)
+
+        child = subprocess.run([sys.executable, "-c", "import os; "
+                                "print(os.getpid())"], capture_output=True,
+                               text=True, check=True)
+        dead = (tmp_path / "counters"
+                / f"{socket.gethostname()}-{child.stdout.strip()}-x.json")
+        dead.parent.mkdir()
+        dead.write_text('{"hits": 3}')
+        store = api.RunStore(tmp_path, driver=Rival(tmp_path))
+        assert store.stats().hits == 3
+        # Carried over by the winner only: not into this process's file.
+        assert not dead.exists() and api.RunStore(tmp_path).stats().hits == 0
 
     def test_old_index_is_migrated_once(self, tmp_path):
         # A root as the index-keeping store left it: a row record in
