@@ -13,8 +13,9 @@ Three implementations run the identical potential program:
 - **prefactored scalar** — today's ``_RedoxChannelSimulator.step``,
   which reuses the stepper's one-time factorization but still loops
   over channels in Python;
-- **batched** — :class:`repro.engine.simulation.SimulationEngine`: all
-  2M fields advance in one prefactored batched solve.
+- **batched** — :class:`repro.engine.redox.RedoxChannelBatch`, stepped
+  once per sample: all 2M fields advance in one prefactored batched
+  solve.
 
 All three produce bit-identical currents (pinned in
 ``tests/test_engine.py``); the acceptance bar here is >= 5x steps/sec
@@ -44,7 +45,7 @@ from repro.chem.redox import ButlerVolmerKinetics, RedoxCouple
 from repro.chem.solution import Chamber
 from repro.data.catalog import CYP_BASE_K0
 from repro.electronics.waveform import TriangleWaveform, uniform_sample_times
-from repro.engine.simulation import SimulationEngine
+from repro.engine.redox import RedoxChannelBatch
 from repro.io.tables import render_table
 from repro.measurement.voltammetry import build_channel_simulators
 from repro.sensors.cell import ElectrochemicalCell
@@ -153,11 +154,20 @@ def scalar_steps_per_sec(make_sims, potentials) -> tuple[float, np.ndarray]:
     return potentials.size / elapsed, fluxes
 
 
+def step_sweep(batch: RedoxChannelBatch, potentials) -> np.ndarray:
+    """Drive ``batch`` through the potential program, one step per
+    sample; return the ``(n_samples, M)`` fluxes."""
+    fluxes = np.empty((potentials.size, batch.batch_size))
+    for k in range(potentials.size):
+        fluxes[k] = batch.step(float(potentials[k]))
+    return fluxes
+
+
 def batched_steps_per_sec(make_sims, potentials) -> tuple[float, np.ndarray]:
     """The engine inner loop: one batched solve per sample."""
-    engine = SimulationEngine.for_redox_channels(make_sims())
+    batch = RedoxChannelBatch(make_sims())
     start = time.perf_counter()
-    fluxes = engine.run_sweep(potentials)
+    fluxes = step_sweep(batch, potentials)
     elapsed = time.perf_counter() - start
     return potentials.size / elapsed, fluxes
 
@@ -171,14 +181,13 @@ def fusion_rates(make_sims, potentials,
     program, the same shape :class:`~repro.engine.scheduler.SweepBatch`
     compiles for a fleet's CV group.
     """
-    engines = [SimulationEngine.for_redox_channels(make_sims())
-               for _ in range(n_sweeps)]
+    batches = [RedoxChannelBatch(make_sims()) for _ in range(n_sweeps)]
     start = time.perf_counter()
-    per_sweep = [engine.run_sweep(potentials) for engine in engines]
+    per_sweep = [step_sweep(batch, potentials) for batch in batches]
     sequential_elapsed = time.perf_counter() - start
 
     channels = [sim for _ in range(n_sweeps) for sim in make_sims()]
-    fused = SimulationEngine.for_redox_channels(channels)
+    fused = RedoxChannelBatch(channels)
     programs = np.broadcast_to(
         potentials, (len(channels), potentials.size))
     fluxes = np.empty((potentials.size, len(channels)))
@@ -246,7 +255,7 @@ def test_engine_throughput(benchmark, report, json_report):
         ["implementation", "steps/sec"],
         [["seed scalar (thomas_solve loop)", f"{out['seed_rate']:.0f}"],
          ["prefactored scalar loop", f"{out['scalar_rate']:.0f}"],
-         ["batched SimulationEngine", f"{out['batched_rate']:.0f}"]],
+         ["batched RedoxChannelBatch", f"{out['batched_rate']:.0f}"]],
         title=(f"E1 | {N_CHANNELS}-channel panel sweep, "
                f"{out['n_steps']} samples")))
     report(f"speedup vs seed          : {out['speedup']:.1f}x  "

@@ -48,7 +48,7 @@ def dose_response_sweep(levels=GLUCOSE_LEVELS) -> api.SweepSpec:
               "seed": list(SEEDS)})
 
 
-def run_sweep(sweep: api.SweepSpec, store: api.RunStore):
+def stream_study(sweep: api.SweepSpec, store: api.RunStore):
     """Stream a sweep through the job-level pipeline; report cache use."""
     signals: dict[float, list[float]] = {}
     records = []
@@ -82,7 +82,7 @@ def main() -> None:
     store = api.RunStore(store_root)
     try:
         # --- 2. stream it through the job-level pipeline -----------------
-        records, signals, n_cached = run_sweep(sweep, store)
+        records, signals, n_cached = stream_study(sweep, store)
         if os.environ.get("REPRO_SWEEP_EXPECT_WARM"):
             assert n_cached == len(records), (
                 f"expected a fully warm sweep, got "
@@ -105,7 +105,7 @@ def main() -> None:
         extended = dose_response_sweep(levels=GLUCOSE_LEVELS + (8.0,))
         print(f"extended sweep: {len(extended)} grid points "
               f"({len(sweep)} shared with the study above)")
-        ext_records, _, ext_cached = run_sweep(extended, store)
+        ext_records, _, ext_cached = stream_study(extended, store)
         assert ext_cached >= len(sweep), \
             "every shared grid point should be a store hit"
 

@@ -139,7 +139,7 @@ def solve(pairs, store=None) -> Iterator[tuple]:
     statistics each job added to the pass — the core re-accumulates
     them in merged job order.  With a ``store`` (a
     :class:`~repro.api.store.RunStore`) the pass serves known engine
-    rows from it and writes the rows it solves back, one index save
+    rows from it and writes the rows it solves back, one counter flush
     for the whole pass; ``d_stored`` counts the rows served.  The
     inline transport passes the runner's store, a process slot the
     same store re-opened in the slot, and a distributed worker its own

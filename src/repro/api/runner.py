@@ -175,7 +175,9 @@ def run(spec, backend=None, store=None, screening=None,
         return _dispatch(spec, backend, None, retry, on_error, faults)
     from repro.api.store import StoreStats
 
-    before = store.stats()
+    # The run's deltas need only the counters before it; the footprint
+    # comes from the one full stats() after it.
+    before = store._counter_totals()
     if isinstance(spec, AssaySpec):
         # A standalone assay *is* a job: the one-job fleet's JobPlan
         # looks it up (an earlier fleet or sweep may have warmed it) and
@@ -199,14 +201,14 @@ def run(spec, backend=None, store=None, screening=None,
     # store's resulting footprint; records are frozen, so this rides as
     # the documented class-attribute override on RunRecord.
     object.__setattr__(record, "store_stats", StoreStats(
-        hits=after.hits - before.hits,
-        misses=after.misses - before.misses,
-        evictions=after.evictions - before.evictions,
+        hits=after.hits - before["hits"],
+        misses=after.misses - before["misses"],
+        evictions=after.evictions - before["evictions"],
         records=after.records, bytes=after.bytes,
-        quarantined=after.quarantined - before.quarantined,
+        quarantined=after.quarantined - before["quarantined"],
         row_records=after.row_records, row_bytes=after.row_bytes,
-        row_hits=after.row_hits - before.row_hits,
-        row_misses=after.row_misses - before.row_misses))
+        row_hits=after.row_hits - before["row_hits"],
+        row_misses=after.row_misses - before["row_misses"]))
     return record
 
 

@@ -967,6 +967,17 @@ class RunStore:
     def stats(self) -> StoreStats:
         """Lifetime counters plus the store's current footprint (folding
         exited processes' counter files on the way: module docstring)."""
+        totals = self._counter_totals()
+        jobs = [size for _, size, _ in self._listing()]
+        rows = [size for _, size, _ in self._listing(_ROWS)]
+        return StoreStats(records=len(jobs), bytes=sum(jobs),
+                          row_records=len(rows), row_bytes=sum(rows),
+                          **totals)
+
+    def _counter_totals(self) -> dict[str, int]:
+        """The lifetime counters summed over the counter files, without
+        listing a record: what :func:`repro.api.run` snapshots before a
+        run."""
         self._flush()
         totals = dict.fromkeys(_COUNTERS, 0)
         for key, _, _ in self.driver.list(_COUNTER_FILES):
@@ -979,11 +990,7 @@ class RunStore:
                     for name, n in counts.items():
                         self._counts[name] += n
         self._flush()
-        jobs = [size for _, size, _ in self._listing()]
-        rows = [size for _, size, _ in self._listing(_ROWS)]
-        return StoreStats(records=len(jobs), bytes=sum(jobs),
-                          row_records=len(rows), row_bytes=sum(rows),
-                          **totals)
+        return totals
 
     def clear(self) -> int:
         """Delete every stored record, row records included; returns

@@ -30,27 +30,32 @@ the engine restructures it in five layers:
    sweep per system.  Both paths perform the scalar solve's operations
    in its order, so they agree bit for bit.
 
-3. **Batch steppers and the protocol facade**
+3. **Batch steppers and the one stepping loop**
    (:mod:`repro.engine.batch`, :mod:`repro.engine.redox`,
-   :mod:`repro.engine.mechanisms`, :mod:`repro.engine.simulation`).
+   :mod:`repro.engine.mechanisms`).
    :class:`~repro.engine.batch.BatchCrankNicolson` stacks whole
    Crank-Nicolson steppers (padding unequal grids with decoupled
    identity rows); :class:`~repro.engine.redox.RedoxChannelBatch` fuses
    the oxidised + reduced fields of all CV/DPV channels into one
-   ``(2M, N)`` solve per sample;
+   ``(2M, N)`` solve per sample; and
    :class:`~repro.engine.mechanisms.MechanismBatch` does the same for
-   chronoamperometric surface mechanisms; and
-   :class:`~repro.engine.simulation.SimulationEngine` is the single
-   front door the protocols call.  Identical matrices inside a batch
+   chronoamperometric surface mechanisms.  Neither batch is stepped by
+   a protocol: one loop in :mod:`repro.engine.scheduler`
+   (``_solve_rows``) steps every engine row, and every protocol reaches
+   it through a :class:`~repro.engine.scheduler.DwellBatch` or
+   :class:`~repro.engine.scheduler.SweepBatch` (a standalone
+   chronoamperometry, CV or DPV run is a one-dwell or one-sweep batch).
+   Identical matrices inside a batch
    (WEs sharing a grid/diffusivity/dt) are eliminated once and the sweep
    coefficients shared
    (:func:`~repro.engine.tridiag.factor_tridiagonal_shared`), and
    scalar steppers over the same (grid, D, dt, boundary) share one
    cached factorization outright.  Whole rows go one step further:
-   rows whose keys (every value their step reads, as exact bytes) are
-   equal are solved once and their fluxes fanned back out
-   (:func:`~repro.engine.tridiag.first_occurrences`), so technical
-   replicates in a fused fleet cost one row per distinct chemistry.
+   the dwell and sweep batches key each row by every value its step
+   reads, as exact bytes, solve one row per distinct key and fan its
+   fluxes back out (:func:`~repro.engine.tridiag.first_occurrences`),
+   so technical replicates in a fused fleet cost one row per distinct
+   chemistry.
    The same keys address a cache layer in the run store: a
    store-backed scheduler pass serves every row the store already
    holds and steps only the rest, so a new seed over known chemistry
@@ -279,7 +284,6 @@ from repro.engine.tridiag import (
 from repro.engine.batch import BatchCrankNicolson
 from repro.engine.mechanisms import MechanismBatch
 from repro.engine.redox import RedoxChannelBatch
-from repro.engine.simulation import SimulationEngine
 from repro.engine.scheduler import (
     AssayJob,
     AssayScheduler,
@@ -297,7 +301,6 @@ __all__ = [
     "BatchCrankNicolson",
     "RedoxChannelBatch",
     "MechanismBatch",
-    "SimulationEngine",
     "DwellBatch",
     "SweepBatch",
     "AssayJob",

@@ -24,16 +24,13 @@ bit.  The surface slopes enter as rank-one Sherman-Morrison corrections
 (:meth:`BatchCrankNicolson.step_linear_surface`), so no matrix is ever
 refactored, however the Newton relinearisation moves.
 
-Replicate rows are solved once.  Every mechanism is autonomous — its
-step reads only its own solver bands, surface response and volume,
-``dt``, profile and rate law — so :func:`mechanism_key` gathers exactly
-those values as bytes, and the batch advances one representative per
-distinct key and hands each duplicate its representative's flux.  A
-fleet of technical replicates (same chemistry, different acquisition
-seeds) therefore costs one row per distinct chemistry, not one per
-assay.  Keys compare exact bytes, so ``-0.0``, NaN payloads and
-one-ULP differences stay separate rows; all-distinct rows solve
-exactly as before.
+The batch solves every mechanism it is given.  Every mechanism is
+autonomous — its step reads only its own solver bands, surface response
+and volume, ``dt``, profile and rate law — so :func:`mechanism_key`
+gathers exactly those values as bytes, and the fleet scheduler's
+:class:`~repro.engine.scheduler.DwellBatch` hands the batch one
+representative per distinct key.  Keys compare exact bytes, so
+``-0.0``, NaN payloads and one-ULP differences stay separate rows.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engine.batch import BatchCrankNicolson
-from repro.engine.tridiag import first_occurrences
 from repro.errors import SimulationError
 
 __all__ = ["MechanismBatch", "mechanism_key"]
@@ -51,7 +47,7 @@ def mechanism_key(mech) -> tuple[bytes, ...]:
     """Every value :meth:`MechanismBatch.step` reads for ``mech``, as bytes.
 
     Two mechanisms with equal keys follow bit-identical trajectories, so
-    a batch may solve one and copy its flux to the other.
+    a caller may solve one and copy its flux to the other.
     """
     solver = mech.solver
     if hasattr(mech, "film"):
@@ -69,13 +65,7 @@ def mechanism_key(mech) -> tuple[bytes, ...]:
 
 
 class MechanismBatch:
-    """Advance every surface mechanism of one dwell in lockstep.
-
-    Mechanisms with equal :func:`mechanism_key` (replicate chemistry)
-    share one solved row: :attr:`batch_size` counts every mechanism,
-    :attr:`n_solved_systems` the rows actually stepped, and
-    :meth:`step` returns one flux per mechanism either way.
-    """
+    """Advance every surface mechanism of one dwell in lockstep."""
 
     def __init__(self, mechanisms) -> None:
         if hasattr(mechanisms, "values"):
@@ -91,37 +81,27 @@ class MechanismBatch:
                     "'rate_constant' (first-order sink)")
         self.mechanisms = mechanisms
         self._m = len(mechanisms)
-        # One representative per distinct key; inverse[j] is the solved
-        # row whose flux mechanism j reports.
-        unique, self._inverse = first_occurrences(map(mechanism_key,
-                                                      mechanisms))
-        solved = [mechanisms[j] for j in unique]
-        self._n_solved = len(solved)
-        is_film = np.asarray([hasattr(mech, "film") for mech in solved])
+        is_film = np.asarray([hasattr(mech, "film") for mech in mechanisms])
         # Precompiled step program: the rate-law parameters, gathered by
         # kind into flat arrays once, so step() never touches a
         # mechanism object again.
         self._film_idx = np.flatnonzero(is_film)
         self._sink_idx = np.flatnonzero(~is_film)
-        self._vmax = np.asarray([solved[j].film.vmax
+        self._vmax = np.asarray([mechanisms[j].film.vmax
                                  for j in self._film_idx], dtype=float)
-        self._km = np.asarray([solved[j].film.km
+        self._km = np.asarray([mechanisms[j].film.km
                                for j in self._film_idx], dtype=float)
-        self._rate_constants = np.asarray([solved[j].rate_constant
+        self._rate_constants = np.asarray([mechanisms[j].rate_constant
                                            for j in self._sink_idx],
                                           dtype=float)
-        self._cn = BatchCrankNicolson([mech.solver for mech in solved])
-        self._state = self._cn.stack_states([mech.field for mech in solved])
+        self._cn = BatchCrankNicolson([mech.solver for mech in mechanisms])
+        self._state = self._cn.stack_states([mech.field
+                                             for mech in mechanisms])
 
     @property
     def batch_size(self) -> int:
         """Mechanisms advanced per step (fluxes returned per call)."""
         return self._m
-
-    @property
-    def n_solved_systems(self) -> int:
-        """Distinct systems actually solved per step (<= batch_size)."""
-        return self._n_solved
 
     def step(self) -> np.ndarray:
         """Advance all mechanisms one dt; return their reaction fluxes.
@@ -130,8 +110,8 @@ class MechanismBatch:
         value its scalar ``step`` would have returned); pair them with
         ``mechanism.current(area, flux)`` for signed currents.
         """
-        a = np.zeros(self._n_solved)
-        b = np.zeros(self._n_solved)
+        a = np.zeros(self._m)
+        b = np.zeros(self._m)
         c0 = self._state[:, 0]
         if self._film_idx.size:
             cf = c0[self._film_idx]
@@ -145,23 +125,21 @@ class MechanismBatch:
             b[self._sink_idx] = self._rate_constants
         self._state = self._cn.step_linear_surface(self._state, a, b)
         c0 = self._state[:, 0]
-        fluxes = np.empty(self._n_solved)
+        fluxes = np.empty(self._m)
         if self._film_idx.size:
             cpos = np.maximum(c0[self._film_idx], 0.0)
             fluxes[self._film_idx] = self._vmax * cpos / (self._km + cpos)
         if self._sink_idx.size:
             fluxes[self._sink_idx] = (self._rate_constants
                                       * c0[self._sink_idx])
-        return fluxes[self._inverse]
+        return fluxes
 
     def sync_back(self) -> None:
         """Write the batched profiles back onto the mechanism objects.
 
-        Every mechanism gets its own copy of its solved row's profile,
-        duplicates included.  Call before mutating mechanisms externally
-        (e.g. an injection lifting bulk boundaries) and rebuild the
-        batch afterwards.
+        Call before mutating mechanisms externally (e.g. an injection
+        lifting bulk boundaries) and rebuild the batch afterwards.
         """
-        sizes = self._cn.sizes
-        for mech, slot in zip(self.mechanisms, self._inverse):
-            mech.field = self._state[slot, :sizes[slot]].copy()
+        for mech, field in zip(self.mechanisms,
+                               self._cn.unstack(self._state)):
+            mech.field = field

@@ -6,8 +6,8 @@ lifts batching two levels higher:
 
 - :class:`DwellBatch` advances the surface mechanisms of **many**
   chronoamperometric dwells — different working electrodes, different
-  cells — in lockstep through one :class:`~repro.engine.simulation.
-  SimulationEngine` solve per time step.  Dwells are duck-typed (see
+  cells — in lockstep through one :class:`~repro.engine.mechanisms.
+  MechanismBatch` solve per time step.  Dwells are duck-typed (see
   :class:`~repro.measurement.chronoamperometry.ChronoDwell`): anything
   exposing ``dt``/``mechanisms``/``injections``/``initial_current``/
   ``apply_injection_events`` plus the compiled current form
@@ -42,7 +42,8 @@ lifts batching two levels higher:
   into a :class:`FleetResult`, so the two paths cannot diverge.
 
 CV sweeps fuse across cells too, one :class:`SweepBatch` per sample
-rate: it stacks the redox channels of many planned sweeps
+rate (a standalone CV or DPV run is a one-sweep batch): it stacks the
+redox channels of many planned sweeps
 (:class:`~repro.measurement.voltammetry.CvSweep`) into one engine with
 a per-channel potential *program*, so sweeps over different windows
 advance together.  At one sample rate every record's time axis is a
@@ -67,6 +68,10 @@ fanning its flux history back out through an inverse index.  Keys are
 exact bytes, so rows merge only when their trajectories are
 bit-identical: an 8-seed x 2-loading paper-panel sweep solves 3
 distinct CV channels instead of 48, and every result is unchanged.
+
+:func:`_solve_rows` is the one loop that steps an engine row: every
+dwell, sweep, panel and standalone protocol run reaches the batches
+through it.
 
 The same keys make true currents a cache layer of their own.  A
 scheduler given a run store (``AssayScheduler(store=...)``, which
@@ -95,9 +100,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engine.mechanisms import mechanism_key
-from repro.engine.redox import channel_key
-from repro.engine.simulation import SimulationEngine
+from repro.engine.mechanisms import MechanismBatch, mechanism_key
+from repro.engine.redox import RedoxChannelBatch, channel_key
 from repro.engine.tridiag import first_occurrences
 from repro.errors import SimulationError
 
@@ -116,8 +120,10 @@ def _solve_rows(rows, steps: int, build, state: tuple[str, ...], store,
 
     ``rows`` holds one representative object per distinct row (redox
     channels or surface mechanisms); ``build`` makes an engine over a
-    list of them, ``state`` names a row's end-state attributes and
-    ``program`` is an optional ``(steps, len(rows))`` potential program.
+    list of them (:class:`~repro.engine.mechanisms.MechanismBatch` or
+    :class:`~repro.engine.redox.RedoxChannelBatch`), ``state`` names a
+    row's end-state attributes and ``program`` is an optional
+    ``(steps, len(rows))`` potential program.
     With a ``store``, row ``i`` is first looked up under ``keys[i]``
     plus the step count: a hit sets the row's end state from the
     record, and only the misses are stacked into one engine, stepped,
@@ -250,7 +256,7 @@ class DwellBatch:
         unique, inverse = first_occurrences(keys)
         rows = [mechanisms[j] for j in unique]
         fluxes, solved, stored = _solve_rows(
-            rows, steps, SimulationEngine.for_mechanisms, ("field",),
+            rows, steps, MechanismBatch, ("field",),
             self.store, keys=[keys[j] for j in unique])
         for mech, slot in zip(mechanisms, inverse):
             if mech is not rows[slot]:
@@ -437,7 +443,7 @@ class SweepBatch:
                 (*channel_key(ch), program[:, c].tobytes())
                 for c, ch in enumerate(channels)]
             fluxes, n_solved, n_stored = _solve_rows(
-                channels, end - start, SimulationEngine.for_redox_channels,
+                channels, end - start, RedoxChannelBatch,
                 ("c_ox", "c_red"), self.store, keys=keys, program=program)
             solved[rows, start:end] = fluxes
             self._fan_out(rows)

@@ -16,7 +16,7 @@ surface term).  Every consuming mechanism on the electrode contributes:
   blanks, which is what breaks CDS for those molecules.
 
 All mechanisms of a dwell advance together through
-:class:`repro.engine.simulation.SimulationEngine` — one batched
+:class:`repro.engine.mechanisms.MechanismBatch` — one batched
 linear-surface solve per sample; the ``_Mechanism`` classes stay as the
 scalar reference the engine is built from (and verified against).
 
@@ -267,7 +267,7 @@ class ChronoDwell:
         """Inject each event into this dwell's chamber and refresh fields.
 
         Call only with the batched state synced back onto the mechanism
-        objects (:meth:`~repro.engine.simulation.SimulationEngine.
+        objects (:meth:`~repro.engine.mechanisms.MechanismBatch.
         sync_back`); the caller rebuilds its engine afterwards.
         """
         for injection in events:
@@ -379,28 +379,3 @@ class Chronoamperometry:
         return ChronoamperometryResult(
             trace=trace, we_name=we_name,
             e_setpoint=self.e_setpoint, e_applied=float(e_applied))
-
-    # -- internals ------------------------------------------------------------------
-    # Thin wrappers over the module-level engine-facing functions, kept
-    # as the protocol-local reference API (tests pin equivalence on it).
-
-    def _build_mechanisms(self, we: WorkingElectrode, chamber, e: float,
-                          dt: float) -> dict[str, _Mechanism]:
-        """One mechanism per electroactive species on this electrode."""
-        return build_mechanisms(we, chamber, e, dt, self.n_nodes)
-
-    def _apply_injection(self, mechanisms: dict[str, _Mechanism],
-                         we: WorkingElectrode, chamber, e: float,
-                         dt: float) -> None:
-        """Refresh bulk boundaries (and create fields for new species)."""
-        refresh_mechanisms(mechanisms, we, chamber, e, dt, self.n_nodes)
-
-    def _instant_current(self, we: WorkingElectrode,
-                         mechanisms: dict[str, _Mechanism]) -> float:
-        """Current at t=0 (surface still at bulk concentration)."""
-        return initial_mechanism_current(we, mechanisms)
-
-    def _static_current(self, cell: ElectrochemicalCell, we_name: str,
-                        e: float) -> float:
-        """Leakage and (steady) cross-talk — not transient-simulated."""
-        return static_current(cell, we_name, e)

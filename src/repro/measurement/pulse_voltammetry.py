@@ -20,9 +20,9 @@ Two properties make the differential measurement attractive here:
 
 The simulator reuses the coupled ox/red diffusion channels of the CV
 engine; only the potential program and the sampling pattern differ.
-Like CV, the channels advance through
-:class:`repro.engine.simulation.SimulationEngine` — one batched
-tridiagonal solve per sample for all channels of the staircase.
+Like CV, the staircase runs as a one-sweep
+:class:`~repro.engine.scheduler.SweepBatch` — one batched tridiagonal
+solve per sample for all channels of the staircase.
 """
 
 from __future__ import annotations
@@ -34,9 +34,12 @@ import numpy as np
 
 from repro.chem import constants as C
 from repro.electronics.chain import AcquisitionChain
-from repro.engine.simulation import SimulationEngine
+from repro.engine.scheduler import SweepBatch
 from repro.errors import ProtocolError
-from repro.measurement.voltammetry import build_channel_simulators
+from repro.measurement.voltammetry import (
+    build_channel_simulators,
+    faradaic_current,
+)
 from repro.sensors.cell import ElectrochemicalCell
 from repro.units import ensure_positive
 
@@ -49,6 +52,28 @@ class DpvPeak:
 
     potential: float
     height: float
+
+
+@dataclass
+class _DpvSweep:
+    """The staircase as a :class:`~repro.engine.scheduler.SweepBatch`
+    plan: the current at each sample is the channels' faradaic term plus
+    the leakage.
+
+    Steps happen between samples; the double-layer spike decays with
+    tau = Rs*Cdl (~tens of us) and is gone by the next sample — the
+    charging rejection DPV is built on — so no charging term appears.
+    """
+
+    times: np.ndarray
+    potentials: np.ndarray
+    channels: list
+    coefficients: list
+    leakage: float
+
+    def row_from_fluxes(self, flux_rows) -> np.ndarray:
+        return (faradaic_current(self.coefficients, flux_rows,
+                                 self.times.size) + self.leakage)
 
 
 @dataclass(frozen=True)
@@ -196,21 +221,12 @@ class DifferentialPulseVoltammetry:
         duration = float(times[-1]) if times.size else self.period
         channels = build_channel_simulators(we, cell.chamber, self.dt,
                                             duration)
-        engine = (SimulationEngine.for_redox_channels(channels)
-                  if channels else None)
-        currents = np.empty(times.size)
-        for k in range(times.size):
-            e = float(potentials[k])
-            faradaic = 0.0
-            if engine is not None:
-                fluxes = engine.step(e)
-                for j, sim in enumerate(channels):
-                    faradaic -= sim.n * C.FARADAY * we.area * float(fluxes[j])
-            # Steps happen between samples; the double-layer spike decays
-            # with tau = Rs*Cdl (~tens of us) and is gone by the next
-            # sample — the charging rejection DPV is built on.
-            currents[k] = faradaic + we.electrode.leakage_current()
-        return times, potentials, currents
+        sweep = _DpvSweep(times=times, potentials=potentials,
+                          channels=channels,
+                          coefficients=[sim.n * C.FARADAY * we.area
+                                        for sim in channels],
+                          leakage=we.electrode.leakage_current())
+        return times, potentials, SweepBatch([sweep]).simulate()[0]
 
     def _assemble(self, potentials: np.ndarray,
                   currents: np.ndarray) -> DpvResult:

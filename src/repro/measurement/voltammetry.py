@@ -23,9 +23,10 @@ and scan rate — the background the paper's microelectrode argument is
 about) and, for oxidase-functionalized electrodes swept anodically, the
 steady H2O2 oxidation wave.
 
-The protocol advances its channels through
-:class:`repro.engine.simulation.SimulationEngine`: all 2M ox/red fields
-of a sweep move in one batched tridiagonal solve per sample.
+The protocol plans its sweep as a :class:`CvSweep` and integrates it
+as a one-sweep :class:`~repro.engine.scheduler.SweepBatch`, the same
+fused path a panel or fleet takes: all 2M ox/red fields of a sweep move
+in one batched tridiagonal solve per sample.
 :class:`_RedoxChannelSimulator` remains the scalar reference the engine
 is built from (and verified against, bit for bit).
 """
@@ -43,7 +44,7 @@ from repro.chem.enzymes import CytochromeP450, Oxidase
 from repro.chem.species import get_species
 from repro.electronics.chain import AcquisitionChain
 from repro.electronics.waveform import TriangleWaveform, uniform_sample_times
-from repro.engine.simulation import SimulationEngine
+from repro.engine.scheduler import SweepBatch
 from repro.errors import ProtocolError
 from repro.measurement.trace import Voltammogram
 from repro.sensors.cell import ElectrochemicalCell
@@ -51,7 +52,7 @@ from repro.sensors.electrode import WorkingElectrode
 from repro.units import ensure_positive
 
 __all__ = ["CvSweep", "CyclicVoltammetry", "CyclicVoltammetryResult",
-           "build_channel_simulators"]
+           "build_channel_simulators", "faradaic_current"]
 
 
 class _RedoxChannelSimulator:
@@ -136,23 +137,38 @@ def build_channel_simulators(we: WorkingElectrode, chamber, dt: float,
     return sims
 
 
+def faradaic_current(coefficients, flux_rows, n_samples: int) -> np.ndarray:
+    """The faradaic current of a sweep's channels over ``n_samples``.
+
+    ``coefficients[j]`` is channel j's current per unit reduction flux
+    (``n * F * area``) and ``flux_rows[j]`` its flux history.  One
+    channel term is subtracted at a time, in channel order, as the
+    scalar sample loop does; no channels give a zero row.
+    """
+    faradaic = np.zeros(n_samples)
+    for coef, fluxes in zip(coefficients, flux_rows):
+        faradaic -= coef * fluxes
+    return faradaic
+
+
 @dataclass
 class CvSweep:
     """One planned CV sweep, compiled for cross-cell fusion.
 
-    Everything :meth:`CyclicVoltammetry.simulate_true_current` computes
-    *outside* the diffusion solve — the potential program, the
-    quasi-static and charging backgrounds, the per-channel
-    current-per-flux factors — evaluated once at planning time, each
-    background by one array call over the whole program, so a
-    :class:`~repro.engine.scheduler.SweepBatch` can fuse the channels of
-    many sweeps into one engine and assemble each sweep's current row
+    Everything a sweep needs *outside* the diffusion solve — the
+    potential program, the quasi-static and charging backgrounds, the
+    per-channel current-per-flux factors — evaluated once at planning
+    time, each background by one array call over the whole program, so
+    a :class:`~repro.engine.scheduler.SweepBatch` can fuse the channels
+    of many sweeps into one engine and assemble each sweep's current row
     from the recorded flux history.  Sweeps at one ``sample_rate``
     fuse whatever their window: their ``times`` are prefixes of one
     another.  ``quasi`` and ``charging`` stay separate arrays because
     the scalar loop adds them in that order
     (``(faradaic + quasi) + charging``) and bit-identity requires the
-    same association.
+    same association.  ``e_applied`` is the potentiostat's output over
+    the program; only :meth:`CyclicVoltammetry.plan_sweep`, which has a
+    chain, sets it.
     """
 
     we_name: str
@@ -162,31 +178,24 @@ class CvSweep:
     times: np.ndarray
     potentials: np.ndarray
     sweep_sign: np.ndarray
-    e_applied: np.ndarray
     channels: list
     coefficients: np.ndarray
     quasi: np.ndarray
     charging: np.ndarray
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channels)
+    e_applied: np.ndarray | None = None
 
     def row_from_fluxes(self, flux_rows) -> np.ndarray:
         """This sweep's true-current row given its slice of batch fluxes.
 
         ``flux_rows`` is the ``(n_channels, n_samples)`` flux history
-        the fused engine recorded for this sweep's channels.  The
-        accumulation subtracts one channel term at a time, in channel
-        order, exactly as the scalar sample loop does.
+        the fused engine recorded for this sweep's channels.
         """
-        faradaic = np.zeros(self.times.size)
-        for j in range(self.n_channels):
-            faradaic -= self.coefficients[j] * flux_rows[j]
+        faradaic = faradaic_current(self.coefficients, flux_rows,
+                                    self.times.size)
         return (faradaic + self.quasi) + self.charging
 
     def to_voltammogram(self, row: np.ndarray, reading) -> Voltammogram:
-        """Assemble the digitised record, as :meth:`CyclicVoltammetry.run`."""
+        """The digitised record of this sweep's true-current ``row``."""
         return Voltammogram(
             times=self.times, potentials=np.asarray(self.e_applied),
             current=reading.current_estimate, sweep_sign=self.sweep_sign,
@@ -237,85 +246,66 @@ class CyclicVoltammetry:
     def simulate_true_current(self, cell: ElectrochemicalCell, we_name: str,
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                          np.ndarray]:
-        """Integrate the sweep; return (times, potentials, sweep_sign, i)."""
-        we = cell.working_electrode(we_name)
-        chamber = cell.chamber
-        dt = 1.0 / self.sample_rate
-        times = uniform_sample_times(self.waveform.duration, self.sample_rate)
-        n = times.size
-        potentials = self.waveform.value(times)
-        rates = self.waveform.rate(times)
-        sweep_sign = np.where(rates >= 0.0, 1.0, -1.0)
+        """Integrate the sweep; return (times, potentials, sweep_sign, i).
 
-        quasi, charging = self._backgrounds(cell, we, potentials, rates)
-        channels = self._build_channels(we, chamber, dt)
-        engine = (SimulationEngine.for_redox_channels(channels)
-                  if channels else None)
-        currents = np.empty(n)
-        for k in range(n):
-            faradaic = 0.0
-            if engine is not None:
-                fluxes = engine.step(float(potentials[k]))
-                for j, sim in enumerate(channels):
-                    faradaic -= sim.n * C.FARADAY * we.area * float(fluxes[j])
-            currents[k] = faradaic + quasi[k] + charging[k]
-        return times, potentials, sweep_sign, currents
+        A one-sweep :class:`~repro.engine.scheduler.SweepBatch` over
+        the sweep :meth:`plan_sweep` compiles, so a fused panel row and
+        a standalone run are one code path.
+        """
+        sweep = self._plan(cell, we_name)
+        currents = SweepBatch([sweep]).simulate()[0]
+        return sweep.times, sweep.potentials, sweep.sweep_sign, currents
 
     def run(self, cell: ElectrochemicalCell, we_name: str,
             chain: AcquisitionChain,
             rng: np.random.Generator | None = None) -> CyclicVoltammetryResult:
         """Full protocol: swept chemistry digitised through ``chain``."""
-        times, e_set, sweep_sign, currents = self.simulate_true_current(
-            cell, we_name)
-        e_applied = chain.potentiostat.applied_potential(e_set)
-        we = cell.working_electrode(we_name)
-        reading = chain.digitize(times, currents, we=we, rng=rng)
-        voltammogram = Voltammogram(
-            times=times, potentials=np.asarray(e_applied),
-            current=reading.current_estimate, sweep_sign=sweep_sign,
-            scan_rate=self.waveform.scan_rate, channel=we_name,
-            true_current=currents, reading=reading)
+        sweep = self.plan_sweep(cell, we_name, chain)
+        currents = SweepBatch([sweep]).simulate()[0]
+        reading = chain.digitize(sweep.times, currents, we=sweep.we, rng=rng)
         return CyclicVoltammetryResult(
-            voltammogram=voltammogram, we_name=we_name,
-            waveform=self.waveform)
+            voltammogram=sweep.to_voltammogram(currents, reading),
+            we_name=we_name, waveform=self.waveform)
 
     def plan_sweep(self, cell: ElectrochemicalCell, we_name: str,
                    chain: AcquisitionChain) -> CvSweep:
         """Compile this protocol's sweep on ``we_name`` for fusion.
 
-        Evaluates the backgrounds once over the whole potential program
-        (the same :meth:`_backgrounds` call the reference loop makes)
-        and every per-channel factor up front, and builds fresh channel
-        simulators, so a :class:`~repro.engine.scheduler.SweepBatch`
-        fusing this sweep with others reproduces
-        :meth:`simulate_true_current` bit for bit.
+        The sweep :meth:`simulate_true_current` integrates, plus the
+        potentiostat's applied potentials over it, so a
+        :class:`~repro.engine.scheduler.SweepBatch` fusing it with
+        others reproduces :meth:`simulate_true_current` bit for bit.
         """
-        we = cell.working_electrode(we_name)
-        chamber = cell.chamber
-        dt = 1.0 / self.sample_rate
-        times = uniform_sample_times(self.waveform.duration, self.sample_rate)
-        potentials = self.waveform.value(times)
-        rates = self.waveform.rate(times)
-        sweep_sign = np.where(rates >= 0.0, 1.0, -1.0)
-        channels = self._build_channels(we, chamber, dt)
-        quasi, charging = self._backgrounds(cell, we, potentials, rates)
-        coefficients = np.asarray([sim.n * C.FARADAY * we.area
-                                   for sim in channels])
-        e_applied = chain.potentiostat.applied_potential(potentials)
-        return CvSweep(we_name=we_name, we=we, waveform=self.waveform,
-                       sample_rate=self.sample_rate, times=times,
-                       potentials=potentials, sweep_sign=sweep_sign,
-                       e_applied=np.asarray(e_applied), channels=channels,
-                       coefficients=coefficients, quasi=quasi,
-                       charging=charging)
+        sweep = self._plan(cell, we_name)
+        sweep.e_applied = np.asarray(
+            chain.potentiostat.applied_potential(sweep.potentials))
+        return sweep
 
     # -- internals ------------------------------------------------------------------
 
-    def _build_channels(self, we: WorkingElectrode, chamber,
-                        dt: float) -> list[_RedoxChannelSimulator]:
-        return build_channel_simulators(we, chamber, dt,
-                                        self.waveform.duration,
-                                        self.grid_growth)
+    def _plan(self, cell: ElectrochemicalCell, we_name: str) -> CvSweep:
+        """The sweep on ``we_name``, without the chain's ``e_applied``.
+
+        Evaluates the backgrounds once over the whole potential program
+        and every per-channel factor up front, and builds fresh channel
+        simulators.
+        """
+        we = cell.working_electrode(we_name)
+        times = uniform_sample_times(self.waveform.duration, self.sample_rate)
+        potentials = self.waveform.value(times)
+        rates = self.waveform.rate(times)
+        channels = build_channel_simulators(
+            we, cell.chamber, 1.0 / self.sample_rate, self.waveform.duration,
+            self.grid_growth)
+        quasi, charging = self._backgrounds(cell, we, potentials, rates)
+        coefficients = np.asarray([sim.n * C.FARADAY * we.area
+                                   for sim in channels])
+        return CvSweep(we_name=we_name, we=we, waveform=self.waveform,
+                       sample_rate=self.sample_rate, times=times,
+                       potentials=potentials,
+                       sweep_sign=np.where(rates >= 0.0, 1.0, -1.0),
+                       channels=channels, coefficients=coefficients,
+                       quasi=quasi, charging=charging)
 
     def _backgrounds(self, cell: ElectrochemicalCell, we: WorkingElectrode,
                      potentials: np.ndarray, rates: np.ndarray,

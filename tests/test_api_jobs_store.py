@@ -249,7 +249,7 @@ class TestSweepMemoisation:
         return api.SweepSpec(name=name, base=assay(name="pt", seed=7),
                              grid={"seed": list(seeds)})
 
-    def test_twice_run_sweep_second_pass_zero_engine_solves(
+    def test_sweep_run_twice_second_pass_zero_engine_solves(
             self, tmp_path, monkeypatch):
         store = api.RunStore(tmp_path)
         sweep = self._sweep()
@@ -430,6 +430,37 @@ class TestEvictionAndStats:
         # Listing is not a lookup: counters unchanged.
         list(store.records())
         assert store.stats().hits == 1
+
+    def test_store_backed_run_lists_records_once(self, tmp_path):
+        # The before-run snapshot reads only the counter files; the
+        # footprint comes from the one listing after the run.
+        from collections import Counter
+
+        from repro.api import LocalDirDriver
+
+        listed = Counter()
+
+        class Counting(LocalDirDriver):
+            def list(self, prefix=""):
+                listed[prefix] += 1
+                return super().list(prefix)
+
+        store = api.RunStore(tmp_path, driver=Counting(tmp_path))
+        before = store.stats()
+        listed.clear()
+        record = api.run(small_fleet(cells=2), store=store)
+        assert listed[""] == 1 and listed["rows/"] == 1
+        after = store.stats()
+        assert after.records > 0 and after.row_records > 0
+        assert record.store_stats == api.StoreStats(
+            hits=after.hits - before.hits,
+            misses=after.misses - before.misses,
+            evictions=after.evictions - before.evictions,
+            records=after.records, bytes=after.bytes,
+            quarantined=after.quarantined - before.quarantined,
+            row_records=after.row_records, row_bytes=after.row_bytes,
+            row_hits=after.row_hits - before.row_hits,
+            row_misses=after.row_misses - before.row_misses)
 
     def test_counters_survive_clear(self, tmp_path):
         store = api.RunStore(tmp_path)

@@ -1,17 +1,17 @@
 """The batched simulation engine: factorization, batching, equivalence.
 
 The engine's contract is that the batched path reproduces the scalar
-reference path within 1e-12 relative (it is in fact built to match bit
-for bit), so protocols could adopt it without moving any bench result.
-These tests pin that contract at every layer: raw tridiagonal solves,
-stacked Crank-Nicolson stepping (including mass conservation under
-sealed boundaries), the redox-channel batch behind CV/DPV, and the
-mechanism batch behind chronoamperometry.
+reference path bit for bit, so protocols could adopt it without moving
+any bench result.  These tests pin that contract at every layer: raw
+tridiagonal solves, stacked Crank-Nicolson stepping (including mass
+conservation under sealed boundaries), the redox-channel batch behind
+CV/DPV, the mechanism batch behind chronoamperometry, and the CV, DPV
+and chronoamperometry protocols against their scalar sample loops.
 
 The Thomas solves run in a compiled kernel when one loads and in a
-Python-float sweep otherwise.  The solver and Crank-Nicolson classes run
-once per path: each ``*Fallback`` subclass reruns its parent's tests
-with the kernel handle patched out.
+Python-float sweep otherwise.  The solver, Crank-Nicolson and protocol
+classes run once per path: each ``*Fallback`` subclass reruns its
+parent's tests with the kernel handle patched out.
 """
 
 from __future__ import annotations
@@ -33,14 +33,20 @@ from repro.engine import (
     BatchCrankNicolson,
     MechanismBatch,
     RedoxChannelBatch,
-    SimulationEngine,
     batch_thomas_solve,
     factor_tridiagonal,
     factor_tridiagonal_shared,
 )
 from repro.engine import tridiag
 from repro.errors import SimulationError
-from repro.measurement.chronoamperometry import Chronoamperometry
+from repro.measurement.chronoamperometry import (
+    Chronoamperometry,
+    build_mechanisms,
+    initial_mechanism_current,
+    refresh_mechanisms,
+    static_current,
+)
+from repro.measurement.pulse_voltammetry import DifferentialPulseVoltammetry
 from repro.measurement.voltammetry import (
     CyclicVoltammetry,
     build_channel_simulators,
@@ -512,8 +518,30 @@ class TestProtocolEquivalence:
                            + cv._quasi_static_current(cyp_cell, we, e)
                            + we.electrode.charging_current(
                                float(wf.rate(times[k]))))
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(currents - expected)) <= 1e-12 * scale
+        assert np.array_equal(currents, expected)
+
+    def test_dpv_matches_scalar_path(self, cyp_cell):
+        dpv = DifferentialPulseVoltammetry(e_start=0.0, e_end=-0.6)
+        result = dpv.simulate_true(cyp_cell, "WE4")
+
+        # Scalar reference: one channel step at a time, then leakage.
+        we = cyp_cell.working_electrode("WE4")
+        times, potentials = dpv.potential_program()
+        sims = build_channel_simulators(we, cyp_cell.chamber, dpv.dt,
+                                        float(times[-1]))
+        assert len(sims) == 2
+        expected = np.empty(times.size)
+        for k in range(times.size):
+            e = float(potentials[k])
+            faradaic = 0.0
+            for sim in sims:
+                faradaic -= sim.n * C.FARADAY * we.area * sim.step(e)
+            expected[k] = faradaic + we.electrode.leakage_current()
+        reference = dpv._assemble(potentials, expected)
+        for name in ("base_potentials", "differential", "i_before",
+                     "i_pulse"):
+            assert np.array_equal(getattr(result, name),
+                                  getattr(reference, name)), name
 
     def test_chronoamperometry_matches_scalar_path(self, glucose_cell):
         glucose_cell.chamber.set_bulk("dopamine", 0.3)
@@ -528,16 +556,17 @@ class TestProtocolEquivalence:
         chamber = glucose_cell.chamber.copy()
         dt = 1.0 / proto.sample_rate
         ref_times = uniform_sample_times(proto.duration, proto.sample_rate)
-        mechanisms = proto._build_mechanisms(we, chamber, e, dt)
+        mechanisms = build_mechanisms(we, chamber, e, dt, proto.n_nodes)
         expected = np.empty(ref_times.size)
-        static = proto._static_current(glucose_cell, "WE1", e)
-        expected[0] = static + proto._instant_current(we, mechanisms)
+        static = static_current(glucose_cell, "WE1", e)
+        expected[0] = static + initial_mechanism_current(we, mechanisms)
         t_prev = 0.0
         for k in range(1, ref_times.size):
             t_now = float(ref_times[k])
             for inj in proto.injections.events_between(t_prev, t_now):
                 chamber.inject(inj)
-                proto._apply_injection(mechanisms, we, chamber, e, dt)
+                refresh_mechanisms(mechanisms, we, chamber, e, dt,
+                                   proto.n_nodes)
             total = static
             for mech in mechanisms.values():
                 total += mech.current(we.area, mech.step())
@@ -545,8 +574,11 @@ class TestProtocolEquivalence:
             t_prev = t_now
 
         assert np.array_equal(times, ref_times)
-        scale = np.max(np.abs(expected))
-        assert np.max(np.abs(currents - expected)) <= 1e-12 * scale
+        assert np.array_equal(currents, expected)
+
+
+class TestProtocolEquivalenceFallback(TestProtocolEquivalence):
+    solve_path = "fallback"
 
 
 class TestMechanismBatch:
@@ -558,27 +590,16 @@ class TestMechanismBatch:
         with pytest.raises(SimulationError, match="mechanisms must expose"):
             MechanismBatch([Unknown()])
 
-    def test_batch_size_and_engine_facade(self, glucose_cell):
-        proto = Chronoamperometry(e_setpoint=0.55, duration=10.0,
-                                  sample_rate=5.0)
+    def test_batch_size_and_sync_back(self, glucose_cell):
+        glucose_cell.chamber.set_bulk("dopamine", 0.3)
         we = glucose_cell.working_electrode("WE1")
-        mechanisms = proto._build_mechanisms(
-            we, glucose_cell.chamber.copy(), 0.55, 0.2)
-        engine = SimulationEngine.for_mechanisms(mechanisms)
-        assert engine.batch_size == len(mechanisms)
-        fluxes = engine.step()
+        mechanisms = build_mechanisms(we, glucose_cell.chamber.copy(),
+                                      0.55, 0.2)
+        start = [mech.field.copy() for mech in mechanisms.values()]
+        batch = MechanismBatch(mechanisms)
+        assert batch.batch_size == len(mechanisms) == 2
+        fluxes = batch.step()
         assert fluxes.shape == (len(mechanisms),)
-
-
-class TestSimulationEngineFacade:
-    def test_run_sweep_matches_stepwise(self, cyp_cell):
-        we = cyp_cell.working_electrode("WE4")
-        potentials = np.linspace(0.0, -0.6, 50)
-        sims_a = build_channel_simulators(we, cyp_cell.chamber, 0.1, 60.0)
-        sims_b = build_channel_simulators(we, cyp_cell.chamber, 0.1, 60.0)
-        engine_a = SimulationEngine.for_redox_channels(sims_a)
-        engine_b = SimulationEngine.for_redox_channels(sims_b)
-        swept = engine_a.run_sweep(potentials)
-        assert swept.shape == (potentials.size, engine_a.batch_size)
-        stepped = np.vstack([engine_b.step(float(e)) for e in potentials])
-        assert np.array_equal(swept, stepped)
+        batch.sync_back()
+        for mech, field in zip(mechanisms.values(), start):
+            assert not np.array_equal(mech.field, field)

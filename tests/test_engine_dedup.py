@@ -32,7 +32,6 @@ from repro.engine import (
     AssayJob,
     AssayScheduler,
     DwellBatch,
-    MechanismBatch,
     SweepBatch,
 )
 from repro.engine.mechanisms import mechanism_key
@@ -65,13 +64,18 @@ def sweeps():
 
 
 @pytest.fixture(scope="module")
-def mechanisms():
-    """One CA dwell's mechanisms: a glucose film and a dopamine sink."""
+def dwell():
+    """One CA dwell whose mechanisms are a glucose film and a dopamine
+    sink."""
     dwell = PanelProtocol(**KWARGS).plan_dwells(_cell(),
                                                 bench_chain(seed=1))[0]
-    mechs = list(dwell.mechanisms.values())
+    mechs = _mechanisms(dwell)
     assert hasattr(mechs[0], "film") and hasattr(mechs[1], "rate_constant")
-    return mechs
+    return dwell
+
+
+def _mechanisms(dwell) -> list:
+    return list(dwell.mechanisms.values())
 
 
 def _override(obj, name: str, value) -> None:
@@ -225,76 +229,87 @@ class TestSweepKeys:
         assert np.array_equal(rows[1], rows[2])
 
 
-# -- CA dwells (MechanismBatch, mechanism key) ----------------------------------
+# -- CA dwells (DwellBatch, mechanism key) --------------------------------------
 
 
-def _steps(mechs) -> tuple[MechanismBatch, np.ndarray]:
-    batch = MechanismBatch([copy.deepcopy(m) for m in mechs])
-    return batch, np.array([batch.step() for _ in range(STEPS)])
+def _simulate(*dwells) -> tuple[DwellBatch, np.ndarray]:
+    """A batch over copies of ``dwells`` and its current rows."""
+    batch = DwellBatch([copy.deepcopy(d) for d in dwells],
+                       np.arange(STEPS + 1) * dwells[0].dt)
+    return batch, batch.simulate()
+
+
+def _distinct(*dwells) -> int:
+    """How many rows the mechanism keys of ``dwells`` collapse to."""
+    unique, _ = first_occurrences(
+        map(mechanism_key, (m for d in dwells for m in _mechanisms(d))))
+    return len(unique)
 
 
 class TestMechanismKeys:
-    def test_exact_replicates_collapse_bit_identically(self, mechanisms):
-        batch, fluxes = _steps(mechanisms * 3)
-        assert batch.batch_size == 3 * len(mechanisms)
-        assert batch.n_solved_systems == len(mechanisms)
-        _, alone = _steps(mechanisms)
-        for k in range(3):
-            block = fluxes[:, k * len(mechanisms):(k + 1) * len(mechanisms)]
-            assert np.array_equal(block, alone)
+    def test_exact_replicates_collapse_bit_identically(self, dwell):
+        n = len(dwell.mechanisms)
+        unique, inverse = first_occurrences(
+            map(mechanism_key, _mechanisms(copy.deepcopy(dwell))
+                + _mechanisms(copy.deepcopy(dwell))))
+        assert unique == list(range(n))
+        assert inverse.tolist() == list(range(n)) * 2
+        batch, rows = _simulate(dwell, dwell, dwell)
+        assert batch.batch_size == 3 * n
+        assert batch.n_solved_systems == n
+        _, alone = _simulate(dwell)
+        for row in rows:
+            assert np.array_equal(row, alone[0])
 
     @pytest.mark.parametrize("which", [0, 1], ids=["film", "sink"])
     @pytest.mark.parametrize("name", [*_SOLVER, "field"])
-    def test_nudge_keeps_row_apart(self, mechanisms, which, name):
+    def test_nudge_keeps_row_apart(self, dwell, which, name):
         def nudge(mech):
             _nudge(mech if name == "field" else mech.solver, name)
 
-        self._check_nudged(mechanisms, which, nudge)
+        self._check_nudged(dwell, which, nudge)
 
     @pytest.mark.parametrize("name", ["vmax", "km"])
-    def test_film_law_nudge_keeps_row_apart(self, mechanisms, name):
+    def test_film_law_nudge_keeps_row_apart(self, dwell, name):
         def nudge(mech):
             mech.film = dataclasses.replace(
                 mech.film, **{name: _ulp(getattr(mech.film, name))})
 
-        self._check_nudged(mechanisms, 0, nudge)
+        self._check_nudged(dwell, 0, nudge)
 
-    def test_sink_rate_nudge_keeps_row_apart(self, mechanisms):
-        self._check_nudged(mechanisms, 1,
+    def test_sink_rate_nudge_keeps_row_apart(self, dwell):
+        self._check_nudged(dwell, 1,
                            lambda mech: _nudge(mech, "rate_constant"))
 
     @staticmethod
     def _check_nudged(base, which, nudge):
         twin = copy.deepcopy(base)
-        nudge(twin[which])
-        assert mechanism_key(twin[which]) != mechanism_key(base[which])
-        batch, fluxes = _steps(base + twin)
-        assert batch.n_solved_systems == len(base) + 1
-        _, alone_base = _steps(base)
-        _, alone_twin = _steps(twin)
-        assert np.array_equal(fluxes[:, :len(base)], alone_base)
-        assert np.array_equal(fluxes[:, len(base):], alone_twin)
+        nudge(_mechanisms(twin)[which])
+        assert (mechanism_key(_mechanisms(twin)[which])
+                != mechanism_key(_mechanisms(base)[which]))
+        n = len(base.mechanisms)
+        assert _distinct(base, twin) == n + 1
+        batch, rows = _simulate(base, twin)
+        assert batch.n_solved_systems == n + 1
+        assert np.array_equal(rows[0], _simulate(base)[1][0])
+        assert np.array_equal(rows[1], _simulate(twin)[1][0])
 
-    def test_dt_nudge_is_never_fused(self, mechanisms):
-        twin = copy.deepcopy(mechanisms)
-        _nudge(twin[0].solver, "dt")
-        assert mechanism_key(twin[0]) != mechanism_key(mechanisms[0])
+    def test_dt_nudge_is_never_fused(self, dwell):
+        twin = copy.deepcopy(dwell)
+        _nudge(_mechanisms(twin)[0].solver, "dt")
+        assert _distinct(dwell, twin) == len(dwell.mechanisms) + 1
         with pytest.raises(SimulationError, match="one time step"):
-            _steps(mechanisms + twin)
+            _simulate(dwell, twin)
 
-    def test_sync_back_gives_each_duplicate_its_own_profile(self,
-                                                            mechanisms):
-        mechs = [copy.deepcopy(mechanisms[0]) for _ in range(3)]
-        batch = MechanismBatch(mechs)
-        for _ in range(STEPS):
-            batch.step()
-        batch.sync_back()
-        first = mechs[0].field.copy()
-        assert all(np.array_equal(m.field, first) for m in mechs)
-        assert not np.array_equal(first, mechanisms[0].field)  # it moved
-        mechs[1].field[0] += 1.0
-        assert np.array_equal(mechs[0].field, first)
-        assert np.array_equal(mechs[2].field, first)
+    def test_sync_back_gives_each_duplicate_its_own_profile(self, dwell):
+        batch, _ = _simulate(dwell, dwell, dwell)
+        fields = [_mechanisms(d)[0].field for d in batch.dwells]
+        first = fields[0].copy()
+        assert all(np.array_equal(field, first) for field in fields)
+        assert not np.array_equal(first, _mechanisms(dwell)[0].field)
+        fields[1][0] += 1.0
+        assert np.array_equal(fields[0], first)
+        assert np.array_equal(fields[2], first)
 
 
 class TestInjectionSplit:
