@@ -28,7 +28,9 @@ the engine restructures it in five layers:
    ``cc`` on first import and cached beside the module's bytecode;
    without a compiler the same substitutions run as a Python-float
    sweep per system.  Both paths perform the scalar solve's operations
-   in its order, so they agree bit for bit.
+   in its order, so they agree bit for bit.  The same library compiles
+   a whole CV segment (``redox_segment``, layer 3), and one handle
+   (``tridiag._KERNEL``) switches both kernels on or off together.
 
 3. **Batch steppers and the one stepping loop**
    (:mod:`repro.engine.batch`, :mod:`repro.engine.redox`,
@@ -41,8 +43,12 @@ the engine restructures it in five layers:
    :class:`~repro.engine.mechanisms.MechanismBatch` does the same for
    chronoamperometric surface mechanisms.  Neither batch is stepped by
    a protocol: one loop in :mod:`repro.engine.scheduler`
-   (``_solve_rows``) steps every engine row, and every protocol reaches
-   it through a :class:`~repro.engine.scheduler.DwellBatch` or
+   (``_solve_rows``) steps every engine row — a redox segment in one
+   :meth:`~repro.engine.redox.RedoxChannelBatch.run` call, which is one
+   compiled ``redox_segment`` call when the kernel is loaded, and a
+   dwell segment one ``MechanismBatch`` step at a time — and every
+   protocol reaches it through a
+   :class:`~repro.engine.scheduler.DwellBatch` or
    :class:`~repro.engine.scheduler.SweepBatch` (a standalone
    chronoamperometry, CV or DPV run is a one-dwell or one-sweep batch).
    Identical matrices inside a batch
@@ -244,7 +250,8 @@ The batched path is not an approximation.  Per-row arithmetic keeps the
 exact operation order of the scalar solver, the O(M) surface couplings
 (Butler-Volmer rate constants, Michaelis-Menten relinearisation) are
 computed with the same scalar ``math`` calls the reference simulators
-use, and padded nodes are provably decoupled — so an engine built from
+use (the compiled redox segment calls libm's ``exp``, which is what
+``math.exp`` calls), and padded nodes are provably decoupled — so an engine built from
 scalar channel objects reproduces their trajectories bit for bit, and
 the acceptance bar of 1e-12 relative agreement holds trivially.  The
 scalar classes remain in place as the reference implementation;

@@ -133,6 +133,18 @@ class BatchCrankNicolson:
         rhs[:, 1:] += self._elower * state[:, :-1]
         return rhs
 
+    @property
+    def bands(self) -> tuple[np.ndarray, ...]:
+        """The stacked operator as the compiled segment reads it.
+
+        ``(elower, ediag, eupper, lower, denom, c_prime)``: the explicit
+        bands, then the implicit factorization's sweep coefficients,
+        each a C-contiguous float64 array over the ``n_systems`` rows.
+        """
+        factor = self._factor
+        return (self._elower, self._ediag, self._eupper,
+                factor.lower, factor.denom, factor.c_prime)
+
     def solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
         """(I - dt/2 A) x = rhs for every stacked system (prefactored)."""
         return self._factor.solve(rhs)

@@ -18,6 +18,14 @@ x86-64 host with numpy 2.4, for 18,419 of 400,000 uniform draws in
 [-50, 50]), which would break bit-identity with the per-channel
 simulators on exactly the hosts with the widest vectors.
 
+:meth:`RedoxChannelBatch.run` advances a whole segment — one step per
+row of a ``(steps, M)`` potential program — in one call to the compiled
+``redox_segment`` (:mod:`repro.engine.tridiag`), which performs every
+operation of :meth:`~RedoxChannelBatch.step` in its order and calls
+libm's ``exp``, the function ``math.exp`` calls, so it too stays
+scalar per channel.  Without the compiled library, ``run`` loops
+``step``; both leave the same fluxes and state bit for bit.
+
 Channel contract (duck-typed, satisfied by ``_RedoxChannelSimulator``):
 ``solver`` (a :class:`~repro.chem.diffusion.CrankNicolsonDiffusion`),
 initial ``c_ox``/``c_red`` profiles, and the scalars ``n`` (electrons),
@@ -39,6 +47,7 @@ import math
 import numpy as np
 
 from repro.chem import constants as C
+from repro.engine import tridiag
 from repro.engine.batch import BatchCrankNicolson
 from repro.errors import SimulationError
 
@@ -99,6 +108,8 @@ class RedoxChannelBatch:
             self._bv.append((int(ch.n) * f, float(ch.e_formal),
                              float(ch.k0), -alpha, 1.0 - alpha, s * w0, s))
         self._w = self._cn.surface_responses()  # (2M, N), rows duplicated
+        # The same constants, one (M, 7) row per channel, for the kernel.
+        self._bv_rows = np.array(self._bv, dtype=float)
 
     @property
     def batch_size(self) -> int:
@@ -150,6 +161,37 @@ class RedoxChannelBatch:
         state += u
         self._state = np.clip(state, 0.0, None, out=state)
         return np.array(fluxes)
+
+    def run(self, program) -> np.ndarray:
+        """Advance all channels one step per row of ``program``.
+
+        ``program`` has shape ``(steps, M)``: row ``k`` is step ``k``'s
+        per-channel potentials, as :meth:`step` takes them.  Returns the
+        ``(steps, M)`` fluxes and leaves the batch's state where
+        ``steps`` :meth:`step` calls would, bit for bit.  The compiled
+        ``redox_segment`` runs the whole program in one call when the
+        kernel is loaded; otherwise this loops :meth:`step`.
+        """
+        m = self._m
+        program = np.ascontiguousarray(program, dtype=float)
+        if program.ndim != 2 or program.shape[1] != m:
+            raise SimulationError(
+                f"a potential program must have shape (steps, {m}); got "
+                f"shape {program.shape}")
+        fluxes = np.empty(program.shape)
+        kernel = tridiag._KERNEL
+        if kernel is None:
+            for k, e in enumerate(program):
+                fluxes[k] = self.step(e)
+            return fluxes
+        state = self._state
+        work = np.empty_like(state)
+        kernel.redox_segment(
+            program.shape[0], m, state.shape[1],
+            *(a.ctypes.data for a in (*self._cn.bands, self._w,
+                                      self._bv_rows, program, state, work,
+                                      fluxes)))
+        return fluxes
 
     def sync_back(self) -> None:
         """Write the batched profiles back onto the channel objects."""

@@ -127,8 +127,13 @@ def _solve_rows(rows, steps: int, build, state: tuple[str, ...], store,
     With a ``store``, row ``i`` is first looked up under ``keys[i]``
     plus the step count: a hit sets the row's end state from the
     record, and only the misses are stacked into one engine, stepped,
-    drained back and written to the store.  Returns ``(fluxes,
-    n_solved, n_stored)``, ``fluxes`` of shape ``(len(rows), steps)``.
+    drained back and written to the store.  A program-driven engine
+    runs the whole segment in one
+    :meth:`~repro.engine.redox.RedoxChannelBatch.run` call (one
+    compiled ``redox_segment`` call when the kernel is loaded); an
+    engine without a program is stepped once per step.  Returns
+    ``(fluxes, n_solved, n_stored)``, ``fluxes`` of shape
+    ``(len(rows), steps)``.
     """
     fluxes = np.empty((len(rows), steps))
     missed = []
@@ -144,14 +149,12 @@ def _solve_rows(rows, steps: int, build, state: tuple[str, ...], store,
             setattr(row, name, end[name].copy())
     if missed:
         engine = build([rows[i] for i in missed])
-        solved = np.empty((steps, len(missed)))
         if program is None:
+            solved = np.empty((steps, len(missed)))
             for k in range(steps):
                 solved[k] = engine.step()
         else:
-            drive = program[:, missed]
-            for k in range(steps):
-                solved[k] = engine.step(drive[k])
+            solved = engine.run(program[:, missed])
         engine.sync_back()
         fluxes[missed] = solved.T
         if store is not None:

@@ -14,15 +14,23 @@ module splits the solve into its two natural halves:
 Both halves accept **stacked systems**: arrays of shape ``(..., N)`` /
 ``(..., N-1)`` are treated as independent tridiagonal systems sharing a
 node count.  The substitutions run in one small C kernel
-(``_thomas.c``, built and loaded by :func:`load_kernel`) over the whole
-row-major batch, node by node with the systems in the inner loop so
-their divides overlap; without a compiler they run as a Python-float
-sweep per system.  Both paths perform the scalar ``thomas_solve``'s
-operations in its order — ``(rhs[i] - lower[i-1]*d[i-1]) / denom[i]``
-forward, ``d[i] - c_prime[i]*x[i+1]`` back — and the kernel is built
-without multiply-add contraction, so a batched solve reproduces the
-scalar solution bit for bit on either path.  That is what lets the
-protocols share one engine without moving any pinned result.
+(``thomas_sweep`` in ``_thomas.c``, built and loaded by
+:func:`load_kernel`) over the whole row-major batch, node by node with
+the systems in the inner loop so their divides overlap; without a
+compiler they run as a Python-float sweep per system.  Both paths
+perform the scalar ``thomas_solve``'s operations in its order —
+``(rhs[i] - lower[i-1]*d[i-1]) / denom[i]`` forward,
+``d[i] - c_prime[i]*x[i+1]`` back — and the kernel is built without
+multiply-add contraction, so a batched solve reproduces the scalar
+solution bit for bit on either path.  That is what lets the protocols
+share one engine without moving any pinned result.
+
+The same library carries ``redox_segment``, which runs a whole segment
+of :meth:`repro.engine.redox.RedoxChannelBatch.step` calls in one call
+(:meth:`~repro.engine.redox.RedoxChannelBatch.run`).  Both symbols sit
+behind the one module handle ``_KERNEL``: setting it to ``None``
+switches both off together, and every caller then runs its Python
+reference path.
 """
 
 from __future__ import annotations
@@ -56,6 +64,8 @@ _SOURCE = Path(__file__).with_name("_thomas.c")
 #: build host's extensions, and no multiply-add may be fused (GCC fuses
 #: them by default where the target has FMA), since that moves bits.
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
+#: Linked after the source: ``redox_segment`` calls libm's ``exp``.
+_LIBS = ("-lm",)
 
 
 def load_kernel(directory: Path | None = None, compiler: str = "cc"):
@@ -66,12 +76,14 @@ def load_kernel(directory: Path | None = None, compiler: str = "cc"):
     is made in a private temporary directory, removed once loaded.  A
     build writes a temporary file and renames it into place, so
     processes building into one directory at once never load a
-    half-written library.  Returns the kernel's ctypes function, or
-    ``None`` when there is no compiler or the build or load fails.
+    half-written library.  Returns the loaded library, with its
+    ``thomas_sweep`` and ``redox_segment`` functions prototyped (one
+    handle, so both switch on or off together), or ``None`` when there
+    is no compiler or the build or load fails.
     """
     try:
         name = "_thomas-{}.so".format(hashlib.sha256(b"\0".join([
-            _SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+            _SOURCE.read_bytes(), " ".join(_CFLAGS + _LIBS).encode(),
             platform.machine().encode()])).hexdigest()[:16])
         if directory is not None:
             return _load(Path(directory), name, compiler)
@@ -99,25 +111,28 @@ def _load(directory: Path, name: str, compiler: str):
         fd, tmp = tempfile.mkstemp(prefix=f".{name}.", dir=directory)
         os.close(fd)
         try:
-            subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE),
+                            *_LIBS],
                            check=True, capture_output=True, timeout=120)
             os.replace(tmp, library)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    kernel = ctypes.CDLL(str(library)).thomas_sweep
-    kernel.argtypes = (ctypes.c_long, ctypes.c_long, ctypes.c_void_p,
-                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    kernel.restype = None
+    kernel = ctypes.CDLL(str(library))
+    pointer, size = ctypes.c_void_p, ctypes.c_long
+    kernel.thomas_sweep.argtypes = (size, size) + (pointer,) * 4
+    kernel.thomas_sweep.restype = None
+    kernel.redox_segment.argtypes = (size, size, size) + (pointer,) * 12
+    kernel.redox_segment.restype = None
     return kernel
 
 
-#: The compiled substitution sweep, or ``None`` to run the Python one.
+#: The compiled library, or ``None`` to run the Python reference paths.
 _KERNEL = load_kernel()
 
 
 def kernel_loaded() -> bool:
-    """Whether solves run in the compiled kernel (else the Python sweep)."""
+    """Whether solves and redox segments run in the compiled kernel."""
     return _KERNEL is not None
 
 
@@ -212,7 +227,8 @@ class TridiagonalFactorization:
         if kernel is None:
             return self._solve_python(x)
         if x.size:
-            kernel(*self._args, ctypes.byref(ctypes.c_double.from_buffer(x)))
+            kernel.thomas_sweep(*self._args,
+                                ctypes.byref(ctypes.c_double.from_buffer(x)))
         return x
 
     def _solve_python(self, x: np.ndarray) -> np.ndarray:

@@ -16,11 +16,13 @@ parent's tests with the kernel handle patched out.
 
 from __future__ import annotations
 
+import copy
 import os
 import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -491,6 +493,177 @@ class TestRedoxChannelBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError):
             RedoxChannelBatch([])
+
+
+def make_segment_channels(m, seed=0):
+    """``m`` duck-typed redox channels over grids of different sizes.
+
+    Each channel satisfies :class:`RedoxChannelBatch`'s contract with
+    its own Butler-Volmer constants and random starting profiles, so
+    the stacked rows are padded to the widest grid.
+    """
+    rng = np.random.default_rng(seed)
+    return [SimpleNamespace(
+                solver=solver,
+                c_ox=rng.uniform(0.0, 1.0, solver.grid.n_nodes),
+                c_red=rng.uniform(0.0, 0.2, solver.grid.n_nodes),
+                n=1 + j % 2, k0=1.0e-5 * (1 + j % 5),
+                alpha=0.3 + 0.05 * (j % 7), e_formal=-0.2 + 0.03 * (j % 11))
+            for j, solver in enumerate(make_steppers(n_systems=m))]
+
+
+def sweep_program(steps, m, lo=0.3, hi=-0.6):
+    """A ``(steps, M)`` program: one sweep, offset per channel."""
+    return (np.linspace(lo, hi, steps)[:, None]
+            - 0.01 * np.arange(m)[None, :])
+
+
+def assert_same_bits(actual, expected):
+    """Equal values (NaN where the reference has NaN) and zero signs."""
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual, expected, equal_nan=True)
+    zeros = expected == 0.0
+    assert np.array_equal(np.signbit(actual[zeros]),
+                          np.signbit(expected[zeros]))
+
+
+class TestRedoxSegment:
+    """``RedoxChannelBatch.run`` against the per-step loop it replaces."""
+
+    solve_path = "kernel"
+
+    @staticmethod
+    def _segments(channels, programs):
+        """Run ``programs`` back to back: each through ``run`` on one
+        batch and through ``step`` on a twin, rebuilding both batches
+        over the first ``programs[i].shape[1]`` channels between
+        segments, as :class:`SweepBatch` does when a sweep retires."""
+        twins = copy.deepcopy(channels)
+        for program in programs:
+            live = program.shape[1]
+            batch = RedoxChannelBatch(channels[:live])
+            reference = RedoxChannelBatch(twins[:live])
+            fluxes = batch.run(program)
+            expected = np.array([reference.step(e) for e in program])
+            assert_same_bits(fluxes, expected.reshape(program.shape))
+            batch.sync_back()
+            reference.sync_back()
+            for ch, twin in zip(channels, twins):
+                assert_same_bits(ch.c_ox, twin.c_ox)
+                assert_same_bits(ch.c_red, twin.c_red)
+
+    @pytest.mark.parametrize("m", PARITY_SIZES)
+    def test_run_matches_step_loop(self, m):
+        self._segments(make_segment_channels(m), [sweep_program(60, m)])
+
+    def test_padded_rows_match(self):
+        # Grids of 39 to 66 nodes in one batch: most rows are padded.
+        channels = make_segment_channels(13, seed=1)
+        assert len({ch.solver.grid.n_nodes for ch in channels}) > 5
+        self._segments(channels, [sweep_program(150, 13, 0.5, -0.9)])
+
+    def test_clamped_exponent_matches(self):
+        # +-10 V puts |n F/RT (E - E0)| far past the +-500 clamp on
+        # both sides before the program returns to the ordinary window.
+        m = 6
+        program = np.concatenate([sweep_program(41, m, -10.0, 10.0),
+                                  sweep_program(40, m, 10.0, -10.0),
+                                  sweep_program(40, m)])
+        self._segments(make_segment_channels(m, seed=2), [program])
+
+    def test_profiles_clip_to_zero(self):
+        # Negative and -0.0 starting elements clip to +0.0.  All -0.0
+        # profiles of a sealed channel with k0 = 0 stay -0.0 through the
+        # solve, so the clip itself sees -0.0 and must return +0.0.  That
+        # needs a grid with a positive explicit diagonal (uniform) that
+        # is the widest of the batch (a padded row's zero tail adds +0.0
+        # to its last node): channels 2-5 of the stock set.
+        channels = make_segment_channels(7, seed=3)[2:6]
+        sealed = channels[0]
+        sealed.solver = make_steppers("noflux", 3)[2]
+        assert sealed.solver.grid.n_nodes == max(
+            ch.solver.grid.n_nodes for ch in channels)
+        sealed.c_ox = np.full(sealed.solver.grid.n_nodes, -0.0)
+        sealed.c_red = sealed.c_ox.copy()
+        sealed.k0 = 0.0
+        channels[1].c_red[::3] = -1.0e-3
+        channels[2].c_red[1] = -0.0
+        self._segments(channels, [sweep_program(30, 4, -0.4, 0.6)])
+        assert not np.signbit(sealed.c_ox).any()
+
+    def test_nan_stays_nan(self):
+        channels = make_segment_channels(3, seed=4)
+        channels[1].c_ox[4] = np.nan
+        self._segments(channels, [sweep_program(10, 3)])
+        assert np.isnan(channels[1].c_ox).all()
+
+    def test_back_to_back_segments(self):
+        # Two runs on one batch continue where the first left off, and a
+        # batch rebuilt over the live channels picks up their profiles.
+        m = 12
+        channels = make_segment_channels(m, seed=5)
+        twins = make_segment_channels(m, seed=5)
+        program = sweep_program(90, m)
+        batch = RedoxChannelBatch(channels)
+        reference = RedoxChannelBatch(twins)
+        fluxes = np.concatenate([batch.run(program[:35]),
+                                 batch.run(program[35:])])
+        expected = np.array([reference.step(e) for e in program])
+        assert_same_bits(fluxes, expected)
+        batch.sync_back()
+        reference.sync_back()
+        for ch, twin in zip(channels, twins):
+            assert_same_bits(ch.c_ox, twin.c_ox)
+            assert_same_bits(ch.c_red, twin.c_red)
+        self._segments(channels, [sweep_program(25, 7), sweep_program(40, 3)])
+
+    def test_empty_program_leaves_state(self):
+        channels = make_segment_channels(3, seed=6)
+        before = [ch.c_ox.copy() for ch in channels]
+        batch = RedoxChannelBatch(channels)
+        assert batch.run(np.empty((0, 3))).shape == (0, 3)
+        batch.sync_back()
+        for ch, profile in zip(channels, before):
+            assert_same_bits(ch.c_ox, profile)
+
+    def test_program_shape_checked(self):
+        batch = RedoxChannelBatch(make_segment_channels(3))
+        for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((2, 3, 1))):
+            with pytest.raises(SimulationError, match="potential program"):
+                batch.run(bad)
+
+
+class TestRedoxSegmentFallback(TestRedoxSegment):
+    solve_path = "fallback"
+
+
+def test_kernel_handle_switches_the_segment(monkeypatch):
+    """``_KERNEL = None`` turns the segment kernel off with the solves:
+    a sweep then steps once per sample and never reaches the library."""
+    if not tridiag.kernel_loaded():
+        pytest.skip("the compiled Thomas kernel did not load")
+    library = tridiag._KERNEL
+    segments, steps = [], []
+
+    class Spy:
+        thomas_sweep = library.thomas_sweep
+
+        @staticmethod
+        def redox_segment(*args):
+            segments.append(args[0])
+            return library.redox_segment(*args)
+
+    step = RedoxChannelBatch.step
+    monkeypatch.setattr(RedoxChannelBatch, "step",
+                        lambda self, e: steps.append(1) or step(self, e))
+    program = sweep_program(20, 4)
+    currents = []
+    for kernel in (Spy, None):
+        monkeypatch.setattr(tridiag, "_KERNEL", kernel)
+        currents.append(RedoxChannelBatch(make_segment_channels(4)).run(
+            program))
+    assert segments == [20] and len(steps) == 20
+    assert_same_bits(currents[0], currents[1])
 
 
 class TestProtocolEquivalence:
