@@ -23,6 +23,15 @@ Steppers expose their tridiagonal coefficients
 :class:`repro.engine.batch.BatchCrankNicolson` can stack many of them
 into one batched solve per time step — the platform's hot path.
 
+A stepper's operator — its bands, cell volumes, factorization and
+surface response — depends only on ``(bulk_boundary, dt, diffusivity,
+grid nodes)``, and a panel builds the same few over and over (one per
+mechanism and CYP channel of every replicate).  Each distinct operator
+is assembled once, kept in a bounded memo keyed on those exact values
+(the nodes as bytes), and shared read-only; so are the grids that
+:meth:`Grid1D.uniform` and :meth:`Grid1D.expanding` build.  A stepper thus
+holds the very arrays it would have built, and sharing moves no bit.
+
 Sign convention: ``surface_flux`` is the rate at which the electrode
 reaction **removes** the species from solution, mol/(m^2 s); a negative
 value injects the species (e.g. H2O2 produced by an oxidase film).
@@ -33,7 +42,9 @@ and convergence to the Cottrell current for a diffusion-limited step.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +91,14 @@ class Grid1D:
 
     @classmethod
     def uniform(cls, length: float, n_nodes: int) -> "Grid1D":
-        """Evenly spaced nodes over ``[0, length]``."""
+        """Evenly spaced nodes over ``[0, length]``.
+
+        Equal arguments return one shared grid, whose ``x`` is read-only.
+        """
         ensure_positive(length, "length")
         if n_nodes < 3:
             raise SimulationError("n_nodes must be >= 3")
-        return cls(np.linspace(0.0, length, n_nodes))
+        return _uniform_grid(cls, float(length), operator.index(n_nodes))
 
     @classmethod
     def expanding(cls, first_step: float, length: float,
@@ -94,7 +108,8 @@ class Grid1D:
         Node spacing grows by the factor ``growth`` per interval until the
         accumulated length covers ``length``.  This is the standard grid
         for voltammetry simulation: resolution where the concentration
-        profile bends, economy in the bulk.
+        profile bends, economy in the bulk.  Equal arguments return one
+        shared grid, whose ``x`` is read-only.
         """
         ensure_positive(first_step, "first_step")
         ensure_positive(length, "length")
@@ -102,12 +117,8 @@ class Grid1D:
             raise SimulationError(f"growth must be >= 1, got {growth!r}")
         if first_step >= length:
             raise SimulationError("first_step must be smaller than length")
-        nodes = [0.0]
-        step = first_step
-        while nodes[-1] < length:
-            nodes.append(nodes[-1] + step)
-            step *= growth
-        return cls(np.asarray(nodes))
+        return _expanding_grid(cls, float(first_step), float(length),
+                               float(growth))
 
     @property
     def n_nodes(self) -> int:
@@ -138,25 +149,99 @@ class Grid1D:
         return v
 
 
-#: Shared implicit-matrix factorizations, keyed by everything the matrix
-#: depends on: (bulk boundary, dt, diffusivity, grid nodes).  A panel's
-#: working electrodes routinely build dozens of steppers over identical
-#: (grid, D, dt) triples — one mechanism per WE — and each used to
-#: re-run the same forward elimination.  Factorizations are read-only
-#: after construction, so sharing one instance is safe and bit-identical.
-_FACTOR_CACHE: dict[tuple, TridiagonalFactorization] = {}
-_FACTOR_CACHE_MAX = 256
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
 
-def _shared_factorization(key: tuple, lower: np.ndarray, diag: np.ndarray,
-                          upper: np.ndarray) -> TridiagonalFactorization:
-    factor = _FACTOR_CACHE.get(key)
-    if factor is None:
-        factor = factor_tridiagonal(lower, diag, upper)
-        if len(_FACTOR_CACHE) >= _FACTOR_CACHE_MAX:
-            _FACTOR_CACHE.pop(next(iter(_FACTOR_CACHE)))
-        _FACTOR_CACHE[key] = factor
-    return factor
+# The memos of exact inputs (see the module docstring).  Each is a
+# bounded LRU of 256 entries: ``functools.lru_cache`` evicts under its
+# own lock, so the service's dispatch threads may build and evict at
+# once; two threads that miss on one key both build, equal bit for bit.
+
+
+@functools.lru_cache(maxsize=256)
+def _uniform_grid(cls: type, length: float, n_nodes: int) -> Grid1D:
+    x = np.linspace(0.0, length, n_nodes)
+    _read_only(x)
+    return cls(x)
+
+
+@functools.lru_cache(maxsize=256)
+def _expanding_grid(cls: type, first_step: float, length: float,
+                    growth: float) -> Grid1D:
+    nodes = [0.0]
+    step = first_step
+    while nodes[-1] < length:
+        nodes.append(nodes[-1] + step)
+        step *= growth
+    x = np.asarray(nodes)
+    _read_only(x)
+    return cls(x)
+
+
+@dataclass(frozen=True)
+class _Operator:
+    """Everything a stepper derives from (boundary, dt, D, grid nodes).
+
+    ``a`` holds the (lower, diag, upper) bands of A, where
+    dc/dt = A c + sources; ``implicit`` and ``explicit`` those of
+    (I - dt/2 A) and (I + dt/2 A).  ``factor`` eliminates the implicit
+    matrix once, and ``surface_response`` solves it for a unit source
+    at the surface node.  Every array is read-only.
+    """
+
+    a: tuple[np.ndarray, np.ndarray, np.ndarray]
+    implicit: tuple[np.ndarray, np.ndarray, np.ndarray]
+    explicit: tuple[np.ndarray, np.ndarray, np.ndarray]
+    volumes: np.ndarray
+    factor: TridiagonalFactorization
+    surface_response: np.ndarray
+
+
+@functools.lru_cache(maxsize=256)
+def _operator(bulk_boundary: str, dt: float, diffusivity: float,
+              nodes: bytes) -> _Operator:
+    """Assemble the Crank-Nicolson operator over ``nodes`` (float64 bytes)."""
+    grid = Grid1D(np.frombuffer(nodes))
+    n = grid.n_nodes
+    h = grid.spacings
+    v = grid.cell_volumes
+    d = diffusivity
+    lower = np.zeros(n - 1)
+    diag = np.zeros(n)
+    upper = np.zeros(n - 1)
+    # Row 0 (electrode surface): exchange with node 1 only; the surface
+    # reaction enters as a source term or implicit diagonal correction.
+    diag[0] = -d / (h[0] * v[0])
+    upper[0] = d / (h[0] * v[0])
+    for i in range(1, n - 1):
+        lower[i - 1] = d / (h[i - 1] * v[i])
+        diag[i] = -d / (h[i - 1] * v[i]) - d / (h[i] * v[i])
+        upper[i] = d / (h[i] * v[i])
+    if bulk_boundary == "noflux":
+        lower[n - 2] = d / (h[n - 2] * v[n - 1])
+        diag[n - 1] = -d / (h[n - 2] * v[n - 1])
+    # Dirichlet: last row of A stays zero; we additionally pin the node
+    # in the implicit matrix below so (I - 0.5 dt A) keeps it fixed.
+    half = 0.5 * dt
+    implicit = (-half * lower, 1.0 - half * diag, -half * upper)
+    explicit = (half * lower, 1.0 + half * diag, half * upper)
+    if bulk_boundary == "dirichlet":
+        # Keep the bulk node exactly constant.
+        implicit[0][n - 2] = 0.0
+        implicit[1][n - 1] = 1.0
+        explicit[0][n - 2] = 0.0
+        explicit[1][n - 1] = 1.0
+    # The implicit matrix never changes, so eliminate it once; every
+    # step then runs only the two substitution sweeps.
+    factor = factor_tridiagonal(*implicit)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    response = factor.solve(e0)
+    _read_only(lower, diag, upper, *implicit, *explicit, v, response)
+    return _Operator((lower, diag, upper), implicit, explicit, v, factor,
+                     response)
 
 
 def thomas_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
@@ -221,73 +306,29 @@ class CrankNicolsonDiffusion:
         self.diffusivity = ensure_positive(diffusivity, "diffusivity")
         self.dt = ensure_positive(dt, "dt")
         self.bulk_boundary = bulk_boundary
-        self._volumes = grid.cell_volumes
-        self._build_matrices()
-
-    def _build_matrices(self) -> None:
-        """Assemble the tridiagonal operator A with dc/dt = A c + sources."""
-        n = self.grid.n_nodes
-        h = self.grid.spacings
-        v = self._volumes
-        d = self.diffusivity
-        lower = np.zeros(n - 1)
-        diag = np.zeros(n)
-        upper = np.zeros(n - 1)
-        # Row 0 (electrode surface): exchange with node 1 only; the surface
-        # reaction enters as a source term or implicit diagonal correction.
-        diag[0] = -d / (h[0] * v[0])
-        upper[0] = d / (h[0] * v[0])
-        for i in range(1, n - 1):
-            lower[i - 1] = d / (h[i - 1] * v[i])
-            diag[i] = -d / (h[i - 1] * v[i]) - d / (h[i] * v[i])
-            upper[i] = d / (h[i] * v[i])
-        if self.bulk_boundary == "noflux":
-            lower[n - 2] = d / (h[n - 2] * v[n - 1])
-            diag[n - 1] = -d / (h[n - 2] * v[n - 1])
-        # Dirichlet: last row of A stays zero; we additionally pin the node
-        # in the implicit matrix below so (I - 0.5 dt A) keeps it fixed.
-        self._a_lower, self._a_diag, self._a_upper = lower, diag, upper
-        half = 0.5 * self.dt
-        self._implicit_lower = -half * lower
-        self._implicit_diag = 1.0 - half * diag
-        self._implicit_upper = -half * upper
-        self._explicit_lower = half * lower
-        self._explicit_diag = 1.0 + half * diag
-        self._explicit_upper = half * upper
-        if self.bulk_boundary == "dirichlet":
-            # Keep the bulk node exactly constant.
-            self._implicit_lower[n - 2] = 0.0
-            self._implicit_diag[n - 1] = 1.0
-            self._explicit_lower[n - 2] = 0.0
-            self._explicit_diag[n - 1] = 1.0
-        # The implicit matrix never changes, so eliminate it once; every
-        # step then runs only the two substitution sweeps.  Steppers over
-        # the same (grid, D, dt, boundary) share one factorization.
-        self._implicit_factor = _shared_factorization(
-            (self.bulk_boundary, self.dt, self.diffusivity,
-             self.grid.x.tobytes()),
-            self._implicit_lower, self._implicit_diag, self._implicit_upper)
+        # Steppers over the same (boundary, dt, D, grid) share one
+        # operator: bands, factorization and surface response.
+        self._operator = _operator(bulk_boundary, self.dt, self.diffusivity,
+                                   grid.x.tobytes())
 
     # -- matrix access (batched engine contract) -------------------------------
 
     @property
     def implicit_coefficients(self) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
-        """(lower, diag, upper) of (I - dt/2 A); treat as read-only."""
-        return (self._implicit_lower, self._implicit_diag,
-                self._implicit_upper)
+        """(lower, diag, upper) of (I - dt/2 A), read-only."""
+        return self._operator.implicit
 
     @property
     def explicit_coefficients(self) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray]:
-        """(lower, diag, upper) of (I + dt/2 A); treat as read-only."""
-        return (self._explicit_lower, self._explicit_diag,
-                self._explicit_upper)
+        """(lower, diag, upper) of (I + dt/2 A), read-only."""
+        return self._operator.explicit
 
     @property
     def surface_volume(self) -> float:
         """Finite-volume width of the electrode-surface cell, metres."""
-        return float(self._volumes[0])
+        return float(self._operator.volumes[0])
 
     # -- public stepping API -------------------------------------------------
 
@@ -300,8 +341,8 @@ class CrankNicolsonDiffusion:
         Physical consumers (the enzyme rate laws) clip on their side.
         """
         rhs = self._explicit_rhs(c)
-        rhs[0] -= self.dt * surface_flux / self._volumes[0]
-        return self._implicit_factor.solve(rhs)
+        rhs[0] -= self.dt * surface_flux / self._operator.volumes[0]
+        return self._operator.factor.solve(rhs)
 
     def step_linear_surface(self, c: np.ndarray, a: float,
                             b: float) -> np.ndarray:
@@ -323,16 +364,16 @@ class CrankNicolsonDiffusion:
                 f"linearised surface-rate slope must be >= 0, got {b!r}"
             )
         rhs = self._explicit_rhs(c)
-        rhs[0] -= self.dt * a / self._volumes[0]
-        u = self._implicit_factor.solve(rhs)
-        w = self.surface_response()
-        sb = self.dt * b / self._volumes[0]
+        rhs[0] -= self.dt * a / self._operator.volumes[0]
+        u = self._operator.factor.solve(rhs)
+        w = self._operator.surface_response
+        sb = self.dt * b / self._operator.volumes[0]
         c0 = float(u[0]) / (1.0 + sb * float(w[0]))
         return u - (sb * c0) * w
 
     def solve_implicit(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I - dt/2 A) x = rhs (building block for coupled problems)."""
-        return self._implicit_factor.solve(np.asarray(rhs, dtype=float))
+        return self._operator.factor.solve(np.asarray(rhs, dtype=float))
 
     def explicit_rhs(self, c: np.ndarray) -> np.ndarray:
         """Return (I + dt/2 A) c — the Crank-Nicolson right-hand side."""
@@ -344,13 +385,10 @@ class CrankNicolsonDiffusion:
         The CV simulator composes this with the Schur complement of the
         shared Butler-Volmer boundary: the new profile under a surface
         source ``s`` is ``solve_implicit(rhs) + s * surface_response()``.
-        The result is cached (the matrix never changes).
+        Solved once per operator (the matrix never changes) and shared,
+        read-only, by every stepper over the same inputs.
         """
-        if not hasattr(self, "_surface_response"):
-            e0 = np.zeros(self.grid.n_nodes)
-            e0[0] = 1.0
-            self._surface_response = self._implicit_factor.solve(e0)
-        return self._surface_response
+        return self._operator.surface_response
 
     @property
     def surface_source_scale(self) -> float:
@@ -359,11 +397,12 @@ class CrankNicolsonDiffusion:
         A removal flux J (mol/m^2/s) contributes ``-J * scale`` to the
         surface node's right-hand side, with ``scale = dt / V0``.
         """
-        return self.dt / self._volumes[0]
+        return self.dt / self._operator.volumes[0]
 
     def total_mass(self, c: np.ndarray) -> float:
         """Mass per unit area, mol/m^2 (conserved when sealed)."""
-        return float(np.dot(self._volumes, np.asarray(c, dtype=float)))
+        return float(np.dot(self._operator.volumes,
+                            np.asarray(c, dtype=float)))
 
     def surface_gradient_flux(self, c: np.ndarray) -> float:
         """Diffusive flux toward the electrode from the profile, mol/(m^2 s).
@@ -382,7 +421,8 @@ class CrankNicolsonDiffusion:
             raise SimulationError(
                 f"profile has {c.size} nodes, grid has {self.grid.n_nodes}"
             )
-        rhs = self._explicit_diag * c
-        rhs[:-1] += self._explicit_upper * c[1:]
-        rhs[1:] += self._explicit_lower * c[:-1]
+        lower, diag, upper = self._operator.explicit
+        rhs = diag * c
+        rhs[:-1] += upper * c[1:]
+        rhs[1:] += lower * c[:-1]
         return rhs

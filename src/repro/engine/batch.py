@@ -13,7 +13,16 @@ decoupled identity rows (``diag = 1``, zero off-diagonals, zero explicit
 coefficients), so the padded tail of a row solves to zero and never
 couples back into the physical nodes.  The padded arithmetic on the real
 nodes is element-for-element the same as the scalar steppers', so the
-batch reproduces each stepper bit for bit.
+batch reproduces each stepper's values exactly, and its bits but for one
+sign of zero: :meth:`BatchCrankNicolson.explicit_rhs` adds
+``eupper * state[:, 1:]`` across a padded row's zero tail, so the last
+real node of a shorter row gets ``+ 0.0 * 0.0`` and a ``-0.0`` there
+turns into ``+0.0`` where the scalar stepper keeps ``-0.0``.  Production
+does not meet this case: its steppers are Dirichlet, so that node is the
+bulk node, which keeps its initial value through every step —
+``max(bulk, 0.0)`` of a chamber concentration, or ``+0.0`` for a CV
+channel's reduced form.  That is ``-0.0`` only if a caller sets a
+concentration of ``-0.0`` (``max`` returns its first argument on a tie).
 
 The stepper contract is duck-typed: anything exposing ``dt``, ``grid``,
 ``implicit_coefficients``, ``explicit_coefficients``, ``surface_volume``
@@ -127,7 +136,12 @@ class BatchCrankNicolson:
     # -- batched stepping ------------------------------------------------------
 
     def explicit_rhs(self, state: np.ndarray) -> np.ndarray:
-        """(I + dt/2 A) applied to every stacked profile at once."""
+        """(I + dt/2 A) applied to every stacked profile at once.
+
+        Equal in value to each stepper's own ``explicit_rhs``, and in
+        bits except that a ``-0.0`` on the last real node of a padded
+        row comes out ``+0.0`` (see the module docstring).
+        """
         rhs = self._ediag * state
         rhs[:, :-1] += self._eupper * state[:, 1:]
         rhs[:, 1:] += self._elower * state[:, :-1]

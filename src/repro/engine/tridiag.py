@@ -35,6 +35,7 @@ reference path.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -76,7 +77,8 @@ def load_kernel(directory: Path | None = None, compiler: str = "cc"):
     is made in a private temporary directory, removed once loaded.  A
     build writes a temporary file and renames it into place, so
     processes building into one directory at once never load a
-    half-written library.  Returns the loaded library, with its
+    half-written library, and a build removes the directory's other
+    ``_thomas-*.so`` libraries.  Returns the loaded library, with its
     ``thomas_sweep`` and ``redox_segment`` functions prototyped (one
     handle, so both switch on or off together), or ``None`` when there
     is no compiler or the build or load fails.
@@ -118,6 +120,13 @@ def _load(directory: Path, name: str, compiler: str):
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        # Libraries of an older source, flags or machine are dead now.
+        # A concurrent build's temporary file starts with a dot, so the
+        # pattern never matches it.
+        for stale in directory.glob("_thomas-*.so"):
+            if stale.name != name:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     kernel = ctypes.CDLL(str(library))
     pointer, size = ctypes.c_void_p, ctypes.c_long
     kernel.thomas_sweep.argtypes = (size, size) + (pointer,) * 4

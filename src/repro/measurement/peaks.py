@@ -22,6 +22,7 @@ Two detection methods are provided:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,19 +57,37 @@ def semi_derivative(values: np.ndarray, dt: float) -> np.ndarray:
     the semi-derivative is the running convolution scaled by
     ``dt^-1/2``.  Linear in its input, so peak heights remain
     concentration-proportional.
+
+    The convolution is the one ``scipy.signal.fftconvolve`` runs for
+    real inputs in ``"full"`` mode — ``rfftn`` of both at the fast
+    length ``next_fast_len(2n - 1, True)``, their product, ``irfftn`` —
+    so the result is bit for bit ``fftconvolve(values, weights)[:n] /
+    sqrt(dt)``.  The weights and their spectrum depend only on ``n``, so
+    they are built once per record length.
     """
-    from scipy.signal import fftconvolve
+    from scipy import fft
     ensure_positive(dt, "dt")
     series = np.asarray(values, dtype=float)
     if series.ndim != 1 or series.size < 2:
         raise AnalysisError("semi_derivative needs a 1-D series of >= 2 samples")
     n = series.size
+    nfft = fft.next_fast_len(2 * n - 1, True)
+    spectrum = fft.rfftn(series, (nfft,)) * _weights_spectrum(n, nfft)
+    out = fft.irfftn(spectrum, (nfft,))[:n]
+    return out / math.sqrt(dt)
+
+
+@functools.lru_cache(maxsize=64)
+def _weights_spectrum(n: int, nfft: int) -> np.ndarray:
+    """``rfftn`` at ``nfft`` of the first ``n`` Grunwald-Letnikov weights."""
+    from scipy import fft
     weights = np.empty(n)
     weights[0] = 1.0
     for k in range(1, n):
         weights[k] = weights[k - 1] * (k - 1.5) / k
-    out = fftconvolve(series, weights, mode="full")[:n]
-    return out / math.sqrt(dt)
+    spectrum = fft.rfftn(weights, (nfft,))
+    spectrum.setflags(write=False)
+    return spectrum
 
 
 @dataclass(frozen=True)

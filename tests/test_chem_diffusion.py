@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chem import diffusion
 from repro.chem.analytic import cottrell_current
 from repro.chem.constants import FARADAY
 from repro.chem.diffusion import (
@@ -179,3 +182,138 @@ class TestBoundaryHandling:
         for _ in range(50):
             c = solver.step_linear_surface(c, 0.0, 100.0)
             assert np.min(c) > -1e-4 * 0.01
+
+
+def _operator_arrays(op) -> list[np.ndarray]:
+    return [*op.a, *op.implicit, *op.explicit, op.volumes,
+            op.surface_response, op.factor.lower, op.factor.denom,
+            op.factor.c_prime]
+
+
+def _same_bits(op, other) -> bool:
+    return [a.tobytes() for a in _operator_arrays(op)] == [
+        a.tobytes() for a in _operator_arrays(other)]
+
+
+def clear_caches() -> None:
+    """Empty every memo of exact inputs the planning path uses."""
+    from repro.measurement import peaks
+
+    for memo in (diffusion._operator, diffusion._uniform_grid,
+                 diffusion._expanding_grid, peaks._weights_spectrum):
+        memo.cache_clear()
+
+
+class TestOperatorMemo:
+    def test_equal_inputs_share_one_operator(self):
+        grid = Grid1D.uniform(5.0e-4, 40)
+        st = CrankNicolsonDiffusion(grid, 6.7e-10, 0.1)
+        twin = CrankNicolsonDiffusion(Grid1D(np.linspace(0.0, 5.0e-4, 40)),
+                                      6.7e-10, 0.1)
+        assert twin._operator is st._operator
+        others = [
+            CrankNicolsonDiffusion(grid, 6.7e-10, 0.1, bulk_boundary="noflux"),
+            CrankNicolsonDiffusion(grid, 6.7e-10, 0.2),
+            CrankNicolsonDiffusion(grid, 1.0e-9, 0.1),
+            CrankNicolsonDiffusion(Grid1D.uniform(5.0e-4, 41), 6.7e-10, 0.1),
+            CrankNicolsonDiffusion(Grid1D.uniform(6.0e-4, 40), 6.7e-10, 0.1),
+        ]
+        for other in others:
+            assert other._operator is not st._operator
+        assert len({id(other._operator) for other in others}) == len(others)
+
+    def test_grid_constructors_share_grids_bit_for_bit(self):
+        assert Grid1D.uniform(1e-4, 11) is Grid1D.uniform(1e-4, 11)
+        assert Grid1D.uniform(1e-4, 11) is not Grid1D.uniform(1e-4, 12)
+        grid = Grid1D.expanding(1e-6, 1e-3, growth=1.1)
+        assert Grid1D.expanding(1e-6, 1e-3, growth=1.1) is grid
+        assert Grid1D.expanding(1e-6, 1e-3, growth=1.2) is not grid
+        nodes = [0.0]
+        step = 1e-6
+        while nodes[-1] < 1e-3:
+            nodes.append(nodes[-1] + step)
+            step *= 1.1
+        assert grid.x.tobytes() == np.asarray(nodes).tobytes()
+        assert (Grid1D.uniform(1e-4, 11).x.tobytes()
+                == np.linspace(0.0, 1e-4, 11).tobytes())
+
+    def test_shared_operator_matches_a_fresh_build(self):
+        st = CrankNicolsonDiffusion(
+            Grid1D.expanding(1e-6, 8e-4, growth=1.1), 6.7e-10, 0.05)
+        fresh = diffusion._operator.__wrapped__(
+            "dirichlet", 0.05, 6.7e-10, st.grid.x.tobytes())
+        assert fresh is not st._operator and _same_bits(fresh, st._operator)
+        e0 = np.zeros(st.grid.n_nodes)
+        e0[0] = 1.0
+        assert (st.surface_response().tobytes()
+                == thomas_solve(*st.implicit_coefficients, e0).tobytes())
+
+    def test_cached_arrays_reject_writes(self):
+        st = CrankNicolsonDiffusion(
+            Grid1D.expanding(1e-6, 5e-4, growth=1.1), 6.7e-10, 0.05)
+        arrays = _operator_arrays(st._operator) + [
+            st.grid.x, Grid1D.uniform(1e-4, 10).x, st.surface_response(),
+            *st.implicit_coefficients, *st.explicit_coefficients]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+    def test_bound_holds(self):
+        grid = Grid1D.uniform(1e-4, 10)
+        for k in range(300):
+            CrankNicolsonDiffusion(grid, 1.0e-9 * (1.0 + k), 0.1)
+        for memo in (diffusion._operator, diffusion._uniform_grid,
+                     diffusion._expanding_grid):
+            info = memo.cache_info()
+            assert info.maxsize == 256 and info.currsize <= 256
+        assert diffusion._operator.cache_info().currsize == 256
+
+    def test_concurrent_builds_and_evictions(self):
+        # 8 threads build one shared operator family and 40 operators of
+        # their own each, enough to evict while others insert.
+        start = threading.Barrier(8)
+        built: dict[int, list] = {}
+        errors: list[Exception] = []
+
+        def work(t: int) -> None:
+            try:
+                start.wait(timeout=30.0)
+                out = []
+                for k in range(45):
+                    d = 1.0e-9 * (1.0 + (k if k < 5 else 100 * t + k))
+                    grid = Grid1D.uniform(1e-4 * (1 + k % 3), 12)
+                    st = CrankNicolsonDiffusion(grid, d, 0.1)
+                    out.append((grid.x.tobytes(), d, st._operator))
+                built[t] = out
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and sorted(built) == list(range(8))
+        assert diffusion._operator.cache_info().currsize <= 256
+        for out in built.values():
+            for nodes, d, op in out:
+                fresh = diffusion._operator.__wrapped__(
+                    "dirichlet", 0.1, d, nodes)
+                assert _same_bits(op, fresh)
+
+
+def test_sweep_from_cleared_caches_matches_a_warm_run():
+    # Memoised operators, grids and weights are shared by replicates;
+    # a run that builds every one of them afresh gives the same digests.
+    import test_golden_layers as golden
+
+    clear_caches()
+    cold = golden.layer_digests(*golden._replicate_fleet())
+    warm = golden.layer_digests(*golden._replicate_fleet())
+    assert cold == warm == golden._golden()["replicate_fleet"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -218,12 +219,12 @@ class TestSharedFactorization:
         grid = Grid1D.uniform(5.0e-4, 40)
         st1 = CrankNicolsonDiffusion(grid, 6.7e-10, 0.1)
         st2 = CrankNicolsonDiffusion(Grid1D.uniform(5.0e-4, 40), 6.7e-10, 0.1)
-        assert st1._implicit_factor is st2._implicit_factor
+        assert st1._operator.factor is st2._operator.factor
         # A different dt / diffusivity must not share.
         st3 = CrankNicolsonDiffusion(grid, 6.7e-10, 0.2)
         st4 = CrankNicolsonDiffusion(grid, 1.0e-9, 0.1)
-        assert st3._implicit_factor is not st1._implicit_factor
-        assert st4._implicit_factor is not st1._implicit_factor
+        assert st3._operator.factor is not st1._operator.factor
+        assert st4._operator.factor is not st1._operator.factor
         # Shared or not, the stepping arithmetic is untouched.
         c = np.linspace(1.0, 2.0, 40)
         assert np.array_equal(st1.step(c, 1.0e-8), st2.step(c, 1.0e-8))
@@ -289,6 +290,28 @@ class TestKernelBuild:
             assert proc.returncode == 0, err.decode()
         built = sorted(p.name for p in tmp_path.iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="needs cc")
+    def test_build_removes_stale_libraries(self, tmp_path):
+        # A build deletes libraries of other sources, flags or machines,
+        # but never a concurrent builder's dot-prefixed temporary file
+        # or anything else in the directory.
+        stale = tmp_path / "_thomas-0000000000000000.so"
+        stale.write_bytes(b"old")
+        building = tmp_path / "._thomas-1111111111111111.so.tmp0"
+        building.write_bytes(b"half")
+        other = tmp_path / "notes.txt"
+        other.write_text("keep")
+        assert tridiag.load_kernel(tmp_path) is not None
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert stale.name not in left
+        assert building.name in left and other.name in left
+        built = [name for name in left if name.startswith("_thomas-")]
+        assert len(built) == 1 and built[0].endswith(".so"), left
+        # Loading an existing build removes nothing.
+        stale.write_bytes(b"old")
+        assert tridiag.load_kernel(tmp_path) is not None
+        assert stale.exists()
 
 
 def make_steppers(boundary="dirichlet", n_systems=3):
@@ -378,6 +401,26 @@ class TestBatchCrankNicolson:
         batch = BatchCrankNicolson(make_steppers())
         with pytest.raises(SimulationError, match="nodes"):
             batch.stack_states([np.ones(3)] * 3)
+
+    def test_padded_row_signs_zero_at_its_last_real_node(self):
+        # The documented exception to bitwise parity: the last real node
+        # of a padded row gets ``+ 0.0 * 0.0``, so a -0.0 there turns
+        # into +0.0 where the scalar stepper keeps -0.0.  Every other
+        # node, and every value, matches.
+        short = CrankNicolsonDiffusion(Grid1D.uniform(4.0e-4, 20), 1e-9, 0.1)
+        wide = CrankNicolsonDiffusion(Grid1D.uniform(6.0e-4, 30), 1e-9, 0.1)
+        batch = BatchCrankNicolson([short, wide])
+        fields = [np.full(20, -0.0), np.linspace(1.0, 2.0, 30)]
+        rhs = batch.explicit_rhs(batch.stack_states(fields))
+        scalar = [short.explicit_rhs(fields[0]), wide.explicit_rhs(fields[1])]
+        assert np.array_equal(rhs[0, :20], scalar[0])
+        assert np.all(np.signbit(scalar[0]))
+        assert np.all(np.signbit(rhs[0, :19])) and not np.signbit(rhs[0, 19])
+        assert rhs[1].tobytes() == scalar[1].tobytes()
+        # A bulk node holding max(bulk, 0.0) = +0.0 keeps its bits.
+        fields[0] = np.concatenate([np.full(19, -0.0), [0.0]])
+        rhs = batch.explicit_rhs(batch.stack_states(fields))
+        assert rhs[0, :20].tobytes() == short.explicit_rhs(fields[0]).tobytes()
 
 
 class TestBatchCrankNicolsonFallback(TestBatchCrankNicolson):

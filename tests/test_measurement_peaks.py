@@ -65,6 +65,34 @@ class TestSemiDerivative:
         with pytest.raises(AnalysisError):
             semi_derivative(np.array([1.0]), 0.1)
 
+    @staticmethod
+    def _reference(series, dt):
+        """The direct formula: loop-built weights through fftconvolve."""
+        from scipy.signal import fftconvolve
+
+        n = series.size
+        weights = np.empty(n)
+        weights[0] = 1.0
+        for k in range(1, n):
+            weights[k] = weights[k - 1] * (k - 1.5) / k
+        return fftconvolve(series, weights, "full")[:n] / math.sqrt(dt)
+
+    def test_bitwise_equal_to_fftconvolve(self, rng):
+        # Cached weights and spectra convolve exactly as fftconvolve
+        # does, so every record length gives the reference's bits.
+        for n in [*range(2, 601), 1009, 1024, 2003, 4096, 7919]:
+            series = rng.standard_normal(n) * 10.0 ** rng.uniform(-9, 3)
+            dt = float(rng.uniform(1e-3, 1.0))
+            expected = self._reference(series, dt)
+            assert semi_derivative(series, dt).tobytes() == expected.tobytes(), n
+            # A second call reads the memo and must not differ either.
+            assert semi_derivative(series, dt).tobytes() == expected.tobytes(), n
+
+    def test_returns_a_fresh_writable_array(self):
+        out = semi_derivative(np.ones(16), 0.1)
+        out[0] = 0.0
+        assert semi_derivative(np.ones(16), 0.1)[0] != 0.0
+
 
 class TestFindPeaks:
     def test_single_peak_position_and_height(self):
