@@ -155,6 +155,17 @@ class AcquisitionChain:
 
     # -- digitisation ----------------------------------------------------------------
 
+    def draw_noise(self, generator: np.random.Generator,
+                   we: WorkingElectrode | None,
+                   times: np.ndarray) -> np.ndarray:
+        """One channel's input-referred noise over uniform ``times``, A.
+
+        The chain's only noise draw, made by :meth:`digitize`,
+        :meth:`digitize_batch` and the fleet scheduler's pre-draw alike.
+        """
+        return self.noise_model_for(we).sample(
+            generator, times.size, 1.0 / float(times[1] - times[0]))
+
     def digitize(self, times: np.ndarray, currents: np.ndarray,
                  we: WorkingElectrode | None = None,
                  schedule: MuxSchedule | None = None,
@@ -166,39 +177,10 @@ class AcquisitionChain:
         factor and charge-injection spike are applied according to the
         time each sample sits after its channel switch.
         """
-        times = np.asarray(times, dtype=float)
         currents = np.asarray(currents, dtype=float)
-        if times.ndim != 1 or times.size < 2:
-            raise ElectronicsError("digitize needs at least two samples")
-        if currents.shape != times.shape:
-            raise ElectronicsError("times and currents must have equal shape")
-        steps = np.diff(times)
-        if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-12):
-            raise ElectronicsError("digitize needs uniform sampling")
-        sample_rate = 1.0 / float(steps[0])
-        generator = rng if rng is not None else self._rng
-
-        effective = currents.copy()
-        if schedule is not None:
-            if self.mux is None:
-                raise ElectronicsError(
-                    "a mux schedule was given but the chain has no mux")
-            since = schedule.times_since_switch(times)
-            effective = (effective * self.mux.settling_factors(since)
-                         + self.mux.injection_currents(since))
-
-        noise = self.noise_model_for(we).sample(
-            generator, times.size, sample_rate)
-        input_current = effective + noise
-        volts = self.tia.output_voltage(input_current)
-        codes = self.adc.quantize(volts)
-        estimates = self.tia.input_current(self.adc.to_voltage(codes))
-        saturated = (np.asarray(self.tia.saturates(input_current))
-                     | np.asarray(self.adc.saturates(volts)))
-        return ChannelReading(
-            times=times, true_current=currents,
-            input_current=input_current, output_voltage=volts,
-            codes=codes, current_estimate=estimates, saturated=saturated)
+        [reading] = self._transfer(times, currents[np.newaxis], [we],
+                                   schedule, rng, None)
+        return reading
 
     def digitize_batch(self, times: np.ndarray, currents: np.ndarray,
                        wes=None, schedule: MuxSchedule | None = None,
@@ -207,74 +189,67 @@ class AcquisitionChain:
                        ) -> list[ChannelReading]:
         """Digitise a stacked ``(M, N)`` batch of channel currents.
 
-        The chain-level entry for callers driving
-        :class:`~repro.engine.scheduler.DwellBatch` directly (fused
-        dwell groups without a full panel assembly): row ``j`` is
-        channel ``j``'s cell current over the shared ``times``, and
-        ``wes`` optionally supplies one
+        Row ``j`` is channel ``j``'s cell current over the shared
+        ``times``; ``wes`` optionally gives one
         :class:`~repro.sensors.electrode.WorkingElectrode` per row for
-        the per-channel noise budget.  Rows are carried through the
-        chain strictly in order with one shared generator, so the noise
-        stream — and every reading — matches M sequential
-        :meth:`digitize` calls exactly.  (The panel/fleet assemblers
-        interleave CV digitisations between dwells, so they call
-        :meth:`digitize` per electrode themselves, in the same order
-        contract.)
-
-        When ``noise`` — a pre-drawn ``(M, N)`` array, row ``j`` being
-        channel ``j``'s input-referred noise — is given, no generator
-        is consumed at all and the whole batch runs through the TIA/ADC
-        transfer as one vectorised 2-D pass.  Every transfer operation
-        is elementwise, so each returned reading is bit-identical to a
-        scalar :meth:`digitize` call fed the same noise.  This is the
-        one-call-per-fused-group path the fleet scheduler uses, with
-        the noise pre-drawn per job in electrode order.
+        its noise budget.  Without ``noise`` each row's noise is drawn
+        in row order from the one generator, as M :meth:`digitize`
+        calls would draw it.  A pre-drawn ``(M, N)`` ``noise`` (the
+        fleet scheduler's, per job in electrode order) consumes no
+        generator.  Every transfer step is elementwise, so each reading
+        is bit-identical to a :meth:`digitize` call fed the same noise.
         """
         currents = np.asarray(currents, dtype=float)
         if currents.ndim != 2:
             raise ElectronicsError(
                 "digitize_batch needs a (channels, samples) current array")
-        rows = currents.shape[0]
-        we_list = list(wes) if wes is not None else [None] * rows
-        if len(we_list) != rows:
-            raise ElectronicsError(
-                f"got {len(we_list)} working electrodes for {rows} rows")
-        if noise is None:
-            generator = rng if rng is not None else self._rng
-            return [self.digitize(times, currents[j], we=we_list[j],
-                                  schedule=schedule, rng=generator)
-                    for j in range(rows)]
+        wes = list(wes) if wes is not None else [None] * currents.shape[0]
+        if len(wes) != currents.shape[0]:
+            raise ElectronicsError(f"got {len(wes)} working electrodes "
+                                   f"for {currents.shape[0]} rows")
+        return self._transfer(times, currents, wes, schedule, rng, noise)
+
+    def _transfer(self, times, currents: np.ndarray, wes: list,
+                  schedule: MuxSchedule | None,
+                  rng: np.random.Generator | None,
+                  noise: np.ndarray | None) -> list[ChannelReading]:
+        """``(M, N)`` currents through mux, TIA and ADC in one 2-D pass;
+        missing noise is drawn row by row first."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ElectronicsError("digitize needs at least two samples")
-        if currents.shape[1] != times.size:
+        if currents.shape[1:] != times.shape:
             raise ElectronicsError("times and currents must have equal shape")
-        noise = np.asarray(noise, dtype=float)
-        if noise.shape != currents.shape:
-            raise ElectronicsError(
-                "noise and currents must have equal shape")
         steps = np.diff(times)
         if not np.allclose(steps, steps[0], rtol=1e-6, atol=1e-12):
             raise ElectronicsError("digitize needs uniform sampling")
-        effective = currents.copy()
+        if schedule is not None and self.mux is None:
+            raise ElectronicsError(
+                "a mux schedule was given but the chain has no mux")
+        if noise is None:
+            generator = rng if rng is not None else self._rng
+            noise = np.empty_like(currents)
+            for j, we in enumerate(wes):
+                noise[j] = self.draw_noise(generator, we, times)
+        elif np.shape(noise) != currents.shape:
+            raise ElectronicsError("noise and currents must have equal shape")
+
+        effective = currents
         if schedule is not None:
-            if self.mux is None:
-                raise ElectronicsError(
-                    "a mux schedule was given but the chain has no mux")
             since = schedule.times_since_switch(times)
-            effective = (effective * self.mux.settling_factors(since)
+            effective = (currents * self.mux.settling_factors(since)
                          + self.mux.injection_currents(since))
         input_current = effective + noise
         volts = self.tia.output_voltage(input_current)
         codes = self.adc.quantize(volts)
         estimates = self.tia.input_current(self.adc.to_voltage(codes))
-        saturated = (np.asarray(self.tia.saturates(input_current))
-                     | np.asarray(self.adc.saturates(volts)))
+        saturated = (self.tia.saturates(input_current)
+                     | self.adc.saturates(volts))
         return [ChannelReading(
             times=times, true_current=currents[j],
             input_current=input_current[j], output_voltage=volts[j],
             codes=codes[j], current_estimate=estimates[j],
-            saturated=saturated[j]) for j in range(rows)]
+            saturated=saturated[j]) for j in range(len(wes))]
 
     def measure_constant(self, current: float, duration: float = 10.0,
                          sample_rate: float | None = None,

@@ -76,9 +76,11 @@ the engine restructures it in five layers:
    rebuild).  :meth:`~repro.measurement.panel.PanelProtocol.run` is a
    one-job pass of layer 5's scheduler, so a single panel and a fleet
    member take the same route; its noise is drawn in the original
-   electrode order, so the RNG stream — and every result — matches
-   the sequential per-WE reference (``batch_electrodes=False``) bit
-   for bit.
+   electrode order by the chain's one noise draw
+   (:meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`), so
+   the RNG stream — and every result — matches the sequential per-WE
+   reference (``batch_electrodes=False``) bit for bit; both paths end
+   in the same :meth:`~repro.measurement.panel.PanelProtocol.assemble`.
 
 5. **Multi-assay fleet scheduling** (same module).
    :class:`~repro.engine.scheduler.AssayScheduler` accepts N
@@ -178,11 +180,14 @@ the engine restructures it in five layers:
    :class:`~repro.engine.redox.RedoxChannelBatch` driven by a
    per-system potential matrix — one fused solve per sample for the
    whole group, one group per sample rate (a shorter window's rows
-   retire when its record ends).  Digitisation is fused too: the scheduler pre-draws
-   each job's noise streams in electrode order off the job's own RNG
+   retire when its record ends).  Digitisation is fused too: the
+   scheduler pre-draws each job's noise streams in electrode order off
+   the job's own RNG with
+   :meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`
    (preserving the sequential draw sequence bit for bit), then calls
    :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
-   once per (TIA, ADC) cluster of a fused group.  An opt-in
+   once per (TIA, ADC) cluster of a fused group; ``digitize`` and
+   ``digitize_batch`` share the chain's one 2-D transfer.  An opt-in
    *screening* profile (``PanelProtocol(screening=True)``, surfaced as
    ``AssaySpec.screening`` / ``run(spec, screening=True)`` /
    ``--screening``) trades grid resolution for throughput on the same

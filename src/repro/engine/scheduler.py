@@ -50,11 +50,14 @@ advance together.  At one sample rate every record's time axis is a
 prefix of the longest, so the paper panel's two CYP windows (different
 record lengths) fuse into one group; a sweep's rows retire when its
 record ends.  Digitisation is group-level as well: each job's per-WE
-noise streams are pre-drawn from its own generator in electrode order
-(the exact draws the sequential path makes), and every fused group then
-runs through one vectorised
-:meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch` call
-per transform-compatible chain cluster and record length.
+noise is pre-drawn off its own generator in electrode order by
+:meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`, the draw
+every ``digitize`` call makes, and every fused group then runs through
+one :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
+call per (TIA, ADC) cluster and record length.  A job's ``(unit,
+reading)`` pairs go to
+:meth:`~repro.measurement.panel.PanelProtocol.assemble`, the one
+assembly the sequential reference path ends in too.
 
 Replicate assays share engine rows.  An assay's seed selects only its
 chain's acquisition noise, so a sweep over seeds (technical replicates)
@@ -191,12 +194,16 @@ class DwellBatch:
         if times.ndim != 1 or times.size < 2:
             raise SimulationError("a dwell batch needs at least two samples")
         spacing = float(times[1] - times[0])
+        checked: set = set()
         for dwell in self.dwells:
+            if dwell.dt in checked:
+                continue
             if not np.isclose(spacing, dwell.dt, rtol=1e-9, atol=0.0):
                 raise SimulationError(
                     f"dwell {getattr(dwell, 'we_name', '?')!r} was built "
                     f"for dt={dwell.dt!r} but the batch time axis is "
                     f"spaced {spacing!r}")
+            checked.add(dwell.dt)
         self.times = times
         self.store = store
         # Injection checks are per step; only dwells that actually carry
@@ -544,18 +551,15 @@ class FleetResult:
 
 @dataclass
 class _JobPlan:
-    """One job's planned execution: dwells, sweeps and, later, their
-    simulated rows, pre-drawn noise streams and digitised readings."""
+    """One job's planned execution: dwells, sweeps and, later, its
+    pre-drawn noise streams and ``(unit, reading)`` per WE."""
 
     job: AssayJob
     protocol: "PanelProtocol"
     dwells: list = field(default_factory=list)
     sweeps: list = field(default_factory=list)
-    rows: dict = field(default_factory=dict)
-    cv_rows: dict = field(default_factory=dict)
     noise: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
-    generator: "np.random.Generator | None" = None
 
 
 class AssayScheduler:
@@ -652,13 +656,10 @@ class AssayScheduler:
             plan_keys.append(keys)
 
         # Pre-draw every job's acquisition noise from its own generator
-        # in electrode order — the exact per-WE model.sample calls the
-        # sequential path makes — so fused groups can digitise in one
-        # vectorised pass without reordering any RNG stream.
+        # in electrode order — the exact per-WE draws the sequential
+        # path makes — so fused groups can digitise in one vectorised
+        # pass without reordering any RNG stream.
         for plan in plans:
-            job = plan.job
-            plan.generator = (job.rng if job.rng is not None
-                              else np.random.default_rng(2011))
             self._predraw_noise(plan, uniform_sample_times)
 
         simulated: set[tuple] = set()
@@ -683,30 +684,18 @@ class AssayScheduler:
                             store=self.store)
                         n_fused += batch.batch_size
                         n_ca_groups += 1
-                        rows = batch.simulate()
-                        n_steps += batch.n_solve_steps
-                        n_solved += batch.n_solved_systems
-                        n_stored += batch.n_store_rows
-                        for i, (member, dwell) in enumerate(members):
-                            member.rows[dwell.we_name] = (dwell, times,
-                                                          rows[i])
                     else:
                         batch = SweepBatch([sweep for _, sweep in members],
                                            store=self.store)
                         n_fused_sweeps += batch.n_sweeps
                         n_sweep_groups += 1
                         times = batch.times
-                        rows = batch.simulate()
-                        n_steps += batch.n_solve_steps
-                        n_solved += batch.n_solved_systems
-                        n_stored += batch.n_store_rows
-                        for i, (member, sweep) in enumerate(members):
-                            member.cv_rows[sweep.we_name] = (sweep, rows[i])
+                    rows = batch.simulate()
+                    n_steps += batch.n_solve_steps
+                    n_solved += batch.n_solved_systems
+                    n_stored += batch.n_store_rows
                     self._digitize_group(times, members, rows)
-                job = plan.job
-                result = plan.protocol.assemble(
-                    job.cell, job.chain, plan.generator, plan.rows,
-                    cv_rows=plan.cv_rows, readings=plan.readings)
+                result = plan.protocol.assemble(plan.job.cell, plan.readings)
                 yield FleetItem(index=index, name=names[index],
                                 result=result, n_jobs=len(plans),
                                 n_fused_dwells=n_fused,
@@ -727,8 +716,6 @@ class AssayScheduler:
             for plan in plans:
                 plan.dwells.clear()
                 plan.sweeps.clear()
-                plan.rows.clear()
-                plan.cv_rows.clear()
                 plan.noise.clear()
                 plan.readings.clear()
             plans.clear()
@@ -736,28 +723,22 @@ class AssayScheduler:
     def _predraw_noise(self, plan: _JobPlan, uniform_sample_times) -> None:
         """Draw the job's per-WE noise streams in electrode order.
 
-        One ``model.sample(generator, n, fs)`` call per working
-        electrode — the same single call ``digitize`` makes, at the
-        same arguments (``fs`` reconstructed from the time axis exactly
-        as ``digitize`` does), so the generator state after pre-drawing
-        matches the sequential path sample for sample.
+        One :meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`
+        call per working electrode, off the job's generator, over the
+        WE's record axis: the draws the sequential path's ``digitize``
+        calls make, in the same order.
         """
-        chain = plan.job.chain
-        sweeps_by_we = {sweep.we_name: sweep for sweep in plan.sweeps}
-        ca_times = None
-        for we in plan.job.cell.working_electrodes:
-            sweep = sweeps_by_we.get(we.name)
-            if sweep is not None:
-                times = sweep.times
-            else:
-                if ca_times is None:
-                    ca_times = uniform_sample_times(
-                        float(plan.protocol.ca_dwell),
-                        float(plan.protocol.sample_rate))
-                times = ca_times
-            fs = 1.0 / float(times[1] - times[0])
-            plan.noise[we.name] = chain.noise_model_for(we).sample(
-                plan.generator, times.size, fs)
+        job = plan.job
+        generator = (job.rng if job.rng is not None
+                     else np.random.default_rng(2011))
+        axes = {sweep.we_name: sweep.times for sweep in plan.sweeps}
+        if plan.dwells:
+            ca_times = uniform_sample_times(float(plan.protocol.ca_dwell),
+                                            float(plan.protocol.sample_rate))
+            axes.update((dwell.we_name, ca_times) for dwell in plan.dwells)
+        for we in job.cell.working_electrodes:
+            plan.noise[we.name] = job.chain.draw_noise(generator, we,
+                                                       axes[we.name])
 
     @staticmethod
     def _digitize_group(times: np.ndarray, members, rows) -> None:
@@ -792,7 +773,7 @@ class AssayScheduler:
                                             wes=wes, noise=noise)
             for reading, i in zip(readings, indices):
                 plan, unit = members[i]
-                plan.readings[unit.we_name] = reading
+                plan.readings[unit.we_name] = (unit, reading)
 
     def run_many(self, jobs) -> FleetResult:
         """Advance every job's panel through the shared engine.

@@ -26,9 +26,11 @@ chronoamperometric dwells of the cell advance together through one fused
 :class:`~repro.engine.scheduler.SweepBatch`, and every WE is digitised
 from noise pre-drawn off the run's generator in electrode order.
 ``batch_electrodes=False`` keeps the sequential per-WE reference path
-(one engine and one ``digitize`` call per WE), which is bit-identical
-and which the scheduler tests and ``benchmarks/bench_panel_throughput.py``
-compare against.
+(one engine and one ``digitize`` call per WE, drawing the same noise in
+the same order), which the scheduler tests and
+``benchmarks/bench_panel_throughput.py`` compare against.  Both paths
+end in :meth:`PanelProtocol.assemble`, which quantifies each WE from its
+planned unit and its digitised reading, so they are bit-identical.
 """
 
 from __future__ import annotations
@@ -40,11 +42,12 @@ import numpy as np
 
 from repro.chem.enzymes import CytochromeP450, Oxidase
 from repro.chem.solution import InjectionSchedule
-from repro.electronics.chain import AcquisitionChain
-from repro.electronics.waveform import TriangleWaveform
-from repro.engine.scheduler import AssayJob, AssayScheduler
+from repro.electronics.chain import AcquisitionChain, ChannelReading
+from repro.electronics.waveform import TriangleWaveform, uniform_sample_times
+from repro.engine.scheduler import (AssayJob, AssayScheduler, DwellBatch,
+                                    SweepBatch)
 from repro.errors import ProtocolError
-from repro.measurement.chronoamperometry import ChronoDwell, Chronoamperometry
+from repro.measurement.chronoamperometry import ChronoDwell
 from repro.measurement.peaks import Peak, assign_peaks, find_peaks
 from repro.measurement.trace import Trace, Voltammogram
 from repro.measurement.voltammetry import CvSweep, CyclicVoltammetry
@@ -209,14 +212,34 @@ class PanelProtocol:
 
     def run(self, cell: ElectrochemicalCell, chain: AcquisitionChain,
             rng: np.random.Generator | None = None) -> PanelResult:
-        """Measure every WE in order; return the assembled panel result."""
-        if not self.batch_electrodes:
-            generator = (rng if rng is not None
-                         else np.random.default_rng(2011))
-            return self.assemble(cell, chain, generator, None)
-        job = AssayJob(cell=cell, chain=chain, rng=rng, protocol=self)
-        [item] = AssayScheduler().run_iter([job])
-        return item.result
+        """Measure every WE in order; return the assembled panel result.
+
+        Batched, this is a one-job scheduler pass.  The sequential
+        reference solves each WE's planned unit alone (a one-unit
+        :class:`~repro.engine.scheduler.DwellBatch` or
+        :class:`~repro.engine.scheduler.SweepBatch`) and digitises it
+        off the run's generator in electrode order — the draws the
+        scheduler pre-draws — before the same :meth:`assemble`.
+        """
+        if self.batch_electrodes:
+            job = AssayJob(cell=cell, chain=chain, rng=rng, protocol=self)
+            [item] = AssayScheduler().run_iter([job])
+            return item.result
+        generator = rng if rng is not None else np.random.default_rng(2011)
+        units = {unit.we_name: unit for unit in (
+            *self.plan_dwells(cell, chain), *self.plan_sweeps(cell, chain))}
+        ca_times = uniform_sample_times(self.ca_dwell, self.sample_rate)
+        readings = {}
+        for we in cell.working_electrodes:
+            unit = units[we.name]
+            if isinstance(unit, CvSweep):
+                times, [row] = unit.times, SweepBatch([unit]).simulate()
+            else:
+                times = ca_times
+                [row] = DwellBatch([unit], times).simulate()
+            readings[we.name] = (unit, chain.digitize(times, row, we=unit.we,
+                                                      rng=generator))
+        return self.assemble(cell, readings)
 
     # -- planning and assembly -----------------------------------------------------
 
@@ -257,7 +280,8 @@ class PanelProtocol:
         This is the unit :class:`~repro.engine.scheduler.SweepBatch`
         fuses across cells; each sweep carries its own potential
         program, backgrounds and channel simulators, evaluated exactly
-        as the sequential :meth:`_run_cv` path would.
+        as a standalone :class:`~repro.measurement.voltammetry.
+        CyclicVoltammetry` run would.
         """
         sweeps: list[CvSweep] = []
         for we in cell.working_electrodes:
@@ -267,26 +291,18 @@ class PanelProtocol:
                 self._cv_protocol(we).plan_sweep(cell, we.name, chain))
         return sweeps
 
-    def assemble(self, cell: ElectrochemicalCell, chain: AcquisitionChain,
-                  generator: np.random.Generator,
-                  ca_rows: (dict[str, tuple[ChronoDwell, np.ndarray,
-                                            np.ndarray]] | None),
-                  cv_rows: (dict[str, tuple[CvSweep, np.ndarray]]
-                            | None) = None,
-                  readings: dict | None = None,
-                  ) -> PanelResult:
-        """Digitise and quantify every WE in electrode order.
+    def assemble(self, cell: ElectrochemicalCell,
+                 readings: Mapping[str, tuple[ChronoDwell | CvSweep,
+                                              ChannelReading]],
+                 ) -> PanelResult:
+        """Quantify every WE in electrode order from its digitised record.
 
-        Two modes.  The scheduler passes its output for this job:
-        ``ca_rows`` maps every chronoamperometric WE to its simulated
-        ``(dwell, times, true_current)``, ``cv_rows`` every CYP WE to its
-        ``(sweep, true_current)``, and ``readings`` every WE to its
-        :class:`~repro.electronics.chain.ChannelReading`, digitised from
-        noise pre-drawn off ``generator`` in electrode order.  With
-        ``ca_rows=None`` (and no other rows) the sequential per-WE
-        reference path runs instead: one engine and one ``digitize``
-        call per WE, consuming ``generator`` in the same order — the
-        contract that keeps both modes bit-identical.
+        ``readings`` maps every WE name to its planned unit — the
+        :class:`~repro.measurement.chronoamperometry.ChronoDwell` or
+        :class:`~repro.measurement.voltammetry.CvSweep` that was solved
+        — and the :class:`~repro.electronics.chain.ChannelReading` the
+        chain made of its true current.  The scheduler and the
+        sequential reference path both end here.
         """
         traces: dict[str, Trace] = {}
         voltammograms: dict[str, Voltammogram] = {}
@@ -298,56 +314,35 @@ class PanelProtocol:
         for we in cell.working_electrodes:
             assay_time += self.settle_between
             probe = we.probe
+            unit, reading = readings[we.name]
             if isinstance(probe, CytochromeP450):
-                if ca_rows is None:
-                    voltammogram = self._run_cv(cell, we.name, chain,
-                                                generator)
-                else:
-                    sweep, row = cv_rows[we.name]
-                    voltammogram = sweep.to_voltammogram(
-                        row, readings[we.name])
+                voltammogram = unit.to_voltammogram(reading.true_current,
+                                                    reading)
                 voltammograms[we.name] = voltammogram
                 assay_time += voltammogram.times[-1]
                 self._extract_cyp_readouts(we.name, probe, voltammogram,
                                            readouts)
                 continue
-            if ca_rows is None:
-                trace, e_applied = self._run_ca(cell, we.name, chain,
-                                                generator)
-            else:
-                dwell, times, row = ca_rows[we.name]
-                reading = readings[we.name]
-                trace = Trace(times=times, current=reading.current_estimate,
-                              true_current=row, channel=we.name,
-                              reading=reading)
-                e_applied = dwell.e_applied
+            trace = Trace(times=reading.times,
+                          current=reading.current_estimate,
+                          true_current=reading.true_current,
+                          channel=we.name, reading=reading)
             traces[we.name] = trace
             assay_time += trace.duration
             if isinstance(probe, Oxidase):
                 readouts[probe.substrate] = TargetReadout(
                     target=probe.substrate, we_name=we.name,
                     method="chronoamperometry",
-                    signal=trace.tail_mean(), e_applied=e_applied)
+                    signal=trace.tail_mean(), e_applied=unit.e_applied)
             else:
                 blank_current = trace.tail_mean()
-                blank_e_applied = e_applied
+                blank_e_applied = unit.e_applied
         return PanelResult(traces=traces, voltammograms=voltammograms,
                            readouts=readouts, assay_time=assay_time,
                            blank_current=blank_current,
                            blank_e_applied=blank_e_applied)
 
-    # -- per-mode runners ----------------------------------------------------------
-
-    def _run_ca(self, cell: ElectrochemicalCell, we_name: str,
-                chain: AcquisitionChain,
-                rng: np.random.Generator) -> tuple[Trace, float]:
-        protocol = Chronoamperometry(
-            e_setpoint=self._ca_setpoint(cell, we_name),
-            duration=self.ca_dwell, sample_rate=self.sample_rate,
-            injections=self._injections_for(we_name),
-            n_nodes=self.ca_n_nodes)
-        result = protocol.run(cell, we_name, chain, rng=rng)
-        return result.trace, result.e_applied
+    # -- internals -----------------------------------------------------------------
 
     def _cv_protocol(self, we: WorkingElectrode) -> CyclicVoltammetry:
         probe = we.probe
@@ -359,13 +354,6 @@ class PanelProtocol:
                                     scan_rate=self.scan_rate)
         return CyclicVoltammetry(waveform, sample_rate=self.sample_rate,
                                  grid_growth=self.cv_grid_growth)
-
-    def _run_cv(self, cell: ElectrochemicalCell, we_name: str,
-                chain: AcquisitionChain,
-                rng: np.random.Generator) -> Voltammogram:
-        we = cell.working_electrode(we_name)
-        protocol = self._cv_protocol(we)
-        return protocol.run(cell, we_name, chain, rng=rng).voltammogram
 
     def _extract_cyp_readouts(self, we_name: str, probe: CytochromeP450,
                               voltammogram: Voltammogram,

@@ -194,3 +194,120 @@ class TestAcquisitionChain:
         assert "potentiostat" in text
         assert "TIA" in text
         assert "ADC" in text
+
+
+class TestTransferAgainstBlocks:
+    """``digitize``/``digitize_batch`` pinned to the blocks they chain.
+
+    The expected readings apply the mux, TIA and ADC methods row by row
+    to ``currents + noise``; the chain runs the whole stack in one 2-D
+    pass, so these cases hold only while every step is elementwise.
+    """
+
+    N = 48
+
+    def _chain(self, mux=None):
+        # The ADC spans half the TIA's rails, so a row can saturate
+        # the converter alone.
+        return AcquisitionChain(
+            potentiostat=Potentiostat(),
+            tia=TransimpedanceAmplifier.for_range(10e-6),
+            adc=ADC.for_readout(10e-6, 10e-9, rail=0.6), mux=mux, seed=77)
+
+    def _currents(self):
+        t = np.arange(self.N) / 10.0
+        return np.vstack([
+            2.0e-6 * (1.0 + np.sin(t)),
+            np.full(self.N, 50e-6),             # beyond the rails
+            np.linspace(-30e-6, 30e-6, self.N),  # crosses both rails
+            np.full(self.N, 7e-6),              # beyond the ADC only
+        ])
+
+    def _expected(self, chain, times, currents, noise, schedule):
+        tia, adc = chain.tia, chain.adc
+        rows = []
+        for current, row_noise in zip(currents, noise):
+            effective = current
+            if schedule is not None:
+                since = schedule.times_since_switch(times)
+                effective = (current * chain.mux.settling_factors(since)
+                             + chain.mux.injection_currents(since))
+            inputs = effective + row_noise
+            volts = tia.output_voltage(inputs)
+            codes = adc.quantize(volts)
+            rows.append((inputs, volts, codes,
+                         tia.input_current(adc.to_voltage(codes)),
+                         tia.saturates(inputs) | adc.saturates(volts)))
+        return rows
+
+    def _assert_matches(self, readings, expected, currents):
+        assert len(readings) == len(expected)
+        for reading, current, (inputs, volts, codes, estimates,
+                               saturated) in zip(readings, currents,
+                                                 expected):
+            assert np.array_equal(reading.true_current, current)
+            assert np.array_equal(reading.input_current, inputs)
+            assert np.array_equal(reading.output_voltage, volts)
+            assert np.array_equal(reading.codes, codes)
+            assert np.array_equal(reading.current_estimate, estimates)
+            assert np.array_equal(reading.saturated, saturated)
+
+    @pytest.fixture(params=["plain", "mux"])
+    def setup(self, request):
+        times = np.arange(self.N) / 10.0
+        if request.param == "plain":
+            return self._chain(), times, None
+        mux = Multiplexer(settling_time=0.2)
+        return (self._chain(mux=mux), times,
+                mux.round_robin(["a", "b"], dwell=1.0))
+
+    def test_batch_with_noise_matches_blocks(self, setup, rng):
+        chain, times, schedule = setup
+        currents = self._currents()
+        noise = 1.0e-7 * rng.standard_normal(currents.shape)
+        readings = chain.digitize_batch(times, currents, schedule=schedule,
+                                        noise=noise)
+        self._assert_matches(
+            readings, self._expected(chain, times, currents, noise,
+                                     schedule), currents)
+        assert not readings[0].any_saturated
+        assert readings[1].any_saturated and readings[2].any_saturated
+        assert not readings[2].saturated.all()
+        assert not chain.tia.saturates(readings[3].input_current).any()
+        assert readings[3].any_saturated
+
+    def test_drawn_noise_matches_blocks(self, setup):
+        chain, times, schedule = setup
+        currents = self._currents()
+        reference = np.random.default_rng(5)
+        noise = [chain.draw_noise(reference, None, times) for _ in currents]
+        expected = self._expected(chain, times, currents, noise, schedule)
+        batch = chain.digitize_batch(times, currents, schedule=schedule,
+                                     rng=np.random.default_rng(5))
+        self._assert_matches(batch, expected, currents)
+        generator = np.random.default_rng(5)
+        single = [chain.digitize(times, current, schedule=schedule,
+                                 rng=generator) for current in currents]
+        self._assert_matches(single, expected, currents)
+
+    def test_batch_draws_like_draw_noise(self, glucose_cell):
+        chain = self._chain()
+        we = glucose_cell.working_electrodes[0]
+        times = np.arange(self.N) / 10.0
+        currents = self._currents()
+        wes = [we, None, we, None]
+        batch_rng = np.random.default_rng(9)
+        chain.digitize_batch(times, currents, wes=wes, rng=batch_rng)
+        draw_rng = np.random.default_rng(9)
+        for row_we in wes:
+            chain.draw_noise(draw_rng, row_we, times)
+        assert batch_rng.bit_generator.state == draw_rng.bit_generator.state
+
+    def test_draw_noise_rate_from_time_axis(self):
+        chain = self._chain()
+        times = np.arange(32) / 4.0
+        expected = chain.noise_model_for(None).sample(
+            np.random.default_rng(3), 32, 4.0)
+        assert np.array_equal(
+            chain.draw_noise(np.random.default_rng(3), None, times),
+            expected)

@@ -212,6 +212,18 @@ class TestDwellBatch:
         with pytest.raises(SimulationError, match="time axis"):
             DwellBatch([dwell], uniform_sample_times(15.0, 10.0))
 
+    def test_first_mismatched_dwell_is_named(self):
+        def dwell(name, dt):
+            return SimpleNamespace(we_name=name, dt=dt,
+                                   injections=SimpleNamespace(injections=()))
+
+        times = uniform_sample_times(15.0, 10.0)
+        good = [dwell(f"ok{k}", 0.1) for k in range(3)]
+        with pytest.raises(SimulationError, match="'slow1'"):
+            DwellBatch([*good, dwell("slow1", 0.2), dwell("slow2", 0.2)],
+                       times)
+        assert DwellBatch(good, times).n_dwells == 3
+
 
 class TestAssayScheduler:
     def _jobs(self, mixed_cell, glucose_cell, n=3):
