@@ -144,11 +144,19 @@ def solve(pairs, store=None) -> Iterator[tuple]:
     inline transport passes the runner's store, a process slot the
     same store re-opened in the slot, and a distributed worker its own
     shared store.
+
+    Assays of one chemistry (equal but for ``name`` and ``seed``) share
+    one built cell, chain and protocol through a memo that lives for
+    this pass only (:meth:`~repro.api.specs.AssaySpec.build_job`), so
+    the scheduler plans each distinct chemistry once; every job keeps
+    its own name and seeded generator.  All three transports reach the
+    scheduler through here.
     """
     from repro.engine.scheduler import AssayScheduler
 
     prev = (0, 0, 0, 0, 0)
-    jobs = [assay.build_job() for _, assay in pairs]
+    memo: dict = {}
+    jobs = [assay.build_job(memo) for _, assay in pairs]
     with store.batched() if store is not None else nullcontext():
         for (index, _), item in zip(
                 pairs, AssayScheduler(store=store).run_iter(jobs)):

@@ -413,11 +413,12 @@ class AssaySpec:
     from and selects nothing else: neither dwell nor CV chemistry
     consumes randomness, so two runs of the same spec are bit-identical,
     and assays differing only in their seeds (technical replicates)
-    share every diffusion solve in a fused fleet.  ``screening`` opts
-    the assay into the coarse-grid screening profile — never the
-    default; the flag is part of the canonical payload, so a screening
-    run can never share a content address (or a store slot) with its
-    full-fidelity twin.
+    share their built cell, chain and protocol, their plan and every
+    diffusion solve in a fused fleet (:meth:`build_job`).
+    ``screening`` opts the assay into the coarse-grid screening profile
+    — never the default; the flag is part of the canonical payload, so
+    a screening run can never share a content address (or a store slot)
+    with its full-fidelity twin.
     """
 
     name: str = "assay"
@@ -430,14 +431,38 @@ class AssaySpec:
     def build_protocol(self) -> "PanelProtocol":
         return self.protocol.build(screening=self.screening)
 
-    def build_job(self) -> "AssayJob":
-        """A scheduler-ready job: built cell, chain, protocol and RNG."""
+    def chemistry_key(self) -> str:
+        """The assay's *chemistry*: its canonical payload without
+        ``name`` and ``seed``, which select only the job's label and its
+        acquisition-noise generator.  Exact, like
+        :func:`~repro.engine.mechanisms.mechanism_key`: the payload's
+        JSON text in ``to_dict`` order, so only assays that build
+        identical cells, chains and protocols share a key."""
+        payload = self.to_dict()
+        del payload["name"], payload["seed"]
+        return json.dumps(payload, separators=(",", ":"))
+
+    def build_job(self, memo: dict | None = None) -> "AssayJob":
+        """A scheduler-ready job: built cell, chain, protocol and RNG.
+
+        ``memo`` (one dict per scheduler pass) shares the built cell,
+        chain and protocol between assays of one :meth:`chemistry_key`,
+        so the scheduler plans each shared triple once.  Never keep a
+        memo across passes: a solved pass leaves its dwells' mechanisms
+        holding end-of-record profiles.
+        """
         from repro.engine.scheduler import AssayJob
 
-        return AssayJob(cell=self.cell.build(), chain=self.chain.build(),
-                        name=self.name,
+        key = self.chemistry_key()
+        memo = {} if memo is None else memo
+        built = memo.get(key)
+        if built is None:
+            built = memo[key] = (self.cell.build(), self.chain.build(),
+                                 self.build_protocol())
+        cell, chain, protocol = built
+        return AssayJob(cell=cell, chain=chain, name=self.name,
                         rng=np.random.default_rng(self.seed),
-                        protocol=self.build_protocol())
+                        protocol=protocol)
 
     def to_dict(self) -> dict:
         return {"schema": SCHEMA_VERSION, "kind": "assay",

@@ -155,16 +155,26 @@ class AcquisitionChain:
 
     # -- digitisation ----------------------------------------------------------------
 
+    def noise_source(self, we: WorkingElectrode | None,
+                     times: np.ndarray) -> tuple[NoiseModel, int, float]:
+        """What one channel's noise draw over uniform ``times`` reads:
+        ``(budget, n_samples, sample_rate)``, the rate being
+        ``1/(t1 - t0)``.  A draw is ``budget.sample(generator, n,
+        rate)``; the fleet scheduler resolves these once per planned
+        chemistry and draws per job."""
+        return (self.noise_model_for(we), times.size,
+                1.0 / float(times[1] - times[0]))
+
     def draw_noise(self, generator: np.random.Generator,
                    we: WorkingElectrode | None,
                    times: np.ndarray) -> np.ndarray:
         """One channel's input-referred noise over uniform ``times``, A.
 
-        The chain's only noise draw, made by :meth:`digitize`,
-        :meth:`digitize_batch` and the fleet scheduler's pre-draw alike.
+        The draw :meth:`digitize` and :meth:`digitize_batch` make, over
+        :meth:`noise_source`.
         """
-        return self.noise_model_for(we).sample(
-            generator, times.size, 1.0 / float(times[1] - times[0]))
+        model, n, sample_rate = self.noise_source(we, times)
+        return model.sample(generator, n, sample_rate)
 
     def digitize(self, times: np.ndarray, currents: np.ndarray,
                  we: WorkingElectrode | None = None,
@@ -243,8 +253,11 @@ class AcquisitionChain:
         volts = self.tia.output_voltage(input_current)
         codes = self.adc.quantize(volts)
         estimates = self.tia.input_current(self.adc.to_voltage(codes))
-        saturated = (self.tia.saturates(input_current)
-                     | self.adc.saturates(volts))
+        saturated = self.tia.saturates(input_current)
+        # The TIA has clipped ``volts`` to its rails, so the ADC's strict
+        # range check can only fire when its range is narrower.
+        if self.adc.v_min > -self.tia.rail or self.adc.v_max < self.tia.rail:
+            saturated |= self.adc.saturates(volts)
         return [ChannelReading(
             times=times, true_current=currents[j],
             input_current=input_current[j], output_voltage=volts[j],

@@ -28,8 +28,10 @@ through numpy Generators so every simulation is reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,30 @@ __all__ = [
     "CdsStrategy",
     "flicker_noise_series",
 ]
+
+
+class _RecordConstants(NamedTuple):
+    """What a noise draw derives from its record shape alone."""
+
+    ramp: np.ndarray     # sample times arange(n) / fs, for the drift
+    shaping: np.ndarray  # 1/sqrt(f) per rFFT bin, 0 at DC
+    band: np.ndarray     # the rFFT frequencies above DC
+    df: float            # the bin spacing fs / n
+
+
+@functools.lru_cache(maxsize=64)
+def _record_constants(n: int, sample_rate: float) -> _RecordConstants:
+    """The shape constants of an ``n``-sample record at ``sample_rate``,
+    built once per shape (arrays read-only, shared between draws)."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    shaping = np.zeros_like(freqs)
+    nonzero = freqs > 0.0
+    shaping[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
+    ramp = np.arange(n) / sample_rate
+    band = freqs[nonzero]
+    for array in (ramp, shaping, band):
+        array.flags.writeable = False
+    return _RecordConstants(ramp, shaping, band, sample_rate / n)
 
 
 def flicker_noise_series(rng: np.random.Generator, n: int, sample_rate: float,
@@ -62,18 +88,13 @@ def flicker_noise_series(rng: np.random.Generator, n: int, sample_rate: float,
         return np.zeros(n)
     white = rng.standard_normal(n)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
-    shaping = np.zeros_like(freqs)
-    nonzero = freqs > 0.0
-    shaping[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
-    shaped = np.fft.irfft(spectrum * shaping, n=n)
+    record = _record_constants(n, sample_rate)
+    shaped = np.fft.irfft(spectrum * record.shaping, n=n)
     # Normalise so the realised PSD matches density_at_1hz^2 / f: the
     # white input has PSD 2/fs per unit variance (one-sided), so scale by
     # density * sqrt(fs/2) ... folded into an empirical RMS normalisation
     # over the shaped series' analytic RMS.
-    df = sample_rate / n
-    band = freqs[nonzero]
-    target_var = np.sum(density_at_1hz ** 2 / band) * df
+    target_var = np.sum(density_at_1hz ** 2 / record.band) * record.df
     realised_var = float(np.var(shaped))
     if realised_var <= 0.0:
         return np.zeros(n)
@@ -132,8 +153,7 @@ class NoiseModel:
                  * self.white_density * math.sqrt(nyquist))
         flicker = flicker_noise_series(
             rng, n, sample_rate, self.flicker_density_at_1hz)
-        t = np.arange(n) / sample_rate
-        drift = self.drift_rate * t
+        drift = self.drift_rate * _record_constants(n, sample_rate).ramp
         return white + flicker + drift
 
     def scaled(self, white_factor: float = 1.0,

@@ -76,11 +76,12 @@ the engine restructures it in five layers:
    rebuild).  :meth:`~repro.measurement.panel.PanelProtocol.run` is a
    one-job pass of layer 5's scheduler, so a single panel and a fleet
    member take the same route; its noise is drawn in the original
-   electrode order by the chain's one noise draw
-   (:meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`), so
-   the RNG stream — and every result — matches the sequential per-WE
-   reference (``batch_electrodes=False``) bit for bit; both paths end
-   in the same :meth:`~repro.measurement.panel.PanelProtocol.assemble`.
+   electrode order from the budgets, lengths and rates the chain's
+   :meth:`~repro.electronics.chain.AcquisitionChain.noise_source`
+   gives, exactly as ``digitize`` draws it, so the RNG stream — and
+   every result — matches the sequential per-WE reference
+   (``batch_electrodes=False``) bit for bit; both paths end in the
+   same :meth:`~repro.measurement.panel.PanelProtocol.assemble`.
 
 5. **Multi-assay fleet scheduling** (same module).
    :class:`~repro.engine.scheduler.AssayScheduler` accepts N
@@ -95,7 +96,15 @@ the engine restructures it in five layers:
    streaming form: dwell groups are simulated lazily and one
    :class:`~repro.engine.scheduler.FleetItem` is yielded per job, in
    job order, as each assay's dwells drain from the fused batches —
-   ``run_many`` is this stream drained into a ``FleetResult``.
+   ``run_many`` is this stream drained into a ``FleetResult``.  Jobs
+   that name the same cell, chain and protocol objects share one plan:
+   each distinct ``(cell, chain, protocol)`` triple is planned once,
+   its units join their groups once, and each solved row is digitised
+   once per job that planned it.  :func:`repro.api.executors.solve`,
+   which every backend's pass goes through, builds one such triple per
+   distinct chemistry (an assay payload without ``name`` and ``seed``),
+   so replicates cost one plan and per job only the noise draws,
+   digitisation and assembly remain.
 
 6. **The declarative spec/run front door** (:mod:`repro.api`, one layer
    above this package).  Versioned, JSON-round-trippable
@@ -182,8 +191,9 @@ the engine restructures it in five layers:
    whole group, one group per sample rate (a shorter window's rows
    retire when its record ends).  Digitisation is fused too: the
    scheduler pre-draws each job's noise streams in electrode order off
-   the job's own RNG with
-   :meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`
+   the job's own RNG, each WE's budget, length and rate resolved once
+   per plan by
+   :meth:`~repro.electronics.chain.AcquisitionChain.noise_source`
    (preserving the sequential draw sequence bit for bit), then calls
    :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
    once per (TIA, ADC) cluster of a fused group; ``digitize`` and

@@ -50,27 +50,43 @@ advance together.  At one sample rate every record's time axis is a
 prefix of the longest, so the paper panel's two CYP windows (different
 record lengths) fuse into one group; a sweep's rows retire when its
 record ends.  Digitisation is group-level as well: each job's per-WE
-noise is pre-drawn off its own generator in electrode order by
-:meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`, the draw
-every ``digitize`` call makes, and every fused group then runs through
-one :meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch`
-call per (TIA, ADC) cluster and record length.  A job's ``(unit,
-reading)`` pairs go to
-:meth:`~repro.measurement.panel.PanelProtocol.assemble`, the one
-assembly the sequential reference path ends in too.
+noise is pre-drawn off its own generator in electrode order, the
+draws every ``digitize`` call makes
+(:meth:`~repro.electronics.chain.AcquisitionChain.noise_source` gives
+each draw's budget, length and rate), and every fused group then runs
+through one
+:meth:`~repro.electronics.chain.AcquisitionChain.digitize_batch` call
+per (TIA, ADC) cluster and record length.  A job's ``(unit, reading)``
+pairs go to :meth:`~repro.measurement.panel.PanelProtocol.assemble`,
+the one assembly the sequential reference path ends in too.
 
-Replicate assays share engine rows.  An assay's seed selects only its
-chain's acquisition noise, so a sweep over seeds (technical replicates)
-plans the same diffusion problems again and again.  Inside each fused
-group every row gets a key of exactly the values its step reads — the
-redox key (:func:`~repro.engine.redox.channel_key` plus the sweep's
-potential program and record length) lives in :class:`SweepBatch`, the
-mechanism key (:func:`~repro.engine.mechanisms.mechanism_key`) in
+Replicate assays share their plan and their engine rows.  An assay's
+seed selects only its acquisition noise, so a sweep over seeds
+(technical replicates) would plan the same units again and again.
+:func:`repro.api.executors.solve` builds one cell, chain and protocol
+per distinct chemistry of its pass, and :meth:`AssayScheduler.run_iter`
+plans once per distinct ``(cell, chain, protocol)`` object triple: each
+planned dwell or sweep joins its group once, its row is digitised once
+per job that planned it (each with the job's own noise), and only the
+noise draws, digitisation and assembly stay per job.  An 8-seed x
+2-loading paper-panel sweep plans 2 panels instead of 16.  The
+statistics still count every job's copy of a unit: ``n_fused_dwells``
+sums each unit's mechanisms once per job, ``n_fused_sweeps`` each
+sweep once per job.  Results share axes, so treat them as read-only:
+every CA trace of a digitised cluster already shared one ``times``
+array, and replicate voltammograms now share their sweep's ``times``,
+``potentials`` and ``sweep_sign`` too.  Callers that pass distinct
+objects per job (a :meth:`~repro.measurement.panel.PanelProtocol.run`,
+hand-built jobs) take the same path with one plan per job.  Below the
+plan, inside each fused group every row gets a key of exactly the
+values its step reads — the redox key
+(:func:`~repro.engine.redox.channel_key` plus the sweep's potential
+program and record length) lives in :class:`SweepBatch`, the mechanism
+key (:func:`~repro.engine.mechanisms.mechanism_key`) in
 :class:`DwellBatch` — and the engine solves one representative per key,
 fanning its flux history back out through an inverse index.  Keys are
 exact bytes, so rows merge only when their trajectories are
-bit-identical: an 8-seed x 2-loading paper-panel sweep solves 3
-distinct CV channels instead of 48, and every result is unchanged.
+bit-identical, whether or not their jobs shared a plan.
 
 :func:`_solve_rows` is the one loop that steps an engine row: every
 dwell, sweep, panel and standalone protocol run reaches the batches
@@ -550,14 +566,31 @@ class FleetResult:
 
 
 @dataclass
+class _Plan:
+    """One distinct ``(cell, chain, protocol)`` triple's planned units,
+    shared by every job that names those three objects."""
+
+    cell: "ElectrochemicalCell"
+    chain: "AcquisitionChain"
+    protocol: "PanelProtocol"
+    dwells: list
+    sweeps: list
+    #: The group keys of its units, in first-use order.
+    keys: list = field(default_factory=list)
+    #: ``(we_name, budget, n_samples, sample_rate)`` per WE in electrode
+    #: order: everything a job's noise draw reads but its generator.
+    sources: list = field(default_factory=list)
+    #: Every job that planned these units, in job order.
+    jobs: list = field(default_factory=list)
+
+
+@dataclass
 class _JobPlan:
-    """One job's planned execution: dwells, sweeps and, later, its
-    pre-drawn noise streams and ``(unit, reading)`` per WE."""
+    """One job: its shared :class:`_Plan` and, later, its pre-drawn
+    noise streams and ``(unit, reading)`` per WE."""
 
     job: AssayJob
-    protocol: "PanelProtocol"
-    dwells: list = field(default_factory=list)
-    sweeps: list = field(default_factory=list)
+    plan: _Plan
     noise: dict = field(default_factory=dict)
     readings: dict = field(default_factory=dict)
 
@@ -610,57 +643,67 @@ class AssayScheduler:
         dwell chemistry consumes no randomness and each group's fused
         solve is independent of when it runs, every streamed result is
         bit-identical to its :meth:`run_many` counterpart.
+
+        Jobs naming the same cell, chain and protocol *objects* share
+        one plan (module docstring): its units join their groups once,
+        and each solved row fans out to every job that planned it.
         """
         from repro.electronics.waveform import uniform_sample_times
 
         default = self._default_protocol()
-        plans: list[_JobPlan] = []
+        plans: dict[tuple[int, int, int], _Plan] = {}
+        states: list[_JobPlan] = []
         for job in map(self._coerce_job, jobs):
             protocol = job.protocol if job.protocol is not None else default
-            plans.append(_JobPlan(
-                job=job, protocol=protocol,
-                dwells=protocol.plan_dwells(job.cell, job.chain),
-                sweeps=protocol.plan_sweeps(job.cell, job.chain)))
+            # Keyed by identity: ``states`` holds every job, so no id is
+            # reused while the pass runs.
+            triple = (id(job.cell), id(job.chain), id(protocol))
+            plan = plans.get(triple)
+            if plan is None:
+                plan = plans[triple] = _Plan(
+                    cell=job.cell, chain=job.chain, protocol=protocol,
+                    dwells=protocol.plan_dwells(job.cell, job.chain),
+                    sweeps=protocol.plan_sweeps(job.cell, job.chain))
+            state = _JobPlan(job=job, plan=plan)
+            plan.jobs.append(state)
+            states.append(state)
 
         # Silent shadowing in by_name would lose results; fail loudly
         # at scheduling time, before any chemistry runs.
-        names = [plan.job.name if plan.job.name else f"job{index}"
-                 for index, plan in enumerate(plans)]
+        names = [state.job.name if state.job.name else f"job{index}"
+                 for index, state in enumerate(states)]
         duplicates = sorted(name for name, count in Counter(names).items()
                             if count > 1)
         if duplicates:
             raise SimulationError(
                 f"duplicate job names in fleet: {', '.join(duplicates)}")
 
-        # Group compatible work across jobs.  CA dwells key on the
+        # Group compatible units across plans.  CA dwells key on the
         # protocol's dwell length and sample rate (an identical time
         # axis).  CV sweeps key on the sample rate alone: at one rate
         # every record's axis is a prefix of the longest, which is all
         # a SweepBatch needs (each sweep carries its own potential
         # program and retires when its record ends).
-        groups: dict[tuple, list[tuple[_JobPlan, object]]] = {}
-        plan_keys: list[list[tuple]] = []
-        for plan in plans:
-            keys: list[tuple] = []
+        groups: dict[tuple, list[tuple[_Plan, object]]] = {}
+        for plan in plans.values():
             if plan.dwells:
                 key = ("ca", float(plan.protocol.ca_dwell),
                        float(plan.protocol.sample_rate))
                 for dwell in plan.dwells:
                     groups.setdefault(key, []).append((plan, dwell))
-                keys.append(key)
+                plan.keys.append(key)
             for sweep in plan.sweeps:
                 key = ("cv", float(sweep.sample_rate))
                 groups.setdefault(key, []).append((plan, sweep))
-                if key not in keys:
-                    keys.append(key)
-            plan_keys.append(keys)
+                if key not in plan.keys:
+                    plan.keys.append(key)
 
         # Pre-draw every job's acquisition noise from its own generator
         # in electrode order — the exact per-WE draws the sequential
         # path makes — so fused groups can digitise in one vectorised
         # pass without reordering any RNG stream.
-        for plan in plans:
-            self._predraw_noise(plan, uniform_sample_times)
+        for state in states:
+            self._predraw_noise(state, uniform_sample_times)
 
         simulated: set[tuple] = set()
         n_fused = 0
@@ -671,23 +714,27 @@ class AssayScheduler:
         n_solved = 0
         n_stored = 0
         try:
-            for index, plan in enumerate(plans):
-                for key in plan_keys[index]:
+            for index, state in enumerate(states):
+                for key in state.plan.keys:
                     if key in simulated:
                         continue
                     simulated.add(key)
                     members = groups[key]
+                    # Fusion counts every job's copy of a unit, as if
+                    # each job had planned its own.
                     if key[0] == "ca":
                         times = uniform_sample_times(key[1], key[2])
                         batch = DwellBatch(
                             [dwell for _, dwell in members], times,
                             store=self.store)
-                        n_fused += batch.batch_size
+                        n_fused += sum(len(dwell.mechanisms) * len(plan.jobs)
+                                       for plan, dwell in members)
                         n_ca_groups += 1
                     else:
                         batch = SweepBatch([sweep for _, sweep in members],
                                            store=self.store)
-                        n_fused_sweeps += batch.n_sweeps
+                        n_fused_sweeps += sum(len(plan.jobs)
+                                              for plan, _ in members)
                         n_sweep_groups += 1
                         times = batch.times
                     rows = batch.simulate()
@@ -695,9 +742,10 @@ class AssayScheduler:
                     n_solved += batch.n_solved_systems
                     n_stored += batch.n_store_rows
                     self._digitize_group(times, members, rows)
-                result = plan.protocol.assemble(plan.job.cell, plan.readings)
+                plan = state.plan
+                result = plan.protocol.assemble(plan.cell, state.readings)
                 yield FleetItem(index=index, name=names[index],
-                                result=result, n_jobs=len(plans),
+                                result=result, n_jobs=len(states),
                                 n_fused_dwells=n_fused,
                                 n_dwell_groups=n_ca_groups,
                                 n_solve_steps=n_steps,
@@ -713,67 +761,73 @@ class AssayScheduler:
             # of per-fleet state; every run_iter call re-plans from its
             # jobs, so a fresh stream is unaffected and bit-identical.
             groups.clear()
-            for plan in plans:
+            for plan in plans.values():
                 plan.dwells.clear()
                 plan.sweeps.clear()
-                plan.noise.clear()
-                plan.readings.clear()
+                plan.jobs.clear()
+            for state in states:
+                state.noise.clear()
+                state.readings.clear()
             plans.clear()
+            states.clear()
 
-    def _predraw_noise(self, plan: _JobPlan, uniform_sample_times) -> None:
+    @staticmethod
+    def _predraw_noise(state: _JobPlan, uniform_sample_times) -> None:
         """Draw the job's per-WE noise streams in electrode order.
 
-        One :meth:`~repro.electronics.chain.AcquisitionChain.draw_noise`
-        call per working electrode, off the job's generator, over the
-        WE's record axis: the draws the sequential path's ``digitize``
-        calls make, in the same order.
+        Each WE's budget and record axis are resolved once per plan
+        (:meth:`~repro.electronics.chain.AcquisitionChain.noise_source`);
+        per job only the generator draws remain — the draws the
+        sequential path's ``digitize`` calls make, in the same order.
         """
-        job = plan.job
+        plan = state.plan
+        if not plan.sources:
+            axes = {sweep.we_name: sweep.times for sweep in plan.sweeps}
+            if plan.dwells:
+                ca_times = uniform_sample_times(
+                    float(plan.protocol.ca_dwell),
+                    float(plan.protocol.sample_rate))
+                axes.update((dwell.we_name, ca_times)
+                            for dwell in plan.dwells)
+            plan.sources = [(we.name, *plan.chain.noise_source(
+                                 we, axes[we.name]))
+                            for we in plan.cell.working_electrodes]
+        job = state.job
         generator = (job.rng if job.rng is not None
                      else np.random.default_rng(2011))
-        axes = {sweep.we_name: sweep.times for sweep in plan.sweeps}
-        if plan.dwells:
-            ca_times = uniform_sample_times(float(plan.protocol.ca_dwell),
-                                            float(plan.protocol.sample_rate))
-            axes.update((dwell.we_name, ca_times) for dwell in plan.dwells)
-        for we in job.cell.working_electrodes:
-            plan.noise[we.name] = job.chain.draw_noise(generator, we,
-                                                       axes[we.name])
+        for name, model, n, sample_rate in plan.sources:
+            state.noise[name] = model.sample(generator, n, sample_rate)
 
     @staticmethod
     def _digitize_group(times: np.ndarray, members, rows) -> None:
         """Digitise one fused group's rows in vectorised batch calls.
 
-        Members are clustered by their chains' (TIA, ADC) transform —
-        the only chain state the noise-supplied ``digitize_batch`` path
-        reads — and by record length, so one call covers every
-        compatible row however many jobs contributed.  ``times`` is the
-        group's longest axis; a shorter record's axis is its prefix.
-        Noise was pre-drawn per job, which is what makes the clustering
-        free of RNG-ordering concerns.
+        Each unit's row fans out to every job that planned it, each
+        with its own noise.  Members are clustered by their chains'
+        (TIA, ADC) transform — the only chain state the noise-supplied
+        ``digitize_batch`` path reads — and by record length, so one
+        call covers every compatible row however many jobs contributed.
+        ``times`` is the group's longest axis; a shorter record's axis
+        is its prefix.  Noise was pre-drawn per job, which is what makes
+        the clustering free of RNG-ordering concerns.
         """
         clusters: dict = {}
-        order: list = []
-        for i, (plan, unit) in enumerate(members):
-            chain = plan.job.chain
-            key = (chain.tia, chain.adc, len(rows[i]))
-            if key not in clusters:
-                clusters[key] = []
-                order.append(key)
-            clusters[key].append(i)
-        for key in order:
-            indices = clusters[key]
-            chain = members[indices[0]][0].job.chain
-            stacked = np.asarray([np.asarray(rows[i], dtype=float)
-                                  for i in indices])
-            wes = [members[i][1].we for i in indices]
-            noise = np.asarray([members[i][0].noise[members[i][1].we_name]
-                                for i in indices])
-            readings = chain.digitize_batch(times[:key[2]], stacked,
-                                            wes=wes, noise=noise)
-            for reading, i in zip(readings, indices):
-                plan, unit = members[i]
-                plan.readings[unit.we_name] = (unit, reading)
+        for i, (plan, _) in enumerate(members):
+            key = (plan.chain.tia, plan.chain.adc, len(rows[i]))
+            clusters.setdefault(key, []).extend(
+                (i, state) for state in plan.jobs)
+        for (_, _, length), fanned in clusters.items():
+            chain = members[fanned[0][0]][0].chain
+            units = [members[i][1] for i, _ in fanned]
+            readings = chain.digitize_batch(
+                times[:length],
+                np.asarray([rows[i] for i, _ in fanned], dtype=float),
+                wes=[unit.we for unit in units],
+                noise=np.asarray([state.noise[unit.we_name]
+                                  for unit, (_, state)
+                                  in zip(units, fanned)]))
+            for reading, unit, (_, state) in zip(readings, units, fanned):
+                state.readings[unit.we_name] = (unit, reading)
 
     def run_many(self, jobs) -> FleetResult:
         """Advance every job's panel through the shared engine.

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.data.catalog import bench_chain, integrated_chain
 from repro.electronics.adc import ADC
 from repro.electronics.chain import AcquisitionChain
 from repro.electronics.mux import Multiplexer
@@ -70,6 +71,58 @@ class TestNoiseModel:
                            drift_rate=1e-9)
         series = model.sample(rng, 100, 10.0)
         assert series[-1] == pytest.approx(1e-9 * 9.9, rel=1e-6)
+
+
+def _flicker_by_formula(rng, n, sample_rate, density_at_1hz):
+    """``flicker_noise_series`` as written before its shape constants
+    were memoised: every constant rebuilt per call."""
+    if density_at_1hz == 0.0 or n == 1:
+        return np.zeros(n)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, d=1.0 / sample_rate)
+    shaping = np.zeros_like(freqs)
+    nonzero = freqs > 0.0
+    shaping[nonzero] = 1.0 / np.sqrt(freqs[nonzero])
+    shaped = np.fft.irfft(spectrum * shaping, n=n)
+    df = sample_rate / n
+    target_var = np.sum(density_at_1hz ** 2 / freqs[nonzero]) * df
+    realised_var = float(np.var(shaped))
+    if realised_var <= 0.0:
+        return np.zeros(n)
+    return shaped * math.sqrt(target_var / realised_var)
+
+
+class TestRecordConstants:
+    """The per-shape memo of the noise draw moves no bit."""
+
+    @pytest.mark.parametrize("n", [2, 151, 501, 651, 4096])
+    @pytest.mark.parametrize("sample_rate", [10.0, 4.0, 0.5])
+    def test_sample_equals_the_formula(self, n, sample_rate):
+        model = NoiseModel(white_density=3e-12, flicker_corner=10.0,
+                           drift_rate=2e-10)
+        for _ in range(2):  # a cold and a warm memo
+            rng = np.random.default_rng(n)
+            reference = np.random.default_rng(n)
+            white = (reference.standard_normal(n) * model.white_density
+                     * math.sqrt(sample_rate / 2.0))
+            flicker = _flicker_by_formula(reference, n, sample_rate,
+                                          model.flicker_density_at_1hz)
+            drift = model.drift_rate * (np.arange(n) / sample_rate)
+            out = model.sample(rng, n, sample_rate)
+            assert out.tobytes() == (white + flicker + drift).tobytes()
+            assert (flicker_noise_series(rng, n, sample_rate, 1e-9).tobytes()
+                    == _flicker_by_formula(reference, n, sample_rate,
+                                           1e-9).tobytes())
+
+    def test_memo_is_bounded_and_read_only(self):
+        from repro.electronics.noise import _record_constants
+
+        assert _record_constants.cache_info().maxsize is not None
+        record = _record_constants(64, 10.0)
+        assert _record_constants(64, 10.0) is record
+        for array in (record.ramp, record.shaping, record.band):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
 
 
 class TestStrategies:
@@ -302,6 +355,28 @@ class TestTransferAgainstBlocks:
         for row_we in wes:
             chain.draw_noise(draw_rng, row_we, times)
         assert batch_rng.bit_generator.state == draw_rng.bit_generator.state
+
+    @pytest.mark.parametrize("chain", [
+        bench_chain(), integrated_chain("oxidase"), integrated_chain("cyp"),
+        integrated_chain("cyp_micro"), AcquisitionChain()],
+        ids=["bench", "oxidase", "cyp", "cyp_micro", "default"])
+    def test_catalog_chain_flags_are_the_tia_rails(self, chain):
+        # Catalog ADCs span exactly the TIA rails, so the TIA's own
+        # check is every flag the chain raises.
+        full_scale = chain.tia.full_scale_current
+        times = np.arange(self.N) / 10.0
+        currents = np.vstack([
+            np.linspace(-2.0 * full_scale, 2.0 * full_scale, self.N),
+            np.full(self.N, full_scale), np.full(self.N, -full_scale),
+            np.full(self.N, np.nan)])
+        with np.errstate(invalid="ignore"):  # NaN rows cast to codes
+            readings = chain.digitize_batch(times, currents,
+                                            noise=np.zeros_like(currents))
+        for reading in readings:
+            assert np.array_equal(reading.saturated,
+                                  chain.tia.saturates(reading.input_current))
+        assert readings[0].any_saturated and not readings[0].saturated.all()
+        assert not readings[3].any_saturated
 
     def test_draw_noise_rate_from_time_axis(self):
         chain = self._chain()

@@ -13,6 +13,7 @@ from __future__ import annotations
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,11 @@ from repro.api.store import StoreStats
 from repro.data.catalog import bench_chain
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+#: The spans every panel assay reaches.
+PANEL_SPANS = ("panel.plan_dwells", "panel.plan_sweeps", "panel.assemble",
+               "electronics.noise", "electronics.digitize",
+               "engine.dwell_solve", "engine.sweep_solve")
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +80,7 @@ def test_one_assay_fleet_reaches_every_panel_span(spans):
         tracer.uninstall()
     assert len(record.records) == 1
     names = {span[spans._NAME] for span in tracer.spans}
-    for name in ("panel.plan_dwells", "panel.plan_sweeps", "panel.assemble",
-                 "electronics.noise", "electronics.digitize",
-                 "engine.dwell_solve", "engine.sweep_solve"):
+    for name in PANEL_SPANS:
         assert name in names, f"no {name} span"
     for span in tracer.spans:
         if span[spans._NAME] != "electronics.digitize":
@@ -86,3 +90,27 @@ def test_one_assay_fleet_reaches_every_panel_span(spans):
             assert parent[spans._NAME] != "electronics.digitize", (
                 "an electronics.digitize span nests inside another")
             parent = parent[spans._PARENT]
+
+
+def test_replicate_fleet_plans_once_per_chemistry(spans):
+    protocol = api.PanelProtocolSpec(ca_dwell=4.0, scan_rate=0.1)
+    spec = api.FleetSpec(name="contract", assays=tuple(
+        api.AssaySpec(name=f"s{seed}-g{glucose}", seed=seed,
+                      cell=api.CellSpec(concentrations={"glucose": glucose}),
+                      protocol=protocol)
+        for seed in range(4) for glucose in (1.0, 2.5)))
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        records = list(api.iter_results(spec))
+    finally:
+        tracer.uninstall()
+    assert len(records) == 8
+    names = Counter(span[spans._NAME] for span in tracer.spans)
+    # Two chemistries: one build-and-plan each, every job still built.
+    assert names["panel.plan_dwells"] == 2
+    assert names["panel.plan_sweeps"] == 2
+    assert names["specs.build_job"] == 8
+    assert names["panel.assemble"] == 8
+    for name in PANEL_SPANS:
+        assert names[name], f"no {name} span"
